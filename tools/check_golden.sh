@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Golden-artifact gate: regenerate the five figure artifacts and the
-# region run that CI pins and diff them against tests/golden/. Every
+# two region runs that CI pins and diff them against tests/golden/. Every
 # run is --threads 1; the artifacts are deterministic, so any diff is
 # a real behavioural change, not noise.
 #
@@ -32,8 +32,12 @@ GOLDEN_DIR=tests/golden
 
 # golden-name:binary:extra-args, the binary relative to the build
 # tree. fig09a gets a short horizon so the gate stays fast; the
-# full-horizon run is the bench's own business. The region run is a
-# small 4-MSB scenario with every outage in its second hour.
+# full-horizon run is the bench's own business. region_4x64_6h is a
+# small 4-MSB scenario with every outage in its second hour; every
+# rack sits at its clamp, so nothing is capped. region_4x64_3h_binding
+# loads each MSB to ~0.43 MW under a 1.68 MW region budget with all
+# outages at once: the split binds, every rack is capped at some
+# point, and P1/P2 SLAs are missed, so grants and capping are pinned.
 ARTIFACTS=(
     "fig09a_aor_vs_charge_time:bench/fig09a_aor_vs_charge_time:--years 2000"
     "fig13_charging_comparison:bench/fig13_charging_comparison:"
@@ -41,6 +45,7 @@ ARTIFACTS=(
     "fig15_priority_distributions:bench/fig15_priority_distributions:"
     "ablation_ordering:bench/ablation_ordering:"
     "region_4x64_6h:tools/dcbatt_region:--msbs 4 --racks-per-msb 64 --duration-hours 6 --first-outage-hours 1"
+    "region_4x64_3h_binding:tools/dcbatt_region:--msbs 4 --racks-per-msb 64 --mean-mw-per-msb 0.4267 --duration-hours 3 --first-outage-hours 1 --stagger-seconds 0 --coordination-seconds 3 --budget-mw 1.68"
 )
 
 FAILURES=()
