@@ -262,11 +262,6 @@ BM_RunChargingEvent(benchmark::State &state)
         }
     }
     state.SetItemsProcessed(state.iterations() * 64);
-    // Staging-arena footprint (a gauge max-merged across events, like
-    // trace.cache_bytes): makes the allocate-per-event memory budget
-    // visible next to the time-per-event number.
-    state.counters["arena_high_water_bytes"] =
-        obs::gauge("core.arena_high_water_bytes").value();
 }
 BENCHMARK(BM_RunChargingEvent)->Unit(benchmark::kMillisecond);
 
@@ -324,8 +319,7 @@ BM_StreamingTraceWindow(benchmark::State &state)
         trace::StreamingTraceSource source(spec);
         double sink = 0.0;
         for (size_t w = 0; w < source.windowCount(); ++w)
-            sink += source.windowFor(w * spec.windowSamples).at(
-                w * spec.windowSamples, 0);
+            sink += source.row(w * spec.windowSamples)[0];
         benchmark::DoNotOptimize(sink);
     }
     state.SetItemsProcessed(state.iterations() * 64 * 1200);

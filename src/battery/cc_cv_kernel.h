@@ -101,17 +101,6 @@ class CcCvKernel
         return std::exp(-seconds / params_.cvTimeConstant.value());
     }
 
-    /** Instantaneous charging current (amperes). */
-    double
-    currentAt(const CcCvState &state, double setpoint_a) const
-    {
-        if (!state.inCv)
-            return setpoint_a;
-        return setpoint_a
-            * std::exp(-util::Seconds(state.cvElapsedSeconds)
-                       / params_.cvTimeConstant);
-    }
-
     /** Charge a CV segment delivers as its current falls i0 -> i1. */
     double
     cvDeliveredCoulombs(double i0_a, double i1_a) const

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <memory>
+#include <numeric>
+#include <vector>
 
 #include "battery/power_shelf.h"
-#include "core/charging_invariants.h"
 #include "core/global_coordinator.h"
 #include "core/local_coordinator.h"
 #include "obs/crash_bundle.h"
@@ -16,15 +16,11 @@
 #include "obs/trace_span.h"
 #include "power/topology.h"
 #include "sim/event_queue.h"
-#include "sim/invariant_auditor.h"
-#include "util/arena.h"
 #include "util/check.h"
 #include "util/logging.h"
 
 namespace dcbatt::core {
 
-using power::Priority;
-using power::Rack;
 using util::Seconds;
 using util::Watts;
 
@@ -45,6 +41,40 @@ toString(PolicyKind kind)
 }
 
 namespace {
+
+/**
+ * A TraceSet replayed from trace time @p t0: run time 0 reads the
+ * sample in force at @p t0. Rows are gathered from the per-rack series
+ * into one buffer.
+ */
+class TraceSetRows final : public trace::DemandRows
+{
+  public:
+    TraceSetRows(const trace::TraceSet &set, Seconds t0)
+        : set_(&set), t0_(t0),
+          row_(static_cast<size_t>(set.rackCount()))
+    {
+    }
+
+    size_t
+    sampleIndexAt(Seconds t) const override
+    {
+        return set_->rack(0).indexAt(t0_ + t);
+    }
+
+    const double *
+    row(size_t index) override
+    {
+        for (size_t i = 0; i < row_.size(); ++i)
+            row_[i] = set_->rack(static_cast<int>(i))[index];
+        return row_.data();
+    }
+
+  private:
+    const trace::TraceSet *set_;
+    Seconds t0_;
+    std::vector<double> row_;
+};
 
 std::unique_ptr<dynamo::ChargingCoordinator>
 makeCoordinator(const ChargingEventConfig &config)
@@ -68,16 +98,6 @@ makeCoordinator(const ChargingEventConfig &config)
                        static_cast<int>(config.policy));
 }
 
-std::shared_ptr<const battery::ChargerPolicy>
-makeLocalCharger(const ChargingEventConfig &config)
-{
-    if (config.policy == PolicyKind::OriginalLocal)
-        return battery::makeOriginalCharger(config.bbuParams);
-    // The variable charger is the deployed hardware underneath both
-    // coordinated policies.
-    return battery::makeVariableCharger(config.bbuParams);
-}
-
 } // namespace
 
 ChargingEventResult
@@ -97,35 +117,6 @@ runChargingEvent(const ChargingEventConfig &config,
                    "target mean DOD %g outside (0, 1]",
                    config.targetMeanDod);
 
-    // Per-event staging arena (util/arena.h): every scratch buffer
-    // below is bump-allocated and rewound wholesale here, so after the
-    // first event on a thread the hot loop does zero heap traffic.
-    // The buffers are (re)initialized before any read, so results are
-    // a function of the config alone, never of thread assignment.
-    // detlint: allow(thread-local) -- per-thread scratch, fully
-    // reinitialized per event; reported only through a max-merged
-    // gauge, which is order-independent.
-    static thread_local util::Arena event_arena;
-    event_arena.reset();
-
-    // --- topology ---------------------------------------------------
-    power::TopologySpec spec;
-    spec.rootKind = power::NodeKind::Msb;
-    spec.rootName = "msb0";
-    spec.sbsPerMsb = 2;
-    spec.rppsPerSb = (n_racks + 2 * 16 - 1) / (2 * 16);
-    spec.racksPerRpp = 16;
-    spec.totalRacks = n_racks;
-    spec.msbLimit = config.msbLimit;
-    // The paper varies the power limit only at the MSB and assumes
-    // lower levels are unconstrained.
-    spec.sbLimit = util::megawatts(50.0);
-    spec.rppLimit = util::megawatts(50.0);
-    spec.priorities = config.priorities;
-    spec.bbuParams = config.bbuParams;
-    power::Topology topo =
-        power::Topology::build(spec, makeLocalCharger(config));
-
     // --- event timing ----------------------------------------------
     const util::TimeSeries &aggregate = traces.aggregate();
     const size_t peak_index = config.eventTime
@@ -136,10 +127,9 @@ runChargingEvent(const ChargingEventConfig &config,
 
     Watts peak_power(aggregate[peak_index]);
     Watts mean_rack_power = peak_power / static_cast<double>(n_racks);
-    util::Joules rack_energy = config.bbuParams.fullDischargeEnergy
-        * static_cast<double>(config.bbuParams.bbusPerRack);
-    Seconds ot_length = config.openTransitionLength.value_or(
-        rack_energy * config.targetMeanDod / mean_rack_power);
+    Seconds ot_length = power::openTransitionLength(
+        config.bbuParams, config.targetMeanDod, mean_rack_power,
+        config.openTransitionLength);
 
     const Seconds t0 = Seconds(peak_time.value())
         - config.preEventDuration;
@@ -155,13 +145,78 @@ runChargingEvent(const ChargingEventConfig &config,
             t0.value(), t_end.value(), traces.start().value()));
     }
 
-    // --- control plane ----------------------------------------------
+    // --- result plumbing ---------------------------------------------
+    ChargingEventResult result;
+    result.limit = config.msbLimit;
+    result.otStart = peak_time - t0;
+    result.otLength = ot_length;
+    result.chargeStart = result.otStart + ot_length;
+    // The sample count is known up front (one per physics step over
+    // [t0, t_end]); reserving keeps the four series from reallocating
+    // inside the hot loop.
+    auto samples = static_cast<size_t>(
+        (t_end - t0).value() / config.physicsStep.value()) + 2;
+    for (util::TimeSeries *series :
+         {&result.msbPower, &result.itPower, &result.rechargePower,
+          &result.capPower}) {
+        *series = util::TimeSeries(Seconds(0.0), config.physicsStep);
+        series->reserve(samples);
+    }
+
+    // --- the MSB -----------------------------------------------------
+    // The paper varies the power limit only at the MSB and assumes
+    // lower levels are unconstrained.
+    MsbRunConfig run_config;
+    power::TopologySpec &spec = run_config.topology;
+    spec.rootKind = power::NodeKind::Msb;
+    spec.rootName = "msb0";
+    spec.sbsPerMsb = 2;
+    spec.rppsPerSb = (n_racks + 2 * 16 - 1) / (2 * 16);
+    spec.racksPerRpp = 16;
+    spec.totalRacks = n_racks;
+    spec.msbLimit = config.msbLimit;
+    spec.sbLimit = util::megawatts(50.0);
+    spec.rppLimit = util::megawatts(50.0);
+    spec.priorities = config.priorities;
+    spec.bbuParams = config.bbuParams;
+    // The variable charger is the deployed hardware underneath both
+    // coordinated policies.
+    run_config.charger = config.policy == PolicyKind::OriginalLocal
+        ? battery::makeOriginalCharger(config.bbuParams)
+        : battery::makeVariableCharger(config.bbuParams);
+    run_config.coordinator = makeCoordinator(config);
+    const auto *priority_aware =
+        dynamic_cast<const PriorityAwareCoordinator *>(
+            run_config.coordinator.get());
+    run_config.controller = config.controllerConfig;
+    run_config.physicsStep = config.physicsStep;
+    run_config.otStart = result.otStart;
+    run_config.otLength = ot_length;
+    run_config.auditInterval = config.auditInterval;
+    run_config.slaTable = config.slaTable;
+
     sim::EventQueue queue;
-    auto coordinator = makeCoordinator(config);
-    dynamo::ControlPlane plane(topo, topo.root(), queue,
-                               coordinator.get(),
-                               config.controllerConfig);
-    plane.start();
+    TraceSetRows rows(traces, t0);
+    std::unique_ptr<obs::TimeSeriesRecorder> recorder;
+    MsbRun run(std::move(run_config), queue, rows, [&](Seconds now) {
+        // Fleet-level series from the power sums stepRacks folded
+        // over the rows it just refreshed (no rack mutates between the
+        // step and this read, so the sums equal the object walk).
+        const power::Topology &topo = run.topology();
+        const power::Topology::StepPowerTotals &totals =
+            topo.stepPowerTotals();
+        Watts msb = topo.root().inputPower();
+        result.msbPower.append(msb.value());
+        result.itPower.append(totals.itW);
+        result.rechargePower.append(totals.rechargeW);
+        result.capPower.append(totals.capW);
+        if (msb > config.msbLimit)
+            ++result.overloadSteps;
+        if (recorder)
+            recorder->sampleAt(now.value());
+    });
+    power::Topology &topo = run.topology();
+    dynamo::ControlPlane &plane = run.plane();
 
     // --- flight recorder ---------------------------------------------
     // Every sink below is a side channel gated on process-wide arming:
@@ -186,10 +241,7 @@ runChargingEvent(const ChargingEventConfig &config,
     }
     const bool events_on = obs::eventLoggingEnabled();
 
-    std::unique_ptr<obs::TimeSeriesRecorder> recorder;
-    util::ArenaVector<double> dod_scratch{
-        util::ArenaAllocator<double>(event_arena)};
-    dod_scratch.reserve(static_cast<size_t>(n_racks));
+    std::vector<double> dod_scratch;
     if (obs::timeSeriesArmed()) {
         recorder = std::make_unique<obs::TimeSeriesRecorder>(
             obs::armedTimeSeriesOptions());
@@ -215,6 +267,7 @@ runChargingEvent(const ChargingEventConfig &config,
                 });
         }
         // SoC distribution quantiles across the fleet (Figs. 3-5).
+        dod_scratch.reserve(static_cast<size_t>(n_racks));
         auto soc_quantile = [&topo, &dod_scratch,
                              n_racks](double q) {
             dod_scratch.clear();
@@ -236,20 +289,14 @@ runChargingEvent(const ChargingEventConfig &config,
         recorder->addProbe("soc_p90",
                            [soc_quantile] { return soc_quantile(0.1); });
         // Shelf CC/CV population.
-        recorder->addProbe("charging_bbus", [&topo, n_racks] {
-            const battery::FleetState &fleet = topo.fleet();
-            double total = 0.0;
-            for (int i = 0; i < n_racks; ++i)
-                total += fleet.chargingBbus[static_cast<size_t>(i)];
-            return total;
-        });
-        recorder->addProbe("cv_bbus", [&topo, n_racks] {
-            const battery::FleetState &fleet = topo.fleet();
-            double total = 0.0;
-            for (int i = 0; i < n_racks; ++i)
-                total += fleet.cvBbus[static_cast<size_t>(i)];
-            return total;
-        });
+        for (auto [name, row] :
+             {std::pair{"charging_bbus", &battery::FleetState::chargingBbus},
+              std::pair{"cv_bbus", &battery::FleetState::cvBbus}}) {
+            recorder->addProbe(name, [&topo, row = row] {
+                const std::vector<int32_t> &bbus = topo.fleet().*row;
+                return std::accumulate(bbus.begin(), bbus.end(), 0.0);
+            });
+        }
         // Dynamo controller state.
         recorder->addProbe("dynamo_cap_kw", [&plane] {
             return util::toKilowatts(plane.totalCap());
@@ -260,88 +307,6 @@ runChargingEvent(const ChargingEventConfig &config,
                 : 0.0;
         });
     }
-
-    // Open transition at the peak. Sim time 0 == trace time t0.
-    auto to_tick = [&](Seconds trace_time) {
-        return sim::toTicks(trace_time - t0);
-    };
-    topo.scheduleOpenTransition(queue, topo.root(),
-                                to_tick(peak_time),
-                                sim::toTicks(ot_length));
-
-    // Optional in-flight physical-invariant auditing. The auditor
-    // rides the same event queue as the physics and control plane; a
-    // violation aborts through the DCBATT contract machinery.
-    std::unique_ptr<sim::InvariantAuditor> auditor;
-    if (config.auditInterval) {
-        auditor = std::make_unique<sim::InvariantAuditor>(
-            queue, sim::toTicks(*config.auditInterval));
-        registerChargingInvariants(
-            *auditor, topo,
-            dynamic_cast<const PriorityAwareCoordinator *>(
-                coordinator.get()));
-        auditor->start();
-    }
-
-    // --- result plumbing ---------------------------------------------
-    ChargingEventResult result;
-    result.limit = config.msbLimit;
-    result.otStart = peak_time - t0;
-    result.otLength = ot_length;
-    result.chargeStart = result.otStart + ot_length;
-    result.msbPower = util::TimeSeries(Seconds(0.0),
-                                       config.physicsStep);
-    result.itPower = util::TimeSeries(Seconds(0.0), config.physicsStep);
-    result.rechargePower = util::TimeSeries(Seconds(0.0),
-                                            config.physicsStep);
-    result.capPower = util::TimeSeries(Seconds(0.0),
-                                       config.physicsStep);
-    // The sample count is known up front (one per physics step over
-    // [t0, t_end]); reserving keeps the four series from reallocating
-    // inside the hot loop.
-    auto samples = static_cast<size_t>(
-        (t_end - t0).value() / config.physicsStep.value()) + 2;
-    result.msbPower.reserve(samples);
-    result.itPower.reserve(samples);
-    result.rechargePower.reserve(samples);
-    result.capPower.reserve(samples);
-    result.racks.assign(static_cast<size_t>(n_racks), RackOutcome{});
-    for (int i = 0; i < n_racks; ++i) {
-        RackOutcome &outcome = result.racks[static_cast<size_t>(i)];
-        outcome.rackId = i;
-        outcome.priority = topo.rack(i).priority();
-    }
-
-    // Snapshot the per-rack DOD at the instant charging begins. This
-    // event is scheduled after the restore event at the same tick, so
-    // FIFO ordering guarantees the batteries have switched to charging
-    // but not yet absorbed any charge.
-    queue.schedule(to_tick(peak_time + ot_length), [&] {
-        double dod_sum = 0.0;
-        for (int i = 0; i < n_racks; ++i) {
-            double dod = topo.rack(i).shelf().meanDod();
-            result.racks[static_cast<size_t>(i)].initialDod = dod;
-            result.racks[static_cast<size_t>(i)].sawOutage =
-                topo.rack(i).sawOutage();
-            dod_sum += dod;
-        }
-        result.meanInitialDod = dod_sum / n_racks;
-        if (events_on) {
-            double t_s = result.chargeStart.value();
-            for (int i = 0; i < n_racks; ++i) {
-                const RackOutcome &outcome =
-                    result.racks[static_cast<size_t>(i)];
-                obs::logEvent(
-                    t_s, "charge_start",
-                    {{"rack", static_cast<double>(i)},
-                     {"priority",
-                      static_cast<double>(power::priorityIndex(
-                                              outcome.priority)
-                                          + 1)},
-                     {"dod", outcome.initialDod}});
-            }
-        }
-    });
 
     if (events_on) {
         obs::logEvent(
@@ -354,112 +319,13 @@ runChargingEvent(const ChargingEventConfig &config,
             {{"policy", toString(config.policy)}});
     }
 
-    // --- physics loop -------------------------------------------------
-    uint8_t *done =
-        event_arena.allocateArray<uint8_t>(static_cast<size_t>(n_racks));
-    /** Per-rack "was any BBU in CV" flags for CC→CV transition events. */
-    uint8_t *was_cv = events_on
-        ? event_arena.allocateArray<uint8_t>(static_cast<size_t>(n_racks))
-        : nullptr;
-    size_t last_trace_idx = std::numeric_limits<size_t>::max();
-    const Seconds dt = config.physicsStep;
-    sim::PeriodicTask physics(queue, sim::toTicks(dt),
-                              [&](sim::Tick now) {
-        Seconds trace_time = t0 + sim::toSeconds(now);
-        // Every rack trace shares one clock, so one indexAt() resolves
-        // all the samples; when the trace index has not advanced since
-        // the previous physics tick every demand is unchanged and the
-        // update loop is skipped (setItDemand would ignore the equal
-        // value anyway, but not for free).
-        size_t trace_idx = traces.rack(0).indexAt(trace_time);
-        if (trace_idx != last_trace_idx) {
-            last_trace_idx = trace_idx;
-            for (int i = 0; i < n_racks; ++i) {
-                topo.rack(i).setItDemand(
-                    Watts(traces.rack(i)[trace_idx]));
-            }
-        }
-        topo.stepRacks(dt);
-        topo.observeBreakers(dt);
-
-        // Sample fleet-level series from the power sums stepRacks
-        // folded over the struct-of-arrays rows it just refreshed (no
-        // rack mutates between the step and this read, so the sums
-        // equal the object walk exactly).
-        const battery::FleetState &fleet = topo.fleet();
-        const power::Topology::StepPowerTotals &totals =
-            topo.stepPowerTotals();
-        Watts msb = topo.root().inputPower();
-        result.msbPower.append(msb.value());
-        result.itPower.append(totals.itW);
-        result.rechargePower.append(totals.rechargeW);
-        result.capPower.append(totals.capW);
-        if (msb > config.msbLimit)
-            ++result.overloadSteps;
-
-        // One pass over the rows: sticky cap/hold flags plus
-        // charge-completion detection (the latter armed only once
-        // charging has begun).
-        Seconds sim_now = sim::toSeconds(now);
-        const bool after_start = sim_now > result.chargeStart;
-        for (int i = 0; i < n_racks; ++i) {
-            auto idx = static_cast<size_t>(i);
-            if (fleet.capW[idx] > 0.0)
-                result.racks[idx].everCapped = true;
-            if (fleet.held[idx])
-                result.racks[idx].everHeld = true;
-            if (!after_start || done[idx])
-                continue;
-            if (fleet.fullyCharged[idx]) {
-                done[idx] = true;
-                result.racks[idx].chargeDuration =
-                    sim_now - result.chargeStart;
-                if (events_on) {
-                    obs::logEvent(
-                        sim_now.value(), "charge_finish",
-                        {{"rack", static_cast<double>(i)},
-                         {"duration_s",
-                          result.racks[idx]
-                              .chargeDuration->value()}});
-                }
-            }
-        }
-
-        // Flight recorder side channels: CC→CV transition events and
-        // the sim-time-cadence telemetry tape. Both read state the
-        // loop above already refreshed; neither mutates anything the
-        // simulation reads back.
-        if (events_on) {
-            for (int i = 0; i < n_racks; ++i) {
-                auto idx = static_cast<size_t>(i);
-                bool cv = fleet.cvBbus[idx] > 0;
-                if (cv && !was_cv[idx]) {
-                    obs::logEvent(
-                        sim_now.value(), "cc_cv_transition",
-                        {{"rack", static_cast<double>(i)},
-                         {"cv_bbus", static_cast<double>(
-                                         fleet.cvBbus[idx])}});
-                }
-                was_cv[idx] = cv;
-            }
-        }
-        if (recorder)
-            recorder->sampleAt(sim_now.value());
-    });
-    physics.start(0);
-
-    queue.runUntil(to_tick(t_end));
-    plane.stop();
-    physics.stop();
-    if (auditor) {
-        // One final pass over the end state, then record the stats.
-        auditor->stop();
-        auditor->auditNow();
-        result.auditCount = auditor->auditCount();
-        result.auditViolations = auditor->violationCount();
-    }
+    // Sim time 0 == trace time t0.
+    queue.runUntil(sim::toTicks(t_end - t0));
+    static_cast<MsbTally &>(result) = run.finish();
 
     // --- outcomes -----------------------------------------------------
+    result.auditCount = run.auditCount();
+    result.auditViolations = run.auditViolations();
     result.peakPower = Watts(result.msbPower.maxValue());
     result.maxCap = Watts(result.capPower.maxValue());
     size_t max_cap_at = result.capPower.argMax();
@@ -467,22 +333,8 @@ runChargingEvent(const ChargingEventConfig &config,
         + result.capPower[max_cap_at];
     result.maxCapFractionOfIt =
         it_at > 0.0 ? result.maxCap.value() / it_at : 0.0;
-    result.breakerTripped = topo.root().breaker()->tripped();
-
-    uint64_t sla_met = 0;
-    for (int i = 0; i < n_racks; ++i) {
-        RackOutcome &outcome = result.racks[static_cast<size_t>(i)];
-        Seconds sla =
-            config.slaTable.chargeTimeSla(outcome.priority);
-        outcome.slaMet = outcome.chargeDuration.has_value()
-            && *outcome.chargeDuration <= sla;
-        int pri = power::priorityIndex(outcome.priority);
-        ++result.racksByPriority[static_cast<size_t>(pri)];
-        if (outcome.slaMet) {
-            ++result.slaMetByPriority[static_cast<size_t>(pri)];
-            ++sla_met;
-        }
-    }
+    result.racks = run.racks();
+    const auto sla_met = static_cast<uint64_t>(result.slaMetTotal());
 
     // --- metrics ------------------------------------------------------
     // One registry visit per event, after the hot loop: every quantity
@@ -511,43 +363,24 @@ runChargingEvent(const ChargingEventConfig &config,
     DCBATT_COUNT_N("battery.shelf_full_steps", shelf.fullSteps);
     DCBATT_COUNT_N("battery.twin_materializations",
                    shelf.materializations);
-    // The SLA memo counts hits with plain per-instance increments (the
-    // lookup itself is only a hash probe); fold them into the registry
-    // here, once, instead of per probe.
-    if (const auto *pac =
-            dynamic_cast<const PriorityAwareCoordinator *>(
-                coordinator.get())) {
-        const SlaMemoStats &memo = pac->slaMemoStats();
-        DCBATT_COUNT_N("core.sla_memo_hits", memo.hits);
-        DCBATT_COUNT_N("core.sla_memo_misses", memo.misses);
-        DCBATT_COUNT_N("core.sla_memo_evictions", memo.evictions);
-    }
     {
         static obs::Histogram &window_hist = obs::histogram(
             "core.event_window_s",
             {600.0, 1800.0, 3600.0, 7200.0, 14400.0, 28800.0});
         window_hist.observe((t_end - t0).value());
     }
-    {
-        // Staging-arena footprint for this event. Nothing is freed
-        // until the reset at the top, so usedBytes() here is the
-        // event's high-water mark; the gauge max-merges so the
-        // snapshot is identical at any thread count.
-        static obs::Gauge &arena_gauge =
-            obs::gauge("core.arena_high_water_bytes");
-        arena_gauge.setMax(
-            static_cast<double>(event_arena.usedBytes()));
-    }
-    {
+    // The SLA memo counts hits with plain per-instance increments (the
+    // lookup itself is only a hash probe); fold them into the registry
+    // here, once, instead of per probe.
+    if (priority_aware) {
+        const SlaMemoStats &memo = priority_aware->slaMemoStats();
+        DCBATT_COUNT_N("core.sla_memo_hits", memo.hits);
+        DCBATT_COUNT_N("core.sla_memo_misses", memo.misses);
+        DCBATT_COUNT_N("core.sla_memo_evictions", memo.evictions);
         static obs::Histogram &memo_hist = obs::histogram(
             "core.sla_memo_occupancy",
             {16.0, 64.0, 256.0, 1024.0, 4096.0});
-        if (const auto *pac =
-                dynamic_cast<const PriorityAwareCoordinator *>(
-                    coordinator.get())) {
-            memo_hist.observe(static_cast<double>(
-                pac->slaMemoStats().peakOccupancy));
-        }
+        memo_hist.observe(static_cast<double>(memo.peakOccupancy));
     }
     event_span.arg("physics_steps", static_cast<double>(steps));
     event_span.arg("overload_steps",

@@ -14,17 +14,21 @@
  * The target mean battery DOD is dialled in the same way as the
  * paper: by choosing the open-transition length (each rack's DOD is
  * its IT load times the outage length over its battery energy).
+ *
+ * The per-step cycle itself is core::MsbRun, shared with the region
+ * engine's shards; this file adds the paper's event timing, the four
+ * power series and the Table III metrics.
  */
 
 #ifndef DCBATT_CORE_CHARGING_EVENT_SIM_H_
 #define DCBATT_CORE_CHARGING_EVENT_SIM_H_
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
 #include "battery/bbu_params.h"
+#include "core/msb_run.h"
 #include "core/priority_aware_coordinator.h"
 #include "core/sla.h"
 #include "dynamo/controller.h"
@@ -95,26 +99,11 @@ struct ChargingEventConfig
     std::vector<power::Priority> priorities;
 };
 
-/** Per-rack outcome of a charging event. */
-struct RackOutcome
-{
-    int rackId = -1;
-    power::Priority priority = power::Priority::P2;
-    /** DOD when charging began. */
-    double initialDod = 0.0;
-    /** Time from charging start to fully charged (unset: never). */
-    std::optional<util::Seconds> chargeDuration;
-    bool slaMet = false;
-    /** Battery ran out during the open transition (server outage). */
-    bool sawOutage = false;
-    /** Rack was ever power-capped during the event. */
-    bool everCapped = false;
-    /** Rack charging was ever postponed (held). */
-    bool everHeld = false;
-};
-
-/** Everything the benches need from one run. */
-struct ChargingEventResult
+/**
+ * Everything the benches need from one run: the MSB's rack tallies
+ * plus the paper's series and Table III metrics.
+ */
+struct ChargingEventResult : MsbTally
 {
     /** All series share the physics step and start at sim time 0. */
     util::TimeSeries msbPower;
@@ -127,14 +116,11 @@ struct ChargingEventResult
     util::Seconds otLength{0.0};
     util::Seconds chargeStart{0.0};
 
-    double meanInitialDod = 0.0;
-
     /** Table III metrics. */
     util::Watts maxCap{0.0};
     double maxCapFractionOfIt = 0.0;
 
     util::Watts peakPower{0.0};
-    bool breakerTripped = false;
     /** Physics steps during which the MSB was above its limit. */
     int overloadSteps = 0;
 
@@ -144,14 +130,6 @@ struct ChargingEventResult
     uint64_t auditViolations = 0;
 
     std::vector<RackOutcome> racks;
-    std::array<int, 3> racksByPriority{0, 0, 0};
-    std::array<int, 3> slaMetByPriority{0, 0, 0};
-
-    int slaMetTotal() const
-    {
-        return slaMetByPriority[0] + slaMetByPriority[1]
-            + slaMetByPriority[2];
-    }
 };
 
 /**

@@ -1,42 +1,9 @@
 #include "obs/chrome_trace_writer.h"
 
-#include <cstdio>
-
+#include "obs/text_output.h"
 #include "util/logging.h"
 
 namespace dcbatt::obs {
-
-namespace {
-
-void
-appendJsonString(std::string &out, const std::string &s)
-{
-    out.push_back('"');
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += util::strf("\\u%04x", c);
-            else
-                out.push_back(c);
-        }
-    }
-    out.push_back('"');
-}
-
-} // namespace
 
 std::string
 ChromeTraceWriter::toJson(const std::vector<SpanEvent> &events)
@@ -76,14 +43,7 @@ void
 ChromeTraceWriter::writeFile(const std::string &path,
                              const std::vector<SpanEvent> &events)
 {
-    std::string doc = toJson(events);
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        util::fatal(util::strf("obs: cannot open %s for writing",
-                               path.c_str()));
-    }
-    std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fclose(f);
+    writeTextFile(path, toJson(events));
 }
 
 void

@@ -10,6 +10,7 @@
 
 #include "obs/event_log.h"
 #include "obs/metrics.h"
+#include "obs/text_output.h"
 #include "util/annotations.h"
 #include "util/logging.h"
 
@@ -78,34 +79,6 @@ writeFile(const std::string &path, const std::string &content)
     std::fwrite(content.data(), 1, content.size(), f);
     std::fclose(f);
     return true;
-}
-
-void
-appendJsonString(std::string &out, const std::string &text)
-{
-    out.push_back('"');
-    for (char c : text) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += util::strf("\\u%04x", c);
-            else
-                out.push_back(c);
-        }
-    }
-    out.push_back('"');
 }
 
 } // namespace

@@ -1,11 +1,11 @@
 #include "obs/event_log.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <deque>
 #include <map>
 #include <memory>
 
+#include "obs/text_output.h"
 #include "util/annotations.h"
 #include "util/logging.h"
 
@@ -88,34 +88,6 @@ currentFrame()
     if (t_scopes.empty())
         t_scopes.push_back(ScopeFrame{});
     return t_scopes.back();
-}
-
-void
-appendJsonString(std::string &out, std::string_view text)
-{
-    out.push_back('"');
-    for (char c : text) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += util::strf("\\u%04x", c);
-            else
-                out.push_back(c);
-        }
-    }
-    out.push_back('"');
 }
 
 } // namespace
@@ -284,15 +256,8 @@ eventsToJsonl(const std::vector<EventRecord> &events, size_t dropped)
 void
 writeEventsJsonl(const std::string &path)
 {
-    std::string doc =
-        eventsToJsonl(snapshotEvents(), droppedEventCount());
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        util::fatal(util::strf("obs: cannot open %s for writing",
-                               path.c_str()));
-    }
-    std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fclose(f);
+    writeTextFile(path,
+                  eventsToJsonl(snapshotEvents(), droppedEventCount()));
 }
 
 void

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdio>
 #include <map>
 #include <memory>
 
+#include "obs/text_output.h"
 #include "util/annotations.h"
 #include "util/logging.h"
 
@@ -341,38 +341,6 @@ MetricsSnapshot::find(std::string_view name) const
     return nullptr;
 }
 
-namespace {
-
-void
-appendJsonString(std::string &out, std::string_view s)
-{
-    out.push_back('"');
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += util::strf("\\u%04x", c);
-            else
-                out.push_back(c);
-        }
-    }
-    out.push_back('"');
-}
-
-} // namespace
-
 std::string
 MetricsSnapshot::toJson() const
 {
@@ -450,14 +418,7 @@ snapshotMetrics()
 void
 writeMetricsJson(const std::string &path)
 {
-    std::string doc = snapshotMetrics().toJson();
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        util::fatal(util::strf("obs: cannot open %s for writing",
-                               path.c_str()));
-    }
-    std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fclose(f);
+    writeTextFile(path, snapshotMetrics().toJson());
 }
 
 } // namespace dcbatt::obs

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <map>
 #include <set>
 
 #include "obs/event_log.h"
+#include "obs/text_output.h"
 #include "util/annotations.h"
 #include "util/check.h"
 #include "util/logging.h"
@@ -271,14 +271,7 @@ writeTimeSeries(const std::string &path)
 {
     bool json = path.size() >= 5
         && path.compare(path.size() - 5, 5, ".json") == 0;
-    std::string doc = json ? timeSeriesToJson() : timeSeriesToCsv();
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        util::fatal(util::strf("obs: cannot open %s for writing",
-                               path.c_str()));
-    }
-    std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fclose(f);
+    writeTextFile(path, json ? timeSeriesToJson() : timeSeriesToCsv());
 }
 
 void

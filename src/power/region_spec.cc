@@ -85,6 +85,22 @@ msbTopologySpec(const RegionSpec &spec, int msb)
     return topo;
 }
 
+util::Seconds
+msbOutageStart(const RegionSpec &spec, int msb)
+{
+    return spec.firstOutage
+        + spec.outageStagger * static_cast<double>(msb);
+}
+
+util::Seconds
+msbOutageLength(const RegionSpec &spec)
+{
+    return openTransitionLength(
+        spec.bbuParams, spec.targetMeanDod,
+        spec.msbAggregateMean / static_cast<double>(spec.racksPerMsb),
+        spec.openTransitionLength);
+}
+
 void
 validateRegionSpec(const RegionSpec &spec)
 {
@@ -110,6 +126,17 @@ validateRegionSpec(const RegionSpec &spec)
         || spec.outageStagger.value() < 0.0)
         util::fatal("RegionSpec: negative outage schedule");
     (void)msbPriorityMix(spec);  // validates the mix counts
+    // The stagger is non-negative, so the last MSB charges last.
+    const int last = spec.msbs - 1;
+    const util::Seconds ot_start = msbOutageStart(spec, last);
+    const util::Seconds charge_start = ot_start + msbOutageLength(spec);
+    if (charge_start >= spec.duration) {
+        util::fatal(util::strf(
+            "RegionSpec: MSB %d open transition [%.0f, %.0f]s ends "
+            "outside the %.0f s run",
+            last, ot_start.value(), charge_start.value(),
+            spec.duration.value()));
+    }
 }
 
 } // namespace dcbatt::power

@@ -126,7 +126,17 @@ std::vector<Priority> msbPriorityMix(const RegionSpec &spec);
 /** Topology spec for one MSB subtree of the region. */
 TopologySpec msbTopologySpec(const RegionSpec &spec, int msb);
 
-/** Panics (util::fatal) unless the spec is internally consistent. */
+/** Sim time at which MSB @p msb's open transition begins. */
+util::Seconds msbOutageStart(const RegionSpec &spec, int msb);
+
+/** Every MSB's open-transition length (power::openTransitionLength). */
+util::Seconds msbOutageLength(const RegionSpec &spec);
+
+/**
+ * Exits (util::fatal) unless the spec is internally consistent, naming
+ * the first problem: shapes, steps, the priority mix, and an outage
+ * campaign whose last charge start falls at or after the run's end.
+ */
 void validateRegionSpec(const RegionSpec &spec);
 
 } // namespace dcbatt::power

@@ -446,4 +446,16 @@ Topology::scheduleOpenTransition(sim::EventQueue &queue, PowerNode &node,
                    [target] { endOpenTransition(*target); });
 }
 
+Seconds
+openTransitionLength(const battery::BbuParams &params,
+                     double target_mean_dod, Watts mean_rack_power,
+                     std::optional<Seconds> explicit_length)
+{
+    if (explicit_length)
+        return *explicit_length;
+    util::Joules rack_energy = params.fullDischargeEnergy
+        * static_cast<double>(params.bbusPerRack);
+    return rack_energy * target_mean_dod / mean_rack_power;
+}
+
 } // namespace dcbatt::power

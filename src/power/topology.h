@@ -16,6 +16,7 @@
 #define DCBATT_POWER_TOPOLOGY_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -249,6 +250,17 @@ class Topology
     std::vector<PowerNode *> breakerNodes_;
     PowerNode *root_ = nullptr;
 };
+
+/**
+ * Open-transition length that leaves a rack drawing @p mean_rack_power
+ * at @p target_mean_dod of its battery energy — how both engines dial
+ * the paper's low/medium/high discharge — or @p explicit_length when
+ * set.
+ */
+util::Seconds
+openTransitionLength(const battery::BbuParams &params,
+                     double target_mean_dod, util::Watts mean_rack_power,
+                     std::optional<util::Seconds> explicit_length);
 
 } // namespace dcbatt::power
 

@@ -4,19 +4,20 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
+#include <string>
 #include <utility>
 
 #include "battery/charger_policy.h"
-#include "core/charging_invariants.h"
+#include "core/msb_run.h"
 #include "core/priority_aware_coordinator.h"
 #include "core/region_budget.h"
 #include "core/sla.h"
-#include "dynamo/controller.h"
+#include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/time_series_recorder.h"
 #include "obs/trace_span.h"
 #include "sim/event_queue.h"
-#include "sim/invariant_auditor.h"
 #include "trace/streaming_trace_source.h"
 #include "util/check.h"
 #include "util/logging.h"
@@ -36,10 +37,11 @@ namespace {
 constexpr double kBudgetSlackW = 1e3;
 
 /**
- * One MSB shard: its own topology, control plane, streaming trace
- * source, and (sharded mode) its own event queue. All mutable state
- * is confined to the shard; the driver touches it only between
- * chunks, in shard-index order.
+ * One MSB shard: a core::MsbRun over its own streaming trace source
+ * and (sharded mode) its own event queue, plus the budget bookkeeping
+ * only the region reports. All mutable state is confined to the
+ * shard; the driving thread touches it only between chunks, in
+ * shard-index order.
  */
 class MsbShard
 {
@@ -47,98 +49,33 @@ class MsbShard
     /**
      * @p shared_queue null: shard owns a queue (sharded mode);
      * non-null: events ride the caller's queue (single-queue mode).
-     * Construction schedules everything the shard will ever schedule
-     * from the outside: control-plane ticks, the open transition, the
-     * charge-start snapshot, optional auditing, and the physics task
-     * (first firing at tick 0).
      */
     MsbShard(const RegionSpec &spec, int index,
              EventQueue *shared_queue)
         : spec_(&spec), index_(index),
+          name_(power::msbName(spec, index)),
+          journal_(obs::eventLoggingEnabled()),
           ownQueue_(shared_queue
                         ? nullptr
                         : std::make_unique<EventQueue>()),
           queue_(shared_queue ? shared_queue : ownQueue_.get()),
-          source_(streamingSpec(spec, index)),
-          topo_(power::Topology::build(
-              power::msbTopologySpec(spec, index),
-              battery::makeVariableCharger(spec.bbuParams)))
+          source_(msbTraceSpec(spec, index)),
+          run_(runConfig(spec, index), *queue_, source_,
+               [this](Seconds) { observeStep(); })
     {
-        const int racks = spec.racksPerMsb;
-        done_.assign(static_cast<size_t>(racks), 0);
-        everCapped_.assign(static_cast<size_t>(racks), 0);
-        everHeld_.assign(static_cast<size_t>(racks), 0);
-        initialDod_.assign(static_cast<size_t>(racks), 0.0);
-        sawOutage_.assign(static_cast<size_t>(racks), 0);
-        chargeDurationS_.assign(static_cast<size_t>(racks), -1.0);
-
-        // Prefetch sample 0 so the tick-0 budget split sees real IT
-        // demand instead of an all-zero fleet (a zero grant would cap
-        // every server before the first physics step).
-        applyTraceSample(0);
-
-        // Control plane: the paper's priority-aware policy under each
-        // MSB root, monitoring/capping controllers below.
-        core::SlaCurrentCalculator calc(
-            battery::ChargeTimeModel(spec.bbuParams),
-            core::SlaTable::paperDefault());
-        coordinator_ = std::make_unique<core::PriorityAwareCoordinator>(
-            std::move(calc), core::PriorityAwareOptions{});
-        plane_ = std::make_unique<dynamo::ControlPlane>(
-            topo_, topo_.root(), *queue_, coordinator_.get());
-        plane_->start();
-
-        // Staggered open transition, then the charge-start snapshot
-        // (scheduled after the restore event, so same-tick FIFO order
-        // guarantees the batteries have flipped to charging but not
-        // yet absorbed anything — exactly like runChargingEvent).
-        otStart_ = spec.firstOutage
-            + spec.outageStagger * static_cast<double>(index);
-        util::Joules rack_energy = spec.bbuParams.fullDischargeEnergy
-            * static_cast<double>(spec.bbuParams.bbusPerRack);
-        Watts mean_rack_power = spec.msbAggregateMean
-            / static_cast<double>(spec.racksPerMsb);
-        otLength_ = spec.openTransitionLength.value_or(
-            rack_energy * spec.targetMeanDod / mean_rack_power);
-        chargeStart_ = otStart_ + otLength_;
-        if (chargeStart_ >= spec.duration) {
-            util::fatal(util::strf(
-                "runRegion: MSB %d open transition [%.0f, %.0f]s "
-                "ends outside the %.0f s run",
-                index, otStart_.value(), chargeStart_.value(),
-                spec.duration.value()));
-        }
-        topo_.scheduleOpenTransition(*queue_, topo_.root(),
-                                     toTicks(otStart_),
-                                     toTicks(otLength_));
-        queue_->schedule(toTicks(chargeStart_), [this] {
-            const int racks = spec_->racksPerMsb;
-            double dod_sum = 0.0;
-            for (int i = 0; i < racks; ++i) {
-                auto idx = static_cast<size_t>(i);
-                double dod = topo_.rack(i).shelf().meanDod();
-                initialDod_[idx] = dod;
-                sawOutage_[idx] = topo_.rack(i).sawOutage() ? 1 : 0;
-                dod_sum += dod;
-            }
-            meanInitialDod_ = dod_sum / racks;
-        });
-
-        if (spec.auditInterval) {
-            auditor_ = std::make_unique<InvariantAuditor>(
-                *queue_, toTicks(*spec.auditInterval));
-            core::registerChargingInvariants(*auditor_, topo_,
-                                             coordinator_.get());
-            auditor_->start();
-        }
-
-        physics_ = std::make_unique<PeriodicTask>(
-            *queue_, toTicks(spec.physicsStep),
-            [this](Tick now) { step(now); });
-        physics_->start(0);
     }
 
-    EventQueue &queue() { return *queue_; }
+    /** Run this shard's queue through @p until (sharded mode). */
+    void
+    runUntil(Tick until)
+    {
+        // Name the MSB in the journal: without a scope, events from
+        // worker threads interleave in the default scope.
+        std::optional<obs::RunScope> scope;
+        if (journal_)
+            scope.emplace(name_);
+        queue_->runUntil(until);
+    }
 
     /** Budget-splitter input; called between chunks only. */
     core::MsbBudgetReport
@@ -155,7 +92,7 @@ class MsbShard
         double per_rack_charge_w =
             battery::rackWattsPerAmpere(spec_->bbuParams).value()
             * spec_->bbuParams.maxCurrent.value();
-        for (const power::Rack *rack : topo_.racks()) {
+        for (const power::Rack *rack : run_.topology().racks()) {
             r.itW += rack->itLoad().value();
             if (!rack->shelf().fullyCharged()) {
                 r.demandW[static_cast<size_t>(
@@ -171,76 +108,39 @@ class MsbShard
     applyGrant(double grant_w)
     {
         grantW_ = grant_w;
-        plane_->rootController().setLimitCeiling(Watts(grant_w));
+        run_.plane().rootController().setLimitCeiling(Watts(grant_w));
         grantSumW_ += grant_w;
         grantMinW_ = std::min(grantMinW_, grant_w);
         grantMaxW_ = std::max(grantMaxW_, grant_w);
         ++grantTicks_;
     }
 
-    /** Grid draw of the shard's last physics step (W). */
-    double
-    lastItW() const
+    /** Fleet power sums of the shard's last physics step. */
+    const power::Topology::StepPowerTotals &
+    lastStep() const
     {
-        return topo_.stepPowerTotals().itW;
-    }
-    double
-    lastRechargeW() const
-    {
-        return topo_.stepPowerTotals().rechargeW;
-    }
-    double
-    lastCapW() const
-    {
-        return topo_.stepPowerTotals().capW;
+        return run_.topology().stepPowerTotals();
     }
 
-    uint64_t
-    physicalAudits() const
-    {
-        return auditor_ ? auditor_->auditCount() : 0;
-    }
+    uint64_t physicalAudits() const { return run_.auditCount(); }
 
     /** Fold the run into the outcome row (driving thread only). */
     RegionMsbOutcome
     finalize()
     {
-        physics_->stop();
-        plane_->stop();
-        if (auditor_) {
-            auditor_->stop();
-            auditor_->auditNow();
-        }
-
+        std::optional<obs::RunScope> scope;
+        if (journal_)
+            scope.emplace(name_);
         RegionMsbOutcome out;
+        static_cast<core::MsbTally &>(out) = run_.finish();
         out.msbIndex = index_;
-        out.name = power::msbName(*spec_, index_);
+        out.name = name_;
         out.racks = spec_->racksPerMsb;
         out.suite = power::suiteOfMsb(*spec_, index_);
         out.building = power::buildingOfMsb(*spec_, index_);
         out.peakMw = util::toMegawatts(Watts(peakW_));
         out.overloadSteps = overloadSteps_;
         out.budgetOverSteps = budgetOverSteps_;
-        out.breakerTripped = topo_.root().breaker()->tripped();
-        out.meanInitialDod = meanInitialDod_;
-
-        core::SlaTable sla_table = core::SlaTable::paperDefault();
-        for (int i = 0; i < spec_->racksPerMsb; ++i) {
-            auto idx = static_cast<size_t>(i);
-            auto pri = static_cast<size_t>(
-                power::priorityIndex(topo_.rack(i).priority()));
-            ++out.racksByPriority[pri];
-            double duration_s = chargeDurationS_[idx];
-            if (duration_s >= 0.0
-                && duration_s <= sla_table
-                                     .chargeTimeSla(
-                                         topo_.rack(i).priority())
-                                     .value())
-                ++out.slaMetByPriority[pri];
-            out.outages += sawOutage_[idx];
-            out.everCapped += everCapped_[idx];
-            out.everHeld += everHeld_[idx];
-        }
 
         out.meanGrantMw = grantTicks_ > 0
             ? util::toMegawatts(
@@ -262,109 +162,59 @@ class MsbShard
     }
 
   private:
-    static trace::StreamingTraceSpec
-    streamingSpec(const RegionSpec &spec, int index)
+    /**
+     * The paper's priority-aware policy under each MSB root, with the
+     * MSB's slot in the staggered outage campaign.
+     */
+    static core::MsbRunConfig
+    runConfig(const RegionSpec &spec, int index)
     {
-        trace::StreamingTraceSpec streaming;
-        trace::TraceGenSpec &base = streaming.base;
-        base.rackCount = spec.racksPerMsb;
-        // One trailing step of margin so the zero-order hold at the
-        // final physics tick still lands inside the trace.
-        base.duration = spec.duration + spec.traceStep;
-        base.step = spec.traceStep;
-        base.startTime = Seconds(0.0);
-        // Per-MSB seed substream: shard count is part of the spec, so
-        // this is a semantic input, never a function of --threads.
-        base.seed = util::Rng::substreamSeed(
-            spec.seed, static_cast<uint64_t>(index));
-        base.aggregateMean = spec.msbAggregateMean;
-        base.aggregateAmplitude = spec.msbAggregateAmplitude;
-        base.priorities = power::msbPriorityMix(spec);
-        streaming.windowSamples = spec.windowSamples;
-        streaming.maxResidentWindows = spec.maxResidentWindows;
-        return streaming;
+        core::MsbRunConfig config;
+        config.topology = power::msbTopologySpec(spec, index);
+        config.charger = battery::makeVariableCharger(spec.bbuParams);
+        core::SlaCurrentCalculator calc(
+            battery::ChargeTimeModel(spec.bbuParams),
+            core::SlaTable::paperDefault());
+        config.coordinator =
+            std::make_unique<core::PriorityAwareCoordinator>(
+                std::move(calc), core::PriorityAwareOptions{});
+        config.physicsStep = spec.physicsStep;
+        config.otStart = power::msbOutageStart(spec, index);
+        config.otLength = power::msbOutageLength(spec);
+        config.auditInterval = spec.auditInterval;
+        return config;
     }
 
-    /** Push trace sample @p idx into every rack's IT demand. */
+    /**
+     * Per-physics-step bookkeeping (runs on whichever worker owns the
+     * chunk). The MSB draw is itW + rechargeW here, not the root
+     * node's input power as in runChargingEvent: the same watts,
+     * summed in another order.
+     */
     void
-    applyTraceSample(size_t idx)
+    observeStep()
     {
-        const trace::TraceWindow &window = source_.windowFor(idx);
-        const double *row = window.row(idx);
-        const int racks = spec_->racksPerMsb;
-        for (int i = 0; i < racks; ++i)
-            topo_.rack(i).setItDemand(Watts(row[static_cast<size_t>(i)]));
-        lastTraceIdx_ = idx;
-    }
-
-    /** Per-physics-step body (runs on whichever worker owns the chunk). */
-    void
-    step(Tick now)
-    {
-        Seconds sim_now = toSeconds(now);
-        size_t idx = source_.sampleIndexAt(sim_now);
-        if (idx != lastTraceIdx_)
-            applyTraceSample(idx);
-
-        const Seconds dt = spec_->physicsStep;
-        topo_.stepRacks(dt);
-        topo_.observeBreakers(dt);
-
-        const power::Topology::StepPowerTotals &totals =
-            topo_.stepPowerTotals();
+        const power::Topology::StepPowerTotals &totals = lastStep();
+        const double dt_s = spec_->physicsStep.value();
         double msb_w = totals.itW + totals.rechargeW;
         peakW_ = std::max(peakW_, msb_w);
         if (msb_w > spec_->msbLimit.value())
             ++overloadSteps_;
         if (msb_w > grantW_ + kBudgetSlackW)
             ++budgetOverSteps_;
-        itWs_ += totals.itW * dt.value();
-        rechargeWs_ += totals.rechargeW * dt.value();
-
-        const battery::FleetState &fleet = topo_.fleet();
-        const bool after_start = sim_now > chargeStart_;
-        const int racks = spec_->racksPerMsb;
-        for (int i = 0; i < racks; ++i) {
-            auto row = static_cast<size_t>(i);
-            if (fleet.capW[row] > 0.0)
-                everCapped_[row] = 1;
-            if (fleet.held[row])
-                everHeld_[row] = 1;
-            if (!after_start || done_[row])
-                continue;
-            if (fleet.fullyCharged[row]) {
-                done_[row] = 1;
-                chargeDurationS_[row] =
-                    (sim_now - chargeStart_).value();
-            }
-        }
+        itWs_ += totals.itW * dt_s;
+        rechargeWs_ += totals.rechargeW * dt_s;
     }
 
     const RegionSpec *spec_;
     int index_;
-    /** Owned queue (sharded mode); destroyed after every task below. */
+    std::string name_;
+    bool journal_;
+    /** Owned queue (sharded mode); destroyed after the run below. */
     std::unique_ptr<EventQueue> ownQueue_;
     EventQueue *queue_;
     trace::StreamingTraceSource source_;
-    power::Topology topo_;
-    std::unique_ptr<core::PriorityAwareCoordinator> coordinator_;
-    std::unique_ptr<dynamo::ControlPlane> plane_;
-    std::unique_ptr<InvariantAuditor> auditor_;
-    std::unique_ptr<PeriodicTask> physics_;
-
-    Seconds otStart_{0.0};
-    Seconds otLength_{0.0};
-    Seconds chargeStart_{0.0};
-    size_t lastTraceIdx_ = std::numeric_limits<size_t>::max();
-
-    std::vector<uint8_t> done_;
-    std::vector<uint8_t> everCapped_;
-    std::vector<uint8_t> everHeld_;
-    std::vector<double> initialDod_;
-    std::vector<uint8_t> sawOutage_;
-    /** Seconds from charge start to fully charged; -1 = never. */
-    std::vector<double> chargeDurationS_;
-    double meanInitialDod_ = 0.0;
+    core::MsbRun run_;
 
     double peakW_ = 0.0;
     int overloadSteps_ = 0;
@@ -380,6 +230,29 @@ class MsbShard
 };
 
 } // namespace
+
+trace::StreamingTraceSpec
+msbTraceSpec(const RegionSpec &spec, int msb)
+{
+    trace::StreamingTraceSpec streaming;
+    trace::TraceGenSpec &base = streaming.base;
+    base.rackCount = spec.racksPerMsb;
+    // One trailing step of margin so the zero-order hold at the final
+    // physics tick still lands inside the trace.
+    base.duration = spec.duration + spec.traceStep;
+    base.step = spec.traceStep;
+    base.startTime = Seconds(0.0);
+    // Per-MSB seed substream: shard count is part of the spec, so this
+    // is a semantic input, never a function of --threads.
+    base.seed =
+        util::Rng::substreamSeed(spec.seed, static_cast<uint64_t>(msb));
+    base.aggregateMean = spec.msbAggregateMean;
+    base.aggregateAmplitude = spec.msbAggregateAmplitude;
+    base.priorities = power::msbPriorityMix(spec);
+    streaming.windowSamples = spec.windowSamples;
+    streaming.maxResidentWindows = spec.maxResidentWindows;
+    return streaming;
+}
 
 RegionResult
 runRegion(const RegionSpec &spec, const RegionRunOptions &options)
@@ -453,24 +326,19 @@ runRegion(const RegionSpec &spec, const RegionRunOptions &options)
     if (obs::timeSeriesArmed()) {
         recorder = std::make_unique<obs::TimeSeriesRecorder>(
             obs::armedTimeSeriesOptions());
-        recorder->addProbe("region_power_mw", [&rollup] {
-            return rollup.powerW / 1e6;
-        });
-        recorder->addProbe("region_it_mw", [&rollup] {
-            return rollup.itW / 1e6;
-        });
-        recorder->addProbe("region_recharge_mw", [&rollup] {
-            return rollup.rechargeW / 1e6;
-        });
-        recorder->addProbe("region_cap_mw", [&rollup] {
-            return rollup.capW / 1e6;
-        });
-        recorder->addProbe("region_grant_mw", [&rollup] {
-            return rollup.grantW / 1e6;
-        });
-        recorder->addProbe("region_unmet_mw", [&rollup] {
-            return rollup.unmetW / 1e6;
-        });
+        const std::pair<const char *, double Rollup::*> probes[] = {
+            {"region_power_mw", &Rollup::powerW},
+            {"region_it_mw", &Rollup::itW},
+            {"region_recharge_mw", &Rollup::rechargeW},
+            {"region_cap_mw", &Rollup::capW},
+            {"region_grant_mw", &Rollup::grantW},
+            {"region_unmet_mw", &Rollup::unmetW},
+        };
+        for (const auto &[name, field] : probes) {
+            recorder->addProbe(name, [&rollup, field = field] {
+                return rollup.*field / 1e6;
+            });
+        }
     }
 
     // Everything the splitter does at one coordination tick: collect
@@ -490,9 +358,11 @@ runRegion(const RegionSpec &spec, const RegionRunOptions &options)
         for (int i = 0; i < n_msbs; ++i) {
             auto idx = static_cast<size_t>(i);
             shards[idx]->applyGrant(outcome.grantW[idx]);
-            rollup.itW += shards[idx]->lastItW();
-            rollup.rechargeW += shards[idx]->lastRechargeW();
-            rollup.capW += shards[idx]->lastCapW();
+            const power::Topology::StepPowerTotals &last =
+                shards[idx]->lastStep();
+            rollup.itW += last.itW;
+            rollup.rechargeW += last.rechargeW;
+            rollup.capW += last.capW;
             rollup.demandItW += reports[idx].itW;
             rollup.grantW += outcome.grantW[idx];
         }
@@ -536,7 +406,7 @@ runRegion(const RegionSpec &spec, const RegionRunOptions &options)
             // lower seq arranges in single-queue mode.
             pool.parallelFor(
                 static_cast<size_t>(n_msbs), [&](size_t shard) {
-                    shards[shard]->queue().runUntil(chunk_end - 1);
+                    shards[shard]->runUntil(chunk_end - 1);
                 });
         }
     }

@@ -3,9 +3,10 @@
  * Region-scale simulation engine: dozens of MSBs, one deterministic
  * run.
  *
- * Each MSB of a power::RegionSpec becomes an independent *shard*: its
- * own Topology, Dynamo control plane, streaming trace source, and —
- * in the default sharded mode — its own EventQueue. Shards only
+ * Each MSB of a power::RegionSpec becomes an independent *shard*: a
+ * core::MsbRun (the step kernel runChargingEvent also runs) over its
+ * own streaming trace source and — in the default sharded mode — its
+ * own EventQueue. Shards only
  * interact through the cross-MSB budget splitter
  * (core::splitRegionBudget), which runs every coordination tick on
  * the driving thread and imposes per-MSB power ceilings via
@@ -38,13 +39,14 @@
 #ifndef DCBATT_SIM_REGION_ENGINE_H_
 #define DCBATT_SIM_REGION_ENGINE_H_
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "core/msb_run.h"
 #include "power/region_spec.h"
+#include "trace/streaming_trace_source.h"
 #include "util/time_series.h"
 
 namespace dcbatt::sim {
@@ -62,8 +64,8 @@ struct RegionRunOptions
     bool singleQueue = false;
 };
 
-/** Outcome of one MSB shard. */
-struct RegionMsbOutcome
+/** Outcome of one MSB shard: its rack tallies plus region fields. */
+struct RegionMsbOutcome : core::MsbTally
 {
     int msbIndex = -1;
     std::string name;
@@ -76,15 +78,6 @@ struct RegionMsbOutcome
     int overloadSteps = 0;
     /** Physics steps above the granted budget ceiling (+1 kW). */
     int budgetOverSteps = 0;
-    bool breakerTripped = false;
-
-    double meanInitialDod = 0.0;
-    std::array<int, 3> racksByPriority{0, 0, 0};
-    std::array<int, 3> slaMetByPriority{0, 0, 0};
-    /** Racks whose batteries emptied during the open transition. */
-    int outages = 0;
-    int everCapped = 0;
-    int everHeld = 0;
 
     double meanGrantMw = 0.0;
     double minGrantMw = 0.0;
@@ -97,12 +90,6 @@ struct RegionMsbOutcome
     uint64_t traceRefetches = 0;
     uint64_t traceEvictions = 0;
     size_t tracePeakResidentBytes = 0;
-
-    int slaMetTotal() const
-    {
-        return slaMetByPriority[0] + slaMetByPriority[1]
-            + slaMetByPriority[2];
-    }
 };
 
 /** Region-level result: per-MSB outcomes plus the rollup tape. */
@@ -142,6 +129,10 @@ struct RegionResult
         return n;
     }
 };
+
+/** The streaming trace MSB @p msb of @p spec replays. */
+trace::StreamingTraceSpec msbTraceSpec(const power::RegionSpec &spec,
+                                       int msb);
 
 /**
  * Run the region described by @p spec for its full duration.

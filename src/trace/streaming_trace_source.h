@@ -81,15 +81,6 @@ class TraceWindow
     size_t sampleCount() const { return samples_; }
     int rackCount() const { return racks_; }
 
-    /** Power of @p rack at absolute sample @p index (in watts). */
-    double
-    at(size_t index, int rack) const
-    {
-        return data_[(index - firstSample_)
-                         * static_cast<size_t>(racks_)
-                     + static_cast<size_t>(rack)];
-    }
-
     /** Row for absolute sample @p index: one value per rack. */
     const double *
     row(size_t index) const
@@ -122,7 +113,7 @@ struct StreamingTraceStats
 };
 
 /** Demand-paged deterministic trace generator (see file comment). */
-class StreamingTraceSource
+class StreamingTraceSource final : public DemandRows
 {
   public:
     explicit StreamingTraceSource(StreamingTraceSpec spec);
@@ -154,7 +145,7 @@ class StreamingTraceSource
 
     /** Absolute sample index at time @p t (zero-order hold). */
     size_t
-    sampleIndexAt(util::Seconds t) const
+    sampleIndexAt(util::Seconds t) const override
     {
         double rel = (t - spec_.base.startTime).value()
             / spec_.base.step.value();
@@ -164,11 +155,11 @@ class StreamingTraceSource
         return idx >= totalSamples_ ? totalSamples_ - 1 : idx;
     }
 
-    /** Convenience point read (fetches the window as needed). */
-    double
-    power(int rack, size_t sample_index)
+    /** Row of sample @p sample_index (fetches the window as needed). */
+    const double *
+    row(size_t sample_index) override
     {
-        return windowFor(sample_index).at(sample_index, rack);
+        return windowFor(sample_index).row(sample_index);
     }
 
     /** Resident sample bytes right now. */

@@ -126,6 +126,28 @@ class TraceSet
     mutable bool peakCached_ = false;
 };
 
+/**
+ * Sample-major rack demand: the seam between a trace and the MSB step
+ * kernel (core::MsbRun). The kernel makes one index lookup per physics
+ * step and one row fetch per sample change, never a call per rack.
+ */
+class DemandRows
+{
+  public:
+    /** Sample index in force at time @p t of the run's clock. */
+    virtual size_t sampleIndexAt(util::Seconds t) const = 0;
+
+    /**
+     * Every rack's demand (W) at sample @p index. Valid until the next
+     * call.
+     */
+    virtual const double *row(size_t index) = 0;
+
+  protected:
+    /** Never deleted through this interface. */
+    ~DemandRows() = default;
+};
+
 } // namespace dcbatt::trace
 
 #endif // DCBATT_TRACE_TRACE_SET_H_

@@ -1,7 +1,9 @@
 /**
  * @file
  * Region engine determinism: sharded-vs-threads and
- * sharded-vs-single-queue differential tests.
+ * sharded-vs-single-queue differential tests, the event journal's
+ * order across thread counts, and a one-MSB region against the paper
+ * path (core::runChargingEvent) on the same trace.
  *
  * The contract (region_engine.h) is bit-identical results — exact
  * double equality, not tolerance — for any --threads and between the
@@ -10,10 +12,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <set>
+#include <string>
 #include <vector>
 
+#include "core/charging_event_sim.h"
+#include "obs/event_log.h"
 #include "power/region_spec.h"
 #include "sim/region_engine.h"
+#include "trace/streaming_trace_source.h"
 #include "util/units.h"
 
 namespace dcbatt::sim {
@@ -195,6 +203,163 @@ TEST(RegionEngine, TightBudgetStillDeterministic)
     double budget_mw = 0.6 * spec.msbLimit.value() * spec.msbs / 1e6;
     EXPECT_LE(a.grantMw.maxValue(), budget_mw + 1e-6);
 }
+
+/**
+ * Eight 64-rack MSBs under a binding 3.36 MW budget, every outage at
+ * 1 h, a 3 s split: the controllers cap, release and journal a lot
+ * from every worker.
+ */
+power::RegionSpec
+journalSpec()
+{
+    power::RegionSpec spec;
+    spec.msbs = 8;
+    spec.racksPerMsb = 64;
+    spec.msbAggregateMean = util::megawatts(0.4267);
+    spec.msbAggregateAmplitude = spec.msbAggregateMean * 0.075;
+    spec.duration = util::hours(2.0);
+    spec.firstOutage = util::hours(1.0);
+    spec.outageStagger = util::Seconds(0.0);
+    spec.coordinationPeriod = util::Seconds(3.0);
+    spec.regionBudget = util::megawatts(3.36);
+    return spec;
+}
+
+/** Arms the journal for one test and clears it on both ends. */
+class JournalGuard
+{
+  public:
+    JournalGuard()
+    {
+        obs::clearEvents();
+        obs::setEventLoggingEnabled(true);
+    }
+    ~JournalGuard()
+    {
+        obs::setEventLoggingEnabled(false);
+        obs::clearEvents();
+    }
+};
+
+std::vector<obs::EventRecord>
+journalOf(const power::RegionSpec &spec, unsigned threads)
+{
+    obs::clearEvents();
+    RegionRunOptions options;
+    options.threads = threads;
+    runRegion(spec, options);
+    return obs::snapshotEvents();
+}
+
+TEST(RegionEngine, JournalIsIdenticalAcrossThreadCounts)
+{
+    JournalGuard guard;
+    const power::RegionSpec spec = journalSpec();
+    const std::vector<obs::EventRecord> reference = journalOf(spec, 1);
+    ASSERT_GT(reference.size(), 500u);
+
+    // Every event is filed under the MSB that logged it.
+    std::set<std::string> msb_names;
+    for (int i = 0; i < spec.msbs; ++i)
+        msb_names.insert(power::msbName(spec, i));
+    std::set<std::string> seen;
+    for (const obs::EventRecord &event : reference) {
+        EXPECT_TRUE(msb_names.count(event.scope))
+            << event.type << " in scope '" << event.scope << "'";
+        seen.insert(event.scope);
+    }
+    EXPECT_EQ(seen, msb_names);
+
+    const std::string expected = obs::eventsToJsonl(reference);
+    for (int rep = 0; rep < 5; ++rep) {
+        EXPECT_EQ(obs::eventsToJsonl(journalOf(spec, 8)), expected)
+            << "repetition " << rep;
+    }
+}
+
+TEST(RegionEngineDeathTest, OutageAfterRunEndRejectedBeforeShards)
+{
+    // 40 min run, outages every 5 min from minute 5: the eighth MSB's
+    // outage starts at 40 min, so its charging never begins.
+    power::RegionSpec spec = smallSpec();
+    spec.msbs = 8;
+    EXPECT_EXIT(runRegion(spec, {}), ::testing::ExitedWithCode(1),
+                "RegionSpec: MSB 7 open transition \\[2400, [0-9]+\\]s "
+                "ends outside the 2400 s run");
+}
+
+struct PaperCase
+{
+    int racks;
+    double meanMw;
+    double outageS;
+};
+
+class OneMsbVsPaper : public ::testing::TestWithParam<PaperCase>
+{
+};
+
+/**
+ * A one-MSB region with an ample budget against runChargingEvent on
+ * the materialized trace of that MSB, the outage at 600 s. The region
+ * runs ticks [0, horizon), so the event ends one tick early. Peak draw
+ * is the only inexact field: the region sums itW + rechargeW, the
+ * paper reads the MSB root's input power.
+ */
+TEST_P(OneMsbVsPaper, SameOutcomes)
+{
+    const PaperCase c = GetParam();
+    power::RegionSpec spec;
+    spec.msbs = 1;
+    spec.racksPerMsb = c.racks;
+    spec.msbAggregateMean = util::megawatts(c.meanMw);
+    spec.msbAggregateAmplitude = spec.msbAggregateMean * 0.075;
+    spec.duration = util::hours(2.0);
+    spec.firstOutage = util::Seconds(600.0);
+    spec.openTransitionLength = util::Seconds(c.outageS);
+    spec.regionBudget = util::megawatts(100.0);
+    const RegionResult region = runRegion(spec, {});
+    ASSERT_EQ(region.msbs.size(), 1u);
+    const RegionMsbOutcome &msb = region.msbs[0];
+
+    trace::StreamingTraceSource source(msbTraceSpec(spec, 0));
+    const trace::TraceSet traces = source.materialize();
+    core::ChargingEventConfig config;
+    config.msbLimit = spec.msbLimit;
+    config.priorities = power::msbPriorityMix(spec);
+    config.bbuParams = spec.bbuParams;
+    config.physicsStep = spec.physicsStep;
+    config.eventTime = util::Seconds(600.0);
+    config.openTransitionLength = spec.openTransitionLength;
+    config.preEventDuration = util::Seconds(600.0);
+    config.postEventDuration = spec.duration - toSeconds(1)
+        - util::Seconds(600.0) - *spec.openTransitionLength;
+    const core::ChargingEventResult paper =
+        core::runChargingEvent(config, traces);
+
+    EXPECT_EQ(paper.racksByPriority, msb.racksByPriority);
+    EXPECT_EQ(paper.slaMetByPriority, msb.slaMetByPriority);
+    EXPECT_EQ(paper.outages, msb.outages);
+    EXPECT_EQ(paper.everCapped, msb.everCapped);
+    EXPECT_EQ(paper.everHeld, msb.everHeld);
+    EXPECT_EQ(paper.overloadSteps, msb.overloadSteps);
+    EXPECT_EQ(paper.meanInitialDod, msb.meanInitialDod);
+    const double paper_mw = util::toMegawatts(paper.peakPower);
+    EXPECT_LE(std::abs(paper_mw - msb.peakMw), 1e-12 * paper_mw)
+        << paper_mw << " vs " << msb.peakMw;
+    EXPECT_EQ(static_cast<int>(paper.msbPower.size()),
+              static_cast<int>(spec.duration.value()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, OneMsbVsPaper,
+    ::testing::Values(PaperCase{64, 0.4267, 120.0},
+                      PaperCase{64, 0.4267, 200.0},
+                      PaperCase{300, 2.0, 150.0}),
+    [](const ::testing::TestParamInfo<PaperCase> &param) {
+        return "racks" + std::to_string(param.param.racks) + "_ot"
+            + std::to_string(static_cast<int>(param.param.outageS));
+    });
 
 } // namespace
 } // namespace dcbatt::sim

@@ -40,7 +40,7 @@ forwardWalk(StreamingTraceSource &source)
     std::vector<double> flat;
     for (size_t s = 0; s < source.sampleCount(); ++s) {
         for (int r = 0; r < source.rackCount(); ++r)
-            flat.push_back(source.power(r, s));
+            flat.push_back(source.row(s)[r]);
     }
     return flat;
 }
@@ -93,7 +93,7 @@ TEST(StreamingTrace, AccessPatternIndependence)
     // Read back-to-front, then front-to-back.
     for (size_t s = last + 1; s-- > 0;) {
         for (int r = 0; r < seeker.rackCount(); ++r) {
-            ASSERT_EQ(seeker.power(r, s),
+            ASSERT_EQ(seeker.row(s)[r],
                       reference[s * 8 + static_cast<size_t>(r)])
                 << "sample " << s << " rack " << r;
         }
@@ -125,7 +125,7 @@ TEST(StreamingTrace, MaterializeMatchesPagedReads)
     StreamingTraceSource fresh(smallSpec());
     for (size_t s = 0; s < fresh.sampleCount(); ++s) {
         for (int r = 0; r < fresh.rackCount(); ++r)
-            ASSERT_EQ(set.rack(r)[s], fresh.power(r, s));
+            ASSERT_EQ(set.rack(r)[s], fresh.row(s)[r]);
     }
 }
 
@@ -140,7 +140,7 @@ TEST(StreamingTrace, WindowSizeDoesNotChangeTotals)
     // Different residency caps, same windowing: identical samples.
     for (size_t s = 0; s < a.sampleCount(); s += 13) {
         for (int r = 0; r < a.rackCount(); ++r)
-            ASSERT_EQ(a.power(r, s), b.power(r, s));
+            ASSERT_EQ(a.row(s)[r], b.row(s)[r]);
     }
 }
 
@@ -211,7 +211,7 @@ TEST(StreamingTrace, AggregateTracksTarget)
         const TraceWindow &window = source.windowFor(s);
         double column = 0.0;
         for (int r = 0; r < source.rackCount(); ++r)
-            column += window.at(s, r);
+            column += window.row(s)[r];
         sum += column;
     }
     double mean = sum / static_cast<double>(source.sampleCount());

@@ -356,7 +356,7 @@ TEST(StreamingTrace, MatchesReferenceLoop)
             std::vector<double> row =
                 referenceRow(spec.base, fleet, rng, s);
             for (int r = 0; r < spec.base.rackCount; ++r)
-                expectSameBits(window.at(s, r),
+                expectSameBits(window.row(s)[r],
                                row[static_cast<size_t>(r)], "stream", s,
                                r);
         }

@@ -14,41 +14,12 @@
  *   dcbatt_region --msbs 4 --racks-per-msb 300 --duration-hours 6 \
  *                 --first-outage-hours 1 --threads 8
  *
- * Flags (all optional):
- *   --msbs N               MSB count                    (default 50)
- *   --racks-per-msb N      racks per MSB                (default 300)
- *   --buildings N          buildings in the region      (default 1)
- *   --suites-per-building N                             (default 4)
- *   --budget-mw X          region power budget (default: 85% of the
- *                          summed MSB breaker ratings)
- *   --suite-limit-mw X     per-suite feeder cap  (default: none)
- *   --building-limit-mw X  per-building feeder cap (default: none)
- *   --mean-mw-per-msb X    per-MSB mean IT load         (default 2.0)
- *   --duration-hours X     simulated time               (default 24)
- *   --coordination-seconds X  budget-split cadence      (default 60)
- *   --physics-step X       physics dt in seconds        (default 1.0)
- *   --first-outage-hours X staggered outage campaign start (def. 2)
- *   --stagger-seconds X    per-MSB outage stagger       (default 600)
- *   --dod X                target mean DOD              (default 0.5)
- *   --ot-seconds X         explicit open-transition length
- *   --seed N               region seed                  (default 42)
- *   --threads N            worker threads (execution knob only;
- *                          artifacts are identical)     (default 1)
- *   --single-queue         reference mode: all shards on one event
- *                          queue (same artifacts, no parallelism)
- *   --window-samples N     streaming-trace window size  (default 1200)
- *   --resident-windows N   resident-window cap          (default 2)
- *   --audit-seconds X      per-MSB physical-invariant audit cadence
- *   --rollup-csv PATH      write the region rollup tape as CSV
- *   --metrics-json PATH    deterministic metrics snapshot
- *   --trace-out PATH       Chrome trace of wall-clock spans
- *   --timeseries-out PATH  flight-recorder tape (region rollup probes)
- *   --timeseries-cadence SECS / --timeseries-mode decimate|ring
- *   --events-out PATH      structured event log (JSONL)
- *   --crash-dir DIR        post-mortem crash bundle directory
- *   --verbose              debug logging on stderr
+ * `dcbatt_region --help` prints the flag list.
  */
 
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -69,6 +40,76 @@
 using namespace dcbatt;
 
 namespace {
+
+const char kUsage[] = R"(usage: dcbatt_region [flags]
+
+Flags (all optional):
+  --msbs N               MSB count                    (default 50)
+  --racks-per-msb N      racks per MSB                (default 300)
+  --buildings N          buildings in the region      (default 1)
+  --suites-per-building N                             (default 4)
+  --budget-mw X          region power budget (default: 85% of the
+                         summed MSB breaker ratings)
+  --suite-limit-mw X     per-suite feeder cap  (default: none)
+  --building-limit-mw X  per-building feeder cap (default: none)
+  --mean-mw-per-msb X    per-MSB mean IT load         (default 2.0)
+  --duration-hours X     simulated time               (default 24)
+  --coordination-seconds X  budget-split cadence      (default 60)
+  --physics-step X       physics dt in seconds        (default 1.0)
+  --first-outage-hours X staggered outage campaign start (def. 2)
+  --stagger-seconds X    per-MSB outage stagger       (default 600)
+  --dod X                target mean DOD              (default 0.5)
+  --ot-seconds X         explicit open-transition length
+  --seed N               region seed                  (default 42)
+  --threads N            worker threads (execution knob only;
+                         artifacts are identical)     (default 1)
+  --single-queue         reference mode: all shards on one event
+                         queue (same artifacts, no parallelism)
+  --window-samples N     streaming-trace window size  (default 1200)
+  --resident-windows N   resident-window cap          (default 2)
+  --audit-seconds X      per-MSB physical-invariant audit cadence
+  --rollup-csv PATH      write the region rollup tape as CSV
+  --metrics-json PATH    deterministic metrics snapshot
+  --trace-out PATH       Chrome trace of wall-clock spans
+  --timeseries-out PATH  flight-recorder tape (region rollup probes)
+  --timeseries-cadence SECS / --timeseries-mode decimate|ring
+  --events-out PATH      structured event log (JSONL)
+  --crash-dir DIR        post-mortem crash bundle directory
+  --verbose              debug logging on stderr
+  --help                 this list
+)";
+
+/** @p text as a whole base-10 integer in [lo, hi]; fatal otherwise. */
+long long
+parseInteger(const char *flag, const char *text, long long lo,
+             long long hi)
+{
+    errno = 0;
+    char *end = nullptr;
+    long long value = std::strtoll(text, &end, 10);
+    if (end == text || *end != '\0' || errno == ERANGE || value < lo
+        || value > hi) {
+        util::fatal(util::strf("%s: '%s' is not an integer in [%lld, "
+                               "%lld]",
+                               flag, text, lo, hi));
+    }
+    return value;
+}
+
+/** @p text as a whole finite number; fatal otherwise. */
+double
+parseDouble(const char *flag, const char *text)
+{
+    errno = 0;
+    char *end = nullptr;
+    double value = std::strtod(text, &end);
+    if (end == text || *end != '\0' || errno == ERANGE
+        || !std::isfinite(value)) {
+        util::fatal(util::strf("%s: '%s' is not a finite number", flag,
+                               text));
+    }
+    return value;
+}
 
 struct CliOptions
 {
@@ -96,65 +137,69 @@ parseArgs(int argc, char **argv)
             util::fatal(util::strf("flag %s needs a value", argv[i]));
         return argv[i + 1];
     };
+    // Consume the flag's value as a number, naming the flag on error.
+    auto int_value = [&](int &i) {
+        const char *text = need_value(i);
+        return static_cast<int>(
+            parseInteger(argv[i++], text, INT_MIN, INT_MAX));
+    };
+    auto count_value = [&](int &i) {
+        const char *text = need_value(i);
+        return static_cast<size_t>(
+            parseInteger(argv[i++], text, 0, LLONG_MAX));
+    };
+    auto double_value = [&](int &i) {
+        const char *text = need_value(i);
+        return parseDouble(argv[i++], text);
+    };
     for (int i = 1; i < argc; ++i) {
         std::string flag = argv[i];
         if (flag == "--msbs") {
-            spec.msbs = std::atoi(need_value(i++));
+            spec.msbs = int_value(i);
         } else if (flag == "--racks-per-msb") {
-            spec.racksPerMsb = std::atoi(need_value(i++));
+            spec.racksPerMsb = int_value(i);
         } else if (flag == "--buildings") {
-            spec.buildings = std::atoi(need_value(i++));
+            spec.buildings = int_value(i);
         } else if (flag == "--suites-per-building") {
-            spec.suitesPerBuilding = std::atoi(need_value(i++));
+            spec.suitesPerBuilding = int_value(i);
         } else if (flag == "--budget-mw") {
-            spec.regionBudget =
-                util::megawatts(std::atof(need_value(i++)));
+            spec.regionBudget = util::megawatts(double_value(i));
         } else if (flag == "--suite-limit-mw") {
-            spec.suiteLimit =
-                util::megawatts(std::atof(need_value(i++)));
+            spec.suiteLimit = util::megawatts(double_value(i));
         } else if (flag == "--building-limit-mw") {
-            spec.buildingLimit =
-                util::megawatts(std::atof(need_value(i++)));
+            spec.buildingLimit = util::megawatts(double_value(i));
         } else if (flag == "--mean-mw-per-msb") {
-            spec.msbAggregateMean =
-                util::megawatts(std::atof(need_value(i++)));
+            spec.msbAggregateMean = util::megawatts(double_value(i));
             spec.msbAggregateAmplitude = spec.msbAggregateMean * 0.075;
         } else if (flag == "--duration-hours") {
-            spec.duration = util::hours(std::atof(need_value(i++)));
+            spec.duration = util::hours(double_value(i));
         } else if (flag == "--coordination-seconds") {
-            spec.coordinationPeriod =
-                util::Seconds(std::atof(need_value(i++)));
+            spec.coordinationPeriod = util::Seconds(double_value(i));
         } else if (flag == "--physics-step") {
-            spec.physicsStep =
-                util::Seconds(std::atof(need_value(i++)));
+            spec.physicsStep = util::Seconds(double_value(i));
         } else if (flag == "--first-outage-hours") {
-            spec.firstOutage = util::hours(std::atof(need_value(i++)));
+            spec.firstOutage = util::hours(double_value(i));
         } else if (flag == "--stagger-seconds") {
-            spec.outageStagger =
-                util::Seconds(std::atof(need_value(i++)));
+            spec.outageStagger = util::Seconds(double_value(i));
         } else if (flag == "--dod") {
-            spec.targetMeanDod = std::atof(need_value(i++));
+            spec.targetMeanDod = double_value(i);
         } else if (flag == "--ot-seconds") {
-            spec.openTransitionLength =
-                util::Seconds(std::atof(need_value(i++)));
+            spec.openTransitionLength = util::Seconds(double_value(i));
         } else if (flag == "--seed") {
-            spec.seed =
-                static_cast<uint64_t>(std::atoll(need_value(i++)));
+            spec.seed = count_value(i);
         } else if (flag == "--threads") {
-            int threads = std::atoi(need_value(i++));
+            int threads = int_value(i);
             if (threads <= 0)
                 util::fatal("--threads must be >= 1");
             options.threads = static_cast<unsigned>(threads);
         } else if (flag == "--single-queue") {
             options.singleQueue = true;
         } else if (flag == "--window-samples") {
-            spec.windowSamples =
-                static_cast<size_t>(std::atoll(need_value(i++)));
+            spec.windowSamples = count_value(i);
         } else if (flag == "--resident-windows") {
-            spec.maxResidentWindows =
-                static_cast<size_t>(std::atoll(need_value(i++)));
+            spec.maxResidentWindows = count_value(i);
         } else if (flag == "--audit-seconds") {
-            double audit = std::atof(need_value(i++));
+            double audit = double_value(i);
             if (audit <= 0.0)
                 util::fatal("--audit-seconds must be positive");
             spec.auditInterval = util::Seconds(audit);
@@ -167,7 +212,7 @@ parseArgs(int argc, char **argv)
         } else if (flag == "--timeseries-out") {
             options.timeSeriesOutPath = need_value(i++);
         } else if (flag == "--timeseries-cadence") {
-            options.timeSeriesCadence = std::atof(need_value(i++));
+            options.timeSeriesCadence = double_value(i);
             if (options.timeSeriesCadence <= 0.0)
                 util::fatal("--timeseries-cadence must be positive");
         } else if (flag == "--timeseries-mode") {
@@ -183,8 +228,7 @@ parseArgs(int argc, char **argv)
         } else if (flag == "--verbose") {
             options.verbose = true;
         } else if (flag == "--help" || flag == "-h") {
-            std::printf("see the header comment of "
-                        "tools/dcbatt_region.cc for the flag list\n");
+            std::fputs(kUsage, stdout);
             std::exit(0);
         } else {
             util::fatal(util::strf("unknown flag: %s (try --help)",
