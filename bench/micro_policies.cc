@@ -17,6 +17,7 @@
 #include "core/global_coordinator.h"
 #include "core/priority_aware_coordinator.h"
 #include "core/region_budget.h"
+#include "dynamo/controller.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/time_series_recorder.h"
@@ -364,6 +365,54 @@ BM_StepRacksQuiescent(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * kRacks);
 }
 BENCHMARK(BM_StepRacksQuiescent);
+
+void
+BM_ControlTickQuiet(benchmark::State &state)
+{
+    // An idle Dynamo tick at region scale: ControlPlane::tickAll() on
+    // a 300-rack MSB (23 controllers) whose batteries are full and
+    // whose MSB controller holds caps its release margin keeps in
+    // place. Nothing charges and no rack moves between ticks, so the
+    // tick must not pay for the racks: one iteration is one tickAll().
+    constexpr int kRacks = 300;
+    power::TopologySpec spec;
+    spec.rootKind = power::NodeKind::Msb;
+    spec.sbsPerMsb = 2;
+    spec.rppsPerSb = (kRacks + 2 * 16 - 1) / (2 * 16);
+    spec.racksPerRpp = 16;
+    spec.totalRacks = kRacks;
+    spec.priorities = power::makePriorityMix(100, 100, 100);
+    power::Topology topo =
+        power::Topology::build(spec, battery::makeVariableCharger());
+    for (power::Rack *rack : topo.racks())
+        rack->setItDemand(util::kilowatts(6.0));
+    sim::EventQueue queue;
+    core::PriorityAwareCoordinator coordinator = makePa();
+    dynamo::ControlPlane plane(topo, topo.root(), queue, &coordinator);
+    const util::Seconds dt(1.0);
+    topo.stepRacks(dt);
+    topo.observeBreakers(dt);
+    // Cap 100 kW of the 1.8 MW load, then leave less headroom than
+    // the release margin so the caps stay put.
+    dynamo::BreakerController &msb = plane.rootController();
+    msb.setLimitCeiling(util::megawatts(1.7));
+    plane.tickAll();
+    msb.setLimitCeiling(topo.root().inputPower() * 1.001);
+    topo.stepRacks(dt);
+    topo.observeBreakers(dt);
+    if (msb.totalCap().value() <= 0.0) {
+        state.SkipWithError("no caps held");
+        return;
+    }
+    for (auto _ : state) {
+        plane.tickAll();
+        benchmark::DoNotOptimize(msb.totalCap());
+    }
+    if (plane.totalCap().value() != msb.totalCap().value())
+        state.SkipWithError("caps moved during the idle ticks");
+    state.SetItemsProcessed(state.iterations() * kRacks);
+}
+BENCHMARK(BM_ControlTickQuiet);
 
 void
 BM_RegionBudgetSplit(benchmark::State &state)

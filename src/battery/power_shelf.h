@@ -243,7 +243,26 @@ class PowerShelf
         uint64_t fullSteps = 0;      ///< twin-compare walk over packs
         uint64_t materializations = 0; ///< lockstep exits (twin copies)
     };
-    const StepStats &stepStats() const { return stepStats_; }
+    StepStats
+    stepStats() const
+    {
+        StepStats stats = stepStats_;
+        if (skippedSteps_)
+            stats.quiescentSteps += *skippedSteps_;
+        return stats;
+    }
+
+    /**
+     * Count @p *skipped as quiescent steps of this shelf too: the
+     * owning topology skips a step as a whole, without visiting any
+     * shelf, only when every shelf would take the quiescent path
+     * (Topology::stepRacks), so its counter is each shelf's share.
+     */
+    void
+    shareSkippedSteps(const uint64_t *skipped)
+    {
+        skippedSteps_ = skipped;
+    }
 
     /**
      * Register a callback fired whenever the shelf's aggregate power
@@ -335,6 +354,7 @@ class PowerShelf
 
     /** Last: keeps the hot aggregate block's layout unchanged. */
     mutable StepStats stepStats_;
+    const uint64_t *skippedSteps_ = nullptr;
 };
 
 // Defined here (not power_shelf.cc) so Topology::stepRacks()'s

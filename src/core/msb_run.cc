@@ -22,6 +22,7 @@ MsbRun::MsbRun(MsbRunConfig config, sim::EventQueue &queue,
       coordinator_(std::move(config.coordinator))
 {
     for (const power::Rack *rack : topo_.racks()) {
+        allRows_.push_back(racks_.size());
         RackOutcome &outcome = racks_.emplace_back();
         outcome.rackId = static_cast<int>(racks_.size()) - 1;
         outcome.priority = rack->priority();
@@ -109,12 +110,18 @@ MsbRun::snapshotChargeStart()
 void
 MsbRun::trackRacks(Seconds now)
 {
-    // One pass over the rows: sticky cap/hold flags plus
-    // charge-completion detection (armed once charging has begun).
+    // Sticky cap/hold flags plus charge-completion detection (armed
+    // once charging has begun). Only the rows stepRacks() refreshed
+    // can have changed, so only they are visited — except at the
+    // first step after charging began, which visits every row: a rack
+    // already full then may never refresh again (DESIGN.md §16).
     const battery::FleetState &fleet = topo_.fleet();
     const bool after_start = now > chargeStart_;
-    const size_t n_racks = racks_.size();
-    for (size_t i = 0; i < n_racks; ++i) {
+    const bool first_after_start = after_start && !startScanned_;
+    startScanned_ = startScanned_ || after_start;
+    const std::vector<size_t> &rows =
+        first_after_start ? allRows_ : topo_.refreshedRows();
+    for (size_t i : rows) {
         RackOutcome &outcome = racks_[i];
         if (fleet.capW[i] > 0.0)
             outcome.everCapped = true;
@@ -133,7 +140,7 @@ MsbRun::trackRacks(Seconds now)
     }
     if (!eventsOn_)
         return;
-    for (size_t i = 0; i < n_racks; ++i) {
+    for (size_t i : rows) {
         bool cv = fleet.cvBbus[i] > 0;
         if (cv && !wasCv_[i]) {
             obs::logEvent(now.value(), "cc_cv_transition",

@@ -148,6 +148,10 @@ class MsbRun
 
     size_t lastSample_ = std::numeric_limits<size_t>::max();
     std::vector<RackOutcome> racks_;
+    /** Every row index, for trackRacks()' one full pass. */
+    std::vector<size_t> allRows_;
+    /** Whether trackRacks() has made its pass after charge start. */
+    bool startScanned_ = false;
     /** Per-rack "any BBU in CV" flags (journal armed only). */
     std::vector<uint8_t> wasCv_;
 };

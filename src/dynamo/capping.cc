@@ -10,6 +10,25 @@ namespace dcbatt::dynamo {
 using power::Priority;
 using util::Watts;
 
+void
+CappingEngine::bind(const std::vector<RackAgent *> &agents)
+{
+    if (ledger_.empty())
+        ledger_.assign(agents.size(), 0.0);
+    DCBATT_REQUIRE(ledger_.size() == agents.size(),
+                   "capping ledger holds %zu racks, handed %zu",
+                   ledger_.size(), agents.size());
+}
+
+void
+CappingEngine::refold()
+{
+    double total = 0.0;
+    for (double watts : ledger_)
+        total += watts;
+    total_ = total;
+}
+
 Watts
 CappingEngine::applyReduction(std::vector<RackAgent *> &agents,
                               Watts reduction)
@@ -17,26 +36,29 @@ CappingEngine::applyReduction(std::vector<RackAgent *> &agents,
     Watts applied(0.0);
     if (reduction.value() <= 0.0)
         return applied;
+    bind(agents);
     // Work class by class from P3 down to P1, shaving proportionally
     // to each rack's remaining cappable load within the class.
     for (int pri = 2; pri >= 0 && applied < reduction; --pri) {
-        std::vector<RackAgent *> members;
+        std::vector<size_t> members;
         Watts cappable(0.0);
-        for (RackAgent *agent : agents) {
-            if (power::priorityIndex(agent->rack().priority()) != pri)
+        for (size_t i = 0; i < agents.size(); ++i) {
+            const power::Rack &rack = agents[i]->rack();
+            if (power::priorityIndex(rack.priority()) != pri)
                 continue;
-            Watts demand = agent->rack().itDemand();
+            Watts demand = rack.itDemand();
             Watts floor = demand * (1.0 - maxCapFraction_);
-            Watts room = agent->rack().itLoad() - floor;
+            Watts room = rack.itLoad() - floor;
             if (room.value() > 0.0) {
-                members.push_back(agent);
+                members.push_back(i);
                 cappable += room;
             }
         }
         if (members.empty() || cappable.value() <= 0.0)
             continue;
         Watts want = util::min(reduction - applied, cappable);
-        for (RackAgent *agent : members) {
+        for (size_t i : members) {
+            RackAgent *agent = agents[i];
             Watts demand = agent->rack().itDemand();
             Watts floor = demand * (1.0 - maxCapFraction_);
             Watts room = agent->rack().itLoad() - floor;
@@ -46,13 +68,14 @@ CappingEngine::applyReduction(std::vector<RackAgent *> &agents,
                           share.value(), agent->rackId());
             Watts new_cap = agent->rack().capAmount() + share;
             agent->commandCap(new_cap);
-            ledger_[agent->rackId()] += share.value();
+            ledger_[i] += share.value();
             applied += share;
         }
     }
     DCBATT_ASSERT(applied <= reduction + Watts(1e-6),
                   "capped %.6f W, more than the %.6f W asked for",
                   applied.value(), reduction.value());
+    refold();
     return applied;
 }
 
@@ -62,50 +85,44 @@ CappingEngine::release(std::vector<RackAgent *> &agents, Watts headroom)
     Watts released(0.0);
     if (headroom.value() <= 0.0)
         return released;
+    bind(agents);
     for (int pri = 0; pri <= 2 && released < headroom; ++pri) {
-        for (RackAgent *agent : agents) {
+        for (size_t i = 0; i < agents.size(); ++i) {
+            RackAgent *agent = agents[i];
             if (power::priorityIndex(agent->rack().priority()) != pri)
                 continue;
-            auto held = ledger_.find(agent->rackId());
-            if (held == ledger_.end() || held->second <= 0.0)
+            double &held = ledger_[i];
+            if (held <= 0.0)
                 continue;
             Watts cap = agent->rack().capAmount();
-            Watts give = util::min(util::min(cap, Watts(held->second)),
+            Watts give = util::min(util::min(cap, Watts(held)),
                                    headroom - released);
             if (give.value() <= 0.0)
                 continue;
             agent->commandCap(cap - give);
-            held->second -= give.value();
+            held -= give.value();
             released += give;
             if (released >= headroom)
                 break;
         }
     }
+    refold();
     return released;
 }
 
 void
 CappingEngine::releaseAll(std::vector<RackAgent *> &agents)
 {
-    for (RackAgent *agent : agents) {
-        auto held = ledger_.find(agent->rackId());
-        if (held == ledger_.end() || held->second <= 0.0)
+    bind(agents);
+    for (size_t i = 0; i < agents.size(); ++i) {
+        if (ledger_[i] <= 0.0)
             continue;
+        RackAgent *agent = agents[i];
         Watts cap = agent->rack().capAmount();
-        Watts give = util::min(cap, Watts(held->second));
-        agent->commandCap(cap - give);
-        held->second = 0.0;
+        agent->commandCap(cap - util::min(cap, Watts(ledger_[i])));
     }
-    ledger_.clear();
-}
-
-Watts
-CappingEngine::totalCap() const
-{
-    double total = 0.0;
-    for (const auto &[rack_id, watts] : ledger_)
-        total += watts;
-    return Watts(total);
+    std::fill(ledger_.begin(), ledger_.end(), 0.0);
+    total_ = 0.0;
 }
 
 Watts

@@ -14,7 +14,6 @@
 #ifndef DCBATT_DYNAMO_CAPPING_H_
 #define DCBATT_DYNAMO_CAPPING_H_
 
-#include <map>
 #include <vector>
 
 #include "dynamo/agent.h"
@@ -28,7 +27,8 @@ namespace dcbatt::dynamo {
  * Each engine keeps a ledger of the caps *it* imposed and only ever
  * releases those: several controllers (MSB, SB, RPP) watch overlapping
  * rack sets, and a controller with ample headroom must not undo the
- * caps a constrained upstream controller just applied.
+ * caps a constrained upstream controller just applied. An engine
+ * serves one agent list, in rack-id order, handed to every call.
  */
 class CappingEngine
 {
@@ -56,21 +56,26 @@ class CappingEngine
     void releaseAll(std::vector<RackAgent *> &agents);
 
     /** Sum of caps currently imposed by this engine. */
-    util::Watts totalCap() const;
+    util::Watts totalCap() const { return util::Watts(total_); }
 
     /** Sum of caps on the racks regardless of who imposed them. */
     static util::Watts fleetCap(const std::vector<RackAgent *> &agents);
 
   private:
+    /** Size the ledger to @p agents on first use. */
+    void bind(const std::vector<RackAgent *> &agents);
+    /** Re-fold total_ after a call that may have moved the ledger. */
+    void refold();
+
     double maxCapFraction_;
-    /** Watts of cap this engine holds per rack id. */
+    /** Watts of cap this engine holds, parallel to the agents. */
+    std::vector<double> ledger_;
     /**
-     * Ordered by rack id: totalCap() folds these doubles in rack-id
-     * order, so the sum's rounding is a stable function of the ledger
-     * contents, never of hash-bucket layout (determinism contract,
-     * DESIGN.md §13).
+     * The ledger folded in rack-id order, so the sum's rounding is a
+     * stable function of the ledger contents (determinism contract,
+     * DESIGN.md §13); re-folded only when a call moved the ledger.
      */
-    std::map<int, double> ledger_;
+    double total_ = 0.0;
 };
 
 } // namespace dcbatt::dynamo

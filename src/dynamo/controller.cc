@@ -18,12 +18,20 @@ BreakerController::BreakerController(PowerNode &node,
                                      std::vector<RackAgent *> agents,
                                      sim::EventQueue &queue,
                                      ChargingCoordinator *coordinator,
-                                     ControllerConfig config)
-    : node_(&node), agents_(std::move(agents)), queue_(&queue),
-      coordinator_(coordinator), config_(config)
+                                     ControllerConfig config,
+                                     const power::Topology &topology)
+    : node_(&node), topology_(&topology), agents_(std::move(agents)),
+      queue_(&queue), coordinator_(coordinator), config_(config)
 {
     DCBATT_REQUIRE(node_->breaker() != nullptr,
                    "node %s has no breaker", node_->name().c_str());
+    DCBATT_REQUIRE(std::is_sorted(agents_.begin(), agents_.end(),
+                                  [](const RackAgent *a,
+                                     const RackAgent *b) {
+                                      return a->rackId() < b->rackId();
+                                  }),
+                   "controller %s: agents not in rack-id order",
+                   node_->name().c_str());
     for (RackAgent *agent : agents_)
         agentById_[agent->rackId()] = agent;
 }
@@ -46,6 +54,8 @@ BreakerController::measuredItLoad() const
 bool
 BreakerController::anyCharging() const
 {
+    if (topology_->quiet())
+        return false;
     return std::any_of(agents_.begin(), agents_.end(),
                        [](const RackAgent *a) { return a->charging(); });
 }
@@ -304,21 +314,21 @@ ControlPlane::ControlPlane(power::Topology &topology,
                            ControllerConfig config)
     : queue_(&queue), config_(config)
 {
-    (void)topology;
     // Agents for every rack under the coordination node.
     for (power::Rack *rack : coordination_node.racksBelow()) {
         agents_.push_back(std::make_unique<RackAgent>(
             *rack, queue, config_.actuationLag));
         agentById_[rack->id()] = agents_.back().get();
     }
-    buildControllers(coordination_node, coordinator);
+    buildControllers(topology, coordination_node, coordinator);
     if (controllers_.empty())
         util::fatal("ControlPlane: coordination node has no breaker "
                     "anywhere below it");
 }
 
 void
-ControlPlane::buildControllers(PowerNode &node,
+ControlPlane::buildControllers(const power::Topology &topology,
+                               PowerNode &node,
                                ChargingCoordinator *coordinator)
 {
     if (node.breaker()) {
@@ -326,11 +336,12 @@ ControlPlane::buildControllers(PowerNode &node,
         for (power::Rack *rack : node.racksBelow())
             scoped.push_back(agentById_.at(rack->id()));
         controllers_.push_back(std::make_unique<BreakerController>(
-            node, std::move(scoped), *queue_, coordinator, config_));
+            node, std::move(scoped), *queue_, coordinator, config_,
+            topology));
         coordinator = nullptr;  // only the topmost breaker coordinates
     }
     for (PowerNode *child : node.children())
-        buildControllers(*child, coordinator);
+        buildControllers(topology, *child, coordinator);
 }
 
 void

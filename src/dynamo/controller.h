@@ -60,17 +60,21 @@ class BreakerController
   public:
     /**
      * @param node        power node carrying the protected breaker.
-     * @param agents      agents of every rack beneath the node
-     *                    (not owned).
+     * @param agents      agents of every rack beneath the node, in
+     *                    rack-id order (not owned).
      * @param queue       event queue (time source).
      * @param coordinator optional charging policy; null for pure
      *                    monitor/capping controllers.
+     * @param topology    topology owning the racks (not owned); while
+     *                    it is quiet() nothing charges, so idle ticks
+     *                    skip the per-agent scan.
      */
     BreakerController(power::PowerNode &node,
                       std::vector<RackAgent *> agents,
                       sim::EventQueue &queue,
                       ChargingCoordinator *coordinator,
-                      ControllerConfig config = {});
+                      ControllerConfig config,
+                      const power::Topology &topology);
 
     const power::PowerNode &node() const { return *node_; }
 
@@ -122,6 +126,8 @@ class BreakerController
     void issue(const std::vector<OverrideCommand> &commands);
 
     power::PowerNode *node_;
+    const power::Topology *topology_;
+    /** In rack-id order (the capping ledger relies on it). */
     std::vector<RackAgent *> agents_;
     std::unordered_map<int, RackAgent *> agentById_;  // detlint: allow(unordered-container) -- keyed lookup only, never iterated
     sim::EventQueue *queue_;
@@ -191,7 +197,8 @@ class ControlPlane
     util::Watts totalCap() const;
 
   private:
-    void buildControllers(power::PowerNode &node,
+    void buildControllers(const power::Topology &topology,
+                          power::PowerNode &node,
                           ChargingCoordinator *coordinator);
 
     sim::EventQueue *queue_;

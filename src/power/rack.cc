@@ -27,6 +27,8 @@ Rack::markPowerDirty()
     powerTouched_ = true;
     if (node_)
         node_->invalidatePower();
+    if (fleetTouched_)
+        *fleetTouched_ = true;
 }
 
 void

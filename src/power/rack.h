@@ -157,15 +157,26 @@ class Rack
     void clearOutageFlag() { sawOutage_ = false; }
 
     /**
-     * Wire up the topology leaf node this rack feeds; every mutation
-     * of the rack's power draw then invalidates the cached aggregates
-     * on the leaf-to-root path. A free-standing rack (tests) runs
-     * without one.
+     * Wire up the topology leaf node this rack feeds and the
+     * topology's "some rack was touched" flag; every mutation of the
+     * rack's power draw then invalidates the cached aggregates on the
+     * leaf-to-root path and raises the flag. A free-standing rack
+     * (tests) runs without either.
      */
-    void attachNode(PowerNode *node) { node_ = node; }
+    void
+    attachNode(PowerNode *node, bool *fleet_touched)
+    {
+        node_ = node;
+        fleetTouched_ = fleet_touched;
+    }
 
   private:
-    /** Invalidate the cached power sums above this rack (if wired). */
+    /**
+     * Invalidate the cached power sums above this rack and raise the
+     * touched flags (if wired). Every mutation of the rack or its
+     * shelf must come through here: Topology::stepRacks() skips whole
+     * steps on the strength of the topology flag (DESIGN.md §16).
+     */
     void markPowerDirty();
 
     int id_;
@@ -173,6 +184,7 @@ class Rack
     Priority priority_;
     battery::PowerShelf shelf_;
     PowerNode *node_ = nullptr;
+    bool *fleetTouched_ = nullptr;
     util::Watts itDemand_{0.0};
     util::Watts capAmount_{0.0};
     bool sawOutage_ = false;

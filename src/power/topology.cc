@@ -176,6 +176,7 @@ Topology::build(const TopologySpec &spec,
     if (!policy)
         util::fatal("Topology::build: null charger policy");
     Topology topo;
+    topo.activity_ = std::make_unique<StepActivity>();
     int rack_budget = spec.totalRacks;
     int next_rack_id = 0;
 
@@ -199,7 +200,8 @@ Topology::build(const TopologySpec &spec,
         topo.rackPtrs_.push_back(rack);
         PowerNode *leaf = topo.newNode(name, NodeKind::RackNode);
         leaf->attachRack(rack);
-        rack->attachNode(leaf);
+        rack->attachNode(leaf, &topo.activity_->touched);
+        rack->shelf().shareSkippedSteps(&topo.activity_->skippedSteps);
         rpp.addChild(leaf);
     };
 
@@ -326,6 +328,15 @@ Topology::stepRacks(Seconds dt)
     DCBATT_ASSERT(fleet.size() == rackPtrs_.size(),
                   "fleet rows %zu != racks %zu", fleet.size(),
                   rackPtrs_.size());
+    refreshedRows_.clear();
+    // A quiet fleet (every rack quiescent at the last step, none
+    // touched since) is the steady state outside a charging event:
+    // each rack's step would be tryQuiescentStep() alone and no row
+    // would change, so count the step and leave rows and totals be.
+    if (quiet() && dt.value() > 0.0) {
+        ++activity_->skippedSteps;
+        return;
+    }
     // Phase 1: stage every rack whose step is a lockstep integration
     // over one interior CC/CV segment; step the rest in place. Racks
     // are independent within a step, so reordering the staged racks'
@@ -339,15 +350,17 @@ Topology::stepRacks(Seconds dt)
     // shelf without touching the rack.
     batchStage_.clear();
     batchLanes_.clear();
-    staleRows_.clear();
+    bool active = false;
     const bool batching = battery::batchChargingEnabled();
-    for (Rack *rack : rackPtrs_) {
+    for (size_t i = 0; i < rackPtrs_.size(); ++i) {
+        Rack *rack = rackPtrs_[i];
         if (rack->shelf().tryQuiescentStep(dt)) {
             if (rack->powerTouched())
-                staleRows_.push_back(rack);
+                refreshedRows_.push_back(i);
             continue;
         }
-        staleRows_.push_back(rack);
+        active = true;
+        refreshedRows_.push_back(i);
         battery::BatchLaneKind kind = batching
             ? rack->tryExportBatchLane(dt, batchStage_)
             : battery::BatchLaneKind::None;
@@ -375,9 +388,8 @@ Topology::stepRacks(Seconds dt)
         }
     }
     // Phase 3: refresh the stale fleet rows from the post-step state.
-    for (Rack *rack : staleRows_) {
-        const Rack &r = *rack;
-        auto i = static_cast<size_t>(r.id());
+    for (size_t i : refreshedRows_) {
+        Rack &r = *rackPtrs_[i];
         fleet.itLoadW[i] = r.itLoad().value();
         fleet.rechargeW[i] = r.rechargePower().value();
         fleet.capW[i] = r.capAmount().value();
@@ -386,11 +398,15 @@ Topology::stepRacks(Seconds dt)
         fleet.fullyCharged[i] = r.shelf().fullyCharged() ? 1 : 0;
         fleet.chargingBbus[i] = r.shelf().chargingCount();
         fleet.cvBbus[i] = r.shelf().cvCount();
-        rack->clearPowerTouched();
+        r.clearPowerTouched();
     }
+    // Every rack flag is clear now; the steps above re-raised the
+    // fleet flag for the racks they moved, which `active` covers.
+    activity_->touched = false;
+    activity_->active = active;
     // The totals are a pure function of the rows: with no row
     // refreshed they are the last step's, bit for bit.
-    if (staleRows_.empty())
+    if (refreshedRows_.empty())
         return;
     // Fold the fleet power sums while the rows are in cache, in row
     // order — bit-identical to the per-step walk the consumers

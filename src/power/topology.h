@@ -15,6 +15,7 @@
 #ifndef DCBATT_POWER_TOPOLOGY_H_
 #define DCBATT_POWER_TOPOLOGY_H_
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -175,9 +176,22 @@ class Topology
      * the struct-of-arrays fleet snapshot as it goes. A rack whose
      * step is a no-op (input on, nothing charging) and which nothing
      * touched since its row was last refreshed keeps its row as is;
-     * when no row changed, the power totals are kept too.
+     * when no row changed, the power totals are kept too. When the
+     * topology is quiet() the step visits no rack at all: it only
+     * counts as one more quiescent step of every shelf.
      */
     void stepRacks(util::Seconds dt);
+
+    /**
+     * Whether no rack was touched since the last stepRacks() and every
+     * rack was quiescent at it — so none is charging or off input
+     * power now, and the next step would leave every row as is.
+     */
+    bool
+    quiet() const
+    {
+        return !activity_->touched && !activity_->active;
+    }
 
     /**
      * Per-rack hot-state rows (rack id == row index), refreshed by
@@ -185,6 +199,15 @@ class Topology
      * rack mutation.
      */
     const battery::FleetState &fleet() const { return *fleet_; }
+
+    /**
+     * The rows the last stepRacks() refreshed, in rack-id order; every
+     * other row holds the same values as before that call.
+     */
+    const std::vector<size_t> &refreshedRows() const
+    {
+        return refreshedRows_;
+    }
 
     /**
      * Fleet-wide power sums of the last stepRacks() call, folded in
@@ -243,8 +266,23 @@ class Topology
     std::unique_ptr<battery::BatchChargeKernel> batchKernel_;
     battery::BatchChargeStage batchStage_;
     std::vector<BatchLaneRef> batchLanes_;
-    /** Racks whose fleet row the current stepRacks() must refresh. */
-    std::vector<Rack *> staleRows_;
+    /** Rows the last stepRacks() refreshed (see refreshedRows()). */
+    std::vector<size_t> refreshedRows_;
+    /**
+     * Whole-step activity, shared with every rack and shelf (so owned
+     * via pointer, like the rows): racks raise `touched`, shelves add
+     * `skippedSteps` to their quiescent count.
+     */
+    struct StepActivity
+    {
+        /** Some rack was touched since the last stepRacks(). */
+        bool touched = true;
+        /** Some rack was not quiescent at the last stepRacks(). */
+        bool active = true;
+        /** Steps skipped as a whole while quiet(). */
+        uint64_t skippedSteps = 0;
+    };
+    std::unique_ptr<StepActivity> activity_;
     StepPowerTotals stepTotals_;
     /** Nodes carrying a breaker, in creation order. */
     std::vector<PowerNode *> breakerNodes_;

@@ -99,8 +99,8 @@ class TraceSet
 
     /**
      * Append one sample per rack (values in watts). Takes a span so
-     * callers can stage rows in arena-backed buffers (util/arena.h)
-     * without copying into a std::vector first.
+     * callers can stage a row in any contiguous buffer without copying
+     * into a std::vector first.
      */
     void appendSample(std::span<const double> rack_watts);
     void

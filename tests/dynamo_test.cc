@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <vector>
+
 #include "core/local_coordinator.h"
 
 #include "util/logging.h"
@@ -14,6 +18,7 @@
 #include "dynamo/capping.h"
 #include "dynamo/controller.h"
 #include "power/topology.h"
+#include "util/random.h"
 
 namespace dcbatt::dynamo {
 namespace {
@@ -204,6 +209,200 @@ TEST_F(CappingTest, ReleaseAllClearsOwnCapsOnly)
     EXPECT_DOUBLE_EQ(capOf(4).value(), 0.0);
     EXPECT_DOUBLE_EQ(capOf(0).value(), 1000.0);
     EXPECT_DOUBLE_EQ(CappingEngine::fleetCap(ptrs_).value(), 1000.0);
+}
+
+// The engine before its ledger went dense: caps held per rack id in a
+// std::map, totalCap() folding the map in rack-id order on every call.
+// Kept here as the reference the dense ledger must match bit for bit.
+class MapCappingEngine
+{
+  public:
+    Watts
+    applyReduction(std::vector<RackAgent *> &agents, Watts reduction)
+    {
+        Watts applied(0.0);
+        if (reduction.value() <= 0.0)
+            return applied;
+        for (int pri = 2; pri >= 0 && applied < reduction; --pri) {
+            std::vector<RackAgent *> members;
+            Watts cappable(0.0);
+            for (RackAgent *agent : agents) {
+                if (power::priorityIndex(agent->rack().priority()) != pri)
+                    continue;
+                Watts floor = agent->rack().itDemand() * (1.0 - 0.4);
+                Watts room = agent->rack().itLoad() - floor;
+                if (room.value() > 0.0) {
+                    members.push_back(agent);
+                    cappable += room;
+                }
+            }
+            if (members.empty() || cappable.value() <= 0.0)
+                continue;
+            Watts want = util::min(reduction - applied, cappable);
+            for (RackAgent *agent : members) {
+                Watts floor = agent->rack().itDemand() * (1.0 - 0.4);
+                Watts room = agent->rack().itLoad() - floor;
+                Watts share = want * (room / cappable);
+                agent->commandCap(agent->rack().capAmount() + share);
+                ledger_[agent->rackId()] += share.value();
+                applied += share;
+            }
+        }
+        return applied;
+    }
+
+    Watts
+    release(std::vector<RackAgent *> &agents, Watts headroom)
+    {
+        Watts released(0.0);
+        if (headroom.value() <= 0.0)
+            return released;
+        for (int pri = 0; pri <= 2 && released < headroom; ++pri) {
+            for (RackAgent *agent : agents) {
+                if (power::priorityIndex(agent->rack().priority()) != pri)
+                    continue;
+                auto held = ledger_.find(agent->rackId());
+                if (held == ledger_.end() || held->second <= 0.0)
+                    continue;
+                Watts cap = agent->rack().capAmount();
+                Watts give = util::min(util::min(cap, Watts(held->second)),
+                                       headroom - released);
+                if (give.value() <= 0.0)
+                    continue;
+                agent->commandCap(cap - give);
+                held->second -= give.value();
+                released += give;
+                if (released >= headroom)
+                    break;
+            }
+        }
+        return released;
+    }
+
+    void
+    releaseAll(std::vector<RackAgent *> &agents)
+    {
+        for (RackAgent *agent : agents) {
+            auto held = ledger_.find(agent->rackId());
+            if (held == ledger_.end() || held->second <= 0.0)
+                continue;
+            Watts cap = agent->rack().capAmount();
+            agent->commandCap(cap - util::min(cap, Watts(held->second)));
+        }
+        ledger_.clear();
+    }
+
+    Watts
+    totalCap() const
+    {
+        double total = 0.0;
+        for (const auto &[rack_id, watts] : ledger_)
+            total += watts;
+        return Watts(total);
+    }
+
+  private:
+    std::map<int, double> ledger_;
+};
+
+TEST(CappingLedger, DenseLedgerMatchesMapReference)
+{
+    // Overlapping MSB/SB/RPP engines, as a control plane builds them,
+    // on two identical topologies: one driven through CappingEngine,
+    // one through the map reference, with the same random sequence of
+    // demand changes, reductions and releases. Every total and every
+    // rack's cap must agree bit for bit after every operation.
+    power::TopologySpec spec;
+    spec.rootKind = power::NodeKind::Msb;
+    spec.sbsPerMsb = 2;
+    spec.rppsPerSb = 3;
+    spec.racksPerRpp = 5;
+    spec.priorities = power::makePriorityMix(8, 11, 11);
+    struct World
+    {
+        std::unique_ptr<power::Topology> topo;
+        sim::EventQueue queue;
+        std::vector<std::unique_ptr<RackAgent>> agents;
+        /** Agent scopes: MSB first, then SBs, then RPPs. */
+        std::vector<std::vector<RackAgent *>> scopes;
+    };
+    auto build = [&spec](World &w) {
+        w.topo = std::make_unique<power::Topology>(power::Topology::build(
+            spec, battery::makeVariableCharger()));
+        for (Rack *rack : w.topo->racks()) {
+            rack->setItDemand(kilowatts(6.0));
+            w.agents.push_back(
+                std::make_unique<RackAgent>(*rack, w.queue));
+        }
+        for (power::NodeKind kind : {power::NodeKind::Msb,
+                                     power::NodeKind::Sb,
+                                     power::NodeKind::Rpp}) {
+            for (power::PowerNode *node : w.topo->nodesOfKind(kind)) {
+                std::vector<RackAgent *> &scope = w.scopes.emplace_back();
+                for (Rack *rack : node->racksBelow())
+                    scope.push_back(
+                        w.agents[static_cast<size_t>(rack->id())].get());
+            }
+        }
+    };
+    World dense;
+    World ref;
+    build(dense);
+    build(ref);
+    const size_t n_scopes = dense.scopes.size();
+    ASSERT_EQ(n_scopes, 1u + 2u + 6u);
+    std::vector<CappingEngine> engines(n_scopes);
+    std::vector<MapCappingEngine> ref_engines(n_scopes);
+    const int n_racks = static_cast<int>(dense.agents.size());
+
+    util::Rng rng(4242);
+    int reductions = 0;
+    int releases = 0;
+    int release_alls = 0;
+    for (int op = 0; op < 4000; ++op) {
+        auto k = static_cast<size_t>(rng.uniform(0.0, 1.0)
+                                     * static_cast<double>(n_scopes));
+        double roll = rng.uniform(0.0, 1.0);
+        if (roll < 0.2) {
+            auto id = static_cast<int>(rng.uniform(0.0, 1.0) * n_racks);
+            Watts demand(rng.uniform(2000.0, 12000.0));
+            dense.topo->rack(id).setItDemand(demand);
+            ref.topo->rack(id).setItDemand(demand);
+        } else if (roll < 0.55) {
+            Watts want(rng.uniform(0.0, 30000.0));
+            Watts a = engines[k].applyReduction(dense.scopes[k], want);
+            Watts b = ref_engines[k].applyReduction(ref.scopes[k], want);
+            ASSERT_EQ(a.value(), b.value()) << "op " << op;
+            ++reductions;
+        } else if (roll < 0.95) {
+            Watts headroom(rng.uniform(0.0, 20000.0));
+            Watts a = engines[k].release(dense.scopes[k], headroom);
+            Watts b = ref_engines[k].release(ref.scopes[k], headroom);
+            ASSERT_EQ(a.value(), b.value()) << "op " << op;
+            ++releases;
+        } else {
+            engines[k].releaseAll(dense.scopes[k]);
+            ref_engines[k].releaseAll(ref.scopes[k]);
+            ++release_alls;
+        }
+        for (size_t e = 0; e < n_scopes; ++e) {
+            ASSERT_EQ(engines[e].totalCap().value(),
+                      ref_engines[e].totalCap().value())
+                << "engine " << e << " after op " << op;
+        }
+        for (int id = 0; id < n_racks; ++id) {
+            ASSERT_EQ(dense.topo->rack(id).capAmount().value(),
+                      ref.topo->rack(id).capAmount().value())
+                << "rack " << id << " after op " << op;
+        }
+    }
+    EXPECT_GT(reductions, 1000);
+    EXPECT_GT(releases, 1000);
+    EXPECT_GT(release_alls, 100);
+    double held = 0.0;
+    for (const CappingEngine &e : engines)
+        held += e.totalCap().value();
+    EXPECT_GT(held, 0.0);
 }
 
 // --- breaker controller ---------------------------------------------

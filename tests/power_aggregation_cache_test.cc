@@ -126,13 +126,15 @@ TEST(PowerAggregationCache, ObserveBreakersRefreshesBottomUp)
 }
 
 // ---------------------------------------------------------------------
-// stepRacks() leaves the rows of quiescent, untouched racks alone and
-// keeps the totals when no row changed. The differential below drives
-// one topology through stepRacks() and a twin through the plain
-// per-rack Rack::step() walk, applies the same random mutations to
-// both, and after every step requires the elided snapshot to equal a
-// full refresh of the twin, bit for bit: fleet rows, totals, shelf
-// step counters and node caches.
+// stepRacks() leaves the rows of quiescent, untouched racks alone,
+// keeps the totals when no row changed, and skips the whole step when
+// the topology is quiet(). The differential below drives one topology
+// through stepRacks() and a twin through the plain per-rack
+// Rack::step() walk, applies the same random mutations to both, and
+// after every step requires the elided snapshot to equal a full
+// refresh of the twin, bit for bit: fleet rows, totals, the refreshed
+// row list, shelf step counters and node caches. Long untouched
+// stretches on a settled fleet make the whole-step skip fire.
 // ---------------------------------------------------------------------
 
 /** Everything a full row refresh reads from one rack. */
@@ -181,6 +183,8 @@ expectElisionExact(const Topology &topo, const Topology &twin, int step)
         ASSERT_EQ(a.quiescentSteps, b.quiescentSteps) << "rack " << i;
         ASSERT_EQ(a.lockstepSteps, b.lockstepSteps) << "rack " << i;
         ASSERT_EQ(a.fullSteps, b.fullSteps) << "rack " << i;
+        ASSERT_EQ(a.materializations, b.materializations)
+            << "rack " << i;
         ASSERT_EQ(topo.racks()[i]->sawOutage(), ref.sawOutage());
         if (want.inputOn)
             full.itW += want.itLoadW;
@@ -217,8 +221,49 @@ TEST(PowerAggregationCache, RackStepElisionMatchesFullRefresh)
 
     util::Rng rng(77);
     int steps = 0;
+    int quiet_steps = 0;
     int completions = 0;
-    for (int m = 0; m < 1500; ++m) {
+    int m = 0;
+    // One step of both topologies, checked against the twin. The rows
+    // a per-rack pass refreshes are those of racks not quiescent now
+    // or touched since the last step.
+    auto step = [&](Seconds dt) {
+        std::vector<size_t> want_rows;
+        int charging_before = 0;
+        for (size_t i = 0; i < topo.racks().size(); ++i) {
+            const Rack &r = *topo.racks()[i];
+            bool quiescent = r.inputPowerOn() && !r.shelf().anyCharging();
+            if (!quiescent || r.powerTouched())
+                want_rows.push_back(i);
+            charging_before += r.shelf().anyCharging() ? 1 : 0;
+        }
+        // quiet() may lag a step behind (a rack that finished
+        // charging at the last step was active then), never lead.
+        if (topo.quiet()) {
+            ++quiet_steps;
+            ASSERT_TRUE(want_rows.empty() && charging_before == 0)
+                << "after mutation " << m;
+        }
+        topo.stepRacks(dt);
+        for (Rack *r : twin.racks())
+            r->step(dt);
+        int charging_after = 0;
+        for (const Rack *r : topo.racks())
+            charging_after += r->shelf().anyCharging() ? 1 : 0;
+        completions += std::max(0, charging_before - charging_after);
+        ++steps;
+        ASSERT_EQ(topo.refreshedRows(), want_rows)
+            << "after mutation " << m;
+        expectElisionExact(topo, twin, m);
+    };
+    auto any_charging = [&] {
+        return std::any_of(topo.racks().begin(), topo.racks().end(),
+                           [](const Rack *r) {
+                               return r->shelf().anyCharging();
+                           });
+    };
+
+    for (m = 0; m < 1500; ++m) {
         auto id = static_cast<int>(rng.uniform(0.0, 1.0) * n);
         double roll = rng.uniform(0.0, 1.0);
         if (roll < 0.2) {
@@ -268,30 +313,60 @@ TEST(PowerAggregationCache, RackStepElisionMatchesFullRefresh)
             // A read that revalidates node caches between steps.
             (void)topo.root().inputPower();
             (void)twin.root().inputPower();
+        } else if (roll < 0.47) {
+            // Settle the fleet — power back, holds released, charged
+            // to full — then run a long stretch of 1 s steps with a
+            // rare single touch that keeps every rack quiescent.
+            for (size_t k = 0; k < rpps.size(); ++k) {
+                if (!rpp_off[k])
+                    continue;
+                Topology::endOpenTransition(*rpps[k]);
+                Topology::endOpenTransition(*twin_rpps[k]);
+                rpp_off[k] = 0;
+            }
+            for (int i = 0; i < n; ++i) {
+                if (topo.rack(i).shelf().chargingHeld())
+                    both(i, [](Rack &r) { r.shelf().resumeCharging(); });
+            }
+            for (int k = 0; k < 400 && any_charging(); ++k)
+                step(Seconds(120.0));
+            ASSERT_FALSE(any_charging()) << "after mutation " << m;
+            for (int k = 0; k < 60; ++k) {
+                double touch = rng.uniform(0.0, 1.0);
+                auto who = static_cast<int>(rng.uniform(0.0, 1.0) * n);
+                if (touch < 0.04) {
+                    Watts cap(rng.uniform(0.0, 2000.0));
+                    both(who, [cap](Rack &r) { r.setCapAmount(cap); });
+                } else if (touch < 0.06) {
+                    both(who, [](Rack &r) { r.uncap(); });
+                } else if (touch < 0.1) {
+                    Watts demand(rng.uniform(500.0, 12000.0));
+                    both(who,
+                         [demand](Rack &r) { r.setItDemand(demand); });
+                }
+                step(Seconds(1.0));
+                if (k % 7 == 0) {
+                    topo.observeBreakers(Seconds(1.0));
+                    twin.observeBreakers(Seconds(1.0));
+                    expectCachesExact(topo, m);
+                }
+            }
         } else {
             // Mostly 1 s steps; long ones carry charging to completion.
             Seconds dt(roll < 0.9 ? 1.0 : 120.0);
-            int charging_before = 0;
-            for (const Rack *r : topo.racks())
-                charging_before += r->shelf().anyCharging() ? 1 : 0;
-            topo.stepRacks(dt);
-            for (Rack *r : twin.racks())
-                r->step(dt);
-            int charging_after = 0;
-            for (const Rack *r : topo.racks())
-                charging_after += r->shelf().anyCharging() ? 1 : 0;
-            completions += std::max(0, charging_before - charging_after);
-            ++steps;
-            expectElisionExact(topo, twin, m);
+            step(dt);
             if (roll < 0.7) {
                 topo.observeBreakers(dt);
                 twin.observeBreakers(dt);
                 expectCachesExact(topo, m);
             }
         }
+        if (HasFatalFailure())
+            return;
     }
     // The random walk must have exercised what it claims to.
     EXPECT_GT(steps, 500);
+    EXPECT_GT(quiet_steps, 500);
     EXPECT_GT(completions, 0);
     uint64_t quiescent = 0;
     for (const Rack *r : topo.racks())
