@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <string>
 #include <vector>
@@ -288,12 +289,18 @@ TEST(RegionEngineDeathTest, OutageAfterRunEndRejectedBeforeShards)
                 "ends outside the 2400 s run");
 }
 
+/**
+ * gtest names a parameter that has no PrintTo by its bytes, padding
+ * included, and padding bytes are indeterminate; a 64-bit rack count
+ * leaves no padding, so the test names are the same on every listing.
+ */
 struct PaperCase
 {
-    int racks;
+    std::int64_t racks;
     double meanMw;
     double outageS;
 };
+static_assert(sizeof(PaperCase) == 3 * 8, "PaperCase must have no padding");
 
 class OneMsbVsPaper : public ::testing::TestWithParam<PaperCase>
 {
@@ -311,7 +318,7 @@ TEST_P(OneMsbVsPaper, SameOutcomes)
     const PaperCase c = GetParam();
     power::RegionSpec spec;
     spec.msbs = 1;
-    spec.racksPerMsb = c.racks;
+    spec.racksPerMsb = static_cast<int>(c.racks);
     spec.msbAggregateMean = util::megawatts(c.meanMw);
     spec.msbAggregateAmplitude = spec.msbAggregateMean * 0.075;
     spec.duration = util::hours(2.0);
