@@ -33,11 +33,6 @@ toString(BbuState state)
 
 BbuModel::BbuModel(BbuParams params) : params_(params), kernel_(params)
 {
-    DCBATT_REQUIRE(params_.numericSubstep > 0.0,
-                   "numeric substep %g s must be positive",
-                   params_.numericSubstep);
-    substepDecay_ = std::exp(-params_.numericSubstep
-                             / params_.cvTimeConstant.value());
     // Constants of the open-circuit-voltage line, computed once with
     // exactly the expressions terminalVoltage() originally evaluated
     // per read (so cached reads stay bit-identical).
@@ -53,15 +48,6 @@ BbuModel::setSetpoint(Amperes current)
 {
     setpoint_ = util::clamp(current, params_.minCurrent,
                             params_.maxCurrent);
-    if (params_.integrator == CcCvIntegrator::NumericReference
-        && state_ == BbuState::Charging && inCv_) {
-        // A mid-CV setpoint change re-anchors the decayed current to
-        // the new setpoint, matching the analytic path's semantics
-        // (current = setpoint * e^{-elapsed/tau}).
-        numericCurrentA_ = setpoint_.value()
-            * std::exp(-cvElapsed_.value()
-                       / params_.cvTimeConstant.value());
-    }
     refreshDerived();
 }
 
@@ -104,7 +90,6 @@ BbuModel::discharge(Watts power, Seconds dt)
     inCv_ = false;
     paused_ = false;
     cvElapsed_ = Seconds(0.0);
-    numericCurrentA_ = 0.0;
     Joules requested = power * dt;
     Joules available = params_.fullDischargeEnergy * (1.0 - dod_);
     Joules delivered = util::min(requested, available);
@@ -129,8 +114,6 @@ BbuModel::startCharging(Amperes initial_current)
     cvElapsed_ = Seconds(0.0);
     inCv_ = false;
     maybeEnterCv();
-    if (inCv_)
-        numericCurrentA_ = setpoint_.value();
     refreshDerived();
 }
 
@@ -158,10 +141,7 @@ BbuModel::step(Seconds dt)
                   "[%g, %g]",
                   setpoint_.value(), params_.minCurrent.value(),
                   params_.maxCurrent.value());
-    if (params_.integrator == CcCvIntegrator::NumericReference)
-        stepNumeric(dt);
-    else
-        stepAnalytic(dt);
+    stepAnalytic(dt);
 }
 
 double
@@ -223,50 +203,6 @@ BbuModel::stepAnalytic(Seconds dt)
 }
 
 void
-BbuModel::stepNumeric(Seconds dt)
-{
-    const double tau = params_.cvTimeConstant.value();
-    const double h_max = params_.numericSubstep;
-    double remaining = dt.value();
-    while (remaining > 1e-12) {
-        bool was_cv = inCv_;
-        maybeEnterCv();
-        if (inCv_ && !was_cv)
-            numericCurrentA_ = setpoint_.value();
-        if (!inCv_) {
-            // The CC phase is linear, so the rectangle rule is exact;
-            // cut at the handover so the CC->CV transition lands on
-            // the same step as the analytic path.
-            double handover_s =
-                kernel_.ccHandoverSeconds(dod_, setpoint_.value());
-            DCBATT_ASSERT(handover_s >= 0.0,
-                          "CC phase with negative handover %g s",
-                          handover_s);
-            double advance = std::min(remaining, handover_s);
-            dod_ = kernel_.applyCharge(dod_,
-                                       setpoint_.value() * advance);
-            remaining -= advance;
-        } else {
-            // Rectangle-rule CV integration with the decay applied as
-            // a running multiply of the precomputed per-substep
-            // factor; completion when the current hits the cutoff.
-            double h = std::min(remaining, h_max);
-            double decay =
-                h == h_max ? substepDecay_ : std::exp(-h / tau);
-            dod_ = kernel_.applyCharge(dod_, numericCurrentA_ * h);
-            numericCurrentA_ *= decay;
-            cvElapsed_ += Seconds(h);
-            remaining -= h;
-            if (numericCurrentA_ <= params_.cutoffCurrent.value()) {
-                completeCharge();
-                return;
-            }
-        }
-    }
-    refreshDerived();
-}
-
-void
 BbuModel::completeCharge()
 {
     dod_ = 0.0;
@@ -274,7 +210,6 @@ BbuModel::completeCharge()
     setpoint_ = Amperes(0.0);
     inCv_ = false;
     cvElapsed_ = Seconds(0.0);
-    numericCurrentA_ = 0.0;
     refreshDerived();
 }
 
@@ -290,8 +225,6 @@ BbuModel::refreshDerived()
         cachedCurrentA_ = 0.0;
     } else if (!inCv_) {
         cachedCurrentA_ = setpoint_.value();
-    } else if (params_.integrator == CcCvIntegrator::NumericReference) {
-        cachedCurrentA_ = numericCurrentA_;
     } else {
         double decay = std::exp(-cvElapsed_ / params_.cvTimeConstant);
         cachedCurrentA_ = (setpoint_ * decay).value();
@@ -311,7 +244,6 @@ BbuModel::reset()
     inCv_ = false;
     paused_ = false;
     cvElapsed_ = Seconds(0.0);
-    numericCurrentA_ = 0.0;
     refreshDerived();
 }
 
@@ -322,7 +254,6 @@ BbuModel::forceDod(double dod)
     dod_ = dod;
     inCv_ = false;
     cvElapsed_ = Seconds(0.0);
-    numericCurrentA_ = 0.0;
     if (dod == 0.0) {
         state_ = BbuState::FullyCharged;
         setpoint_ = Amperes(0.0);

@@ -21,20 +21,13 @@
  *    root cause the paper identifies.
  *  - The setpoint can be changed while charging (manual override).
  *
- * Two integrators implement the dynamics (BbuParams::integrator):
- *
- *  - Analytic (default): composes the closed-form primitives of
- *    CcCvKernel — the next state boundary (CC->CV handover, CV
- *    cutoff) is computed exactly and the state jumps there, with the
- *    instantaneous current and the CV duration cached on the model so
- *    reads do no transcendental work. This path is bit-identical to
- *    the original per-second integrator at every step size.
- *  - NumericReference: the legacy fixed-substep integrator, kept as a
- *    cross-check. The CV decay is applied as a running multiply of
- *    the precomputed per-substep factor e^{-h/tau}; charge is
- *    integrated with the rectangle rule, so SoC lags the analytic
- *    path by O(h/2tau) per segment and completion lands within one
- *    substep of the closed form (the parity property test pins both).
+ * step() composes the closed-form primitives of CcCvKernel: the next
+ * state boundary (CC->CV handover, CV cutoff) is computed exactly and
+ * the state jumps there, with the instantaneous current and the CV
+ * duration cached on the model so reads do no transcendental work.
+ * This path is bit-identical to the original per-second integrator at
+ * every step size. The CC-CV parity suite checks it against an
+ * independent rectangle-rule integrator that lives in the tests.
  */
 
 #ifndef DCBATT_BATTERY_BBU_H_
@@ -152,11 +145,11 @@ class BbuModel
 
     /**
      * Batched stepping, part 1: if the next step(dt) would be one
-     * strictly interior CC or CV segment on the analytic integrator
-     * (no handover, no completion, not paused), push this pack's lane
-     * inputs onto @p stage and report which lane set; otherwise stage
-     * nothing and return None. Non-const only because the CV check
-     * warms the same totalCvMemo() slot the scalar step would.
+     * strictly interior CC or CV segment (no handover, no completion,
+     * not paused), push this pack's lane inputs onto @p stage and
+     * report which lane set; otherwise stage nothing and return None.
+     * Non-const only because the CV check warms the same
+     * totalCvMemo() slot the scalar step would.
      */
     BatchLaneKind tryExportBatchLane(double dt,
                                      BatchChargeStage &stage);
@@ -185,16 +178,14 @@ class BbuModel
         double dod;
         double setpointA;
         double cvElapsedS;
-        double numericCurrentA;
         bool inCv;
         bool paused;
     };
 
     ChargeState chargeState() const
     {
-        return {state_,          dod_,    setpoint_.value(),
-                cvElapsed_.value(), numericCurrentA_, inCv_,
-                paused_};
+        return {state_, dod_, setpoint_.value(), cvElapsed_.value(),
+                inCv_, paused_};
     }
 
     /** Whether this pack's dynamic state bit-equals @p s. */
@@ -203,8 +194,7 @@ class BbuModel
         return state_ == s.state && dod_ == s.dod
             && setpoint_.value() == s.setpointA
             && inCv_ == s.inCv && paused_ == s.paused
-            && cvElapsed_.value() == s.cvElapsedS
-            && numericCurrentA_ == s.numericCurrentA;
+            && cvElapsed_.value() == s.cvElapsedS;
     }
 
     /**
@@ -226,7 +216,6 @@ class BbuModel
         totalCvCache_ = other.totalCvCache_;
         cvAdvanceKey_ = other.cvAdvanceKey_;
         cvAdvanceFactor_ = other.cvAdvanceFactor_;
-        numericCurrentA_ = other.numericCurrentA_;
     }
 
     /** Reset to FullyCharged. */
@@ -244,13 +233,10 @@ class BbuModel
 
     void maybeEnterCv();
 
-    /** Closed-form fast-forward path (default integrator). */
+    /** Closed-form fast-forward through the state boundaries. */
     void stepAnalytic(util::Seconds dt);
 
-    /** Legacy fixed-substep reference integrator. */
-    void stepNumeric(util::Seconds dt);
-
-    /** Discrete completion transition shared by both integrators. */
+    /** Discrete completion transition. */
     void completeCharge();
 
     /**
@@ -288,10 +274,6 @@ class BbuModel
     double totalCvCache_ = 0.0;
     double cvAdvanceKey_ = -1.0;
     double cvAdvanceFactor_ = 1.0;
-
-    /** Numeric reference path: e^{-h/tau} and the running current. */
-    double substepDecay_ = 1.0;
-    double numericCurrentA_ = 0.0;
 };
 
 // The batch-lane protocol runs once per rack per physics step; the
@@ -312,11 +294,9 @@ inline BatchLaneKind
 BbuModel::tryExportBatchLane(double dt, BatchChargeStage &stage)
 {
     // Mirrors the gates of step(): anything that makes step() a no-op
-    // or routes it off the analytic fast path stays scalar.
-    if (state_ != BbuState::Charging || paused_ || dt <= 0.0
-        || params_.integrator == CcCvIntegrator::NumericReference) {
+    // stays scalar.
+    if (state_ != BbuState::Charging || paused_ || dt <= 0.0)
         return BatchLaneKind::None;
-    }
     DCBATT_ASSERT(setpoint_ >= params_.minCurrent
                       && setpoint_ <= params_.maxCurrent,
                   "charging setpoint %g A outside hardware range "

@@ -29,23 +29,6 @@
 
 namespace dcbatt::battery {
 
-/**
- * Which charging integrator BbuModel::step() uses.
- *
- * Analytic is the default and the production path: the CC-CV
- * trajectory is advanced in closed form (see cc_cv_kernel.h), with
- * derived values (current, input power, CV duration) cached on the
- * model. NumericReference is the legacy fixed-substep integrator kept
- * as a cross-check; the parity property test asserts the two agree on
- * every discrete outcome and track each other's SoC within a
- * documented tolerance.
- */
-enum class CcCvIntegrator
-{
-    Analytic,
-    NumericReference,
-};
-
 /** Physical calibration of one BBU and its PSU charger. */
 struct BbuParams
 {
@@ -89,17 +72,6 @@ struct BbuParams
     /** BBUs per rack: two power zones, three BBUs each (2+1). */
     int bbusPerRack = 6;
     int zonesPerRack = 2;
-
-    /** Charging integrator (analytic fast-forward by default). */
-    CcCvIntegrator integrator = CcCvIntegrator::Analytic;
-
-    /**
-     * Substep (seconds) of the numeric reference integrator; each
-     * step() is split into fixed slices of at most this length, with
-     * the CV decay applied as a running multiply of the precomputed
-     * per-substep factor e^{-h/tau}. Ignored on the analytic path.
-     */
-    double numericSubstep = 1.0;
 };
 
 /** Rack-level CC charging wall power per ampere of BBU setpoint. */

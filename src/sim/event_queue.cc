@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 #include <limits>
-#include <string_view>
 #include <utility>
 
 #include "util/check.h"
@@ -32,33 +30,9 @@ widthShiftForGap(Tick gap)
 
 } // namespace
 
-EventQueue::Backend
-EventQueue::defaultBackend()
+EventQueue::EventQueue()
+    : buckets_(kMinBuckets), bucketMask_(kMinBuckets - 1)
 {
-    static const Backend kChoice = [] {
-        const char *env = std::getenv("DCBATT_EVENT_QUEUE");
-        if (!env || !*env)
-            return Backend::Calendar;
-        std::string_view choice(env);
-        if (choice == "heap")
-            return Backend::Heap;
-        DCBATT_REQUIRE(choice == "calendar",
-                       "DCBATT_EVENT_QUEUE must be 'calendar' or "
-                       "'heap', got '%s'",
-                       env);
-        return Backend::Calendar;
-    }();
-    return kChoice;
-}
-
-EventQueue::EventQueue(Backend backend) : backend_(backend)
-{
-    if (backend_ == Backend::Calendar) {
-        buckets_.resize(kMinBuckets);
-        bucketMask_ = kMinBuckets - 1;
-    } else {
-        buckets_.resize(1);
-    }
 }
 
 void
@@ -80,30 +54,23 @@ EventQueue::schedule(Tick when, Callback callback)
     idFlags_.push_back(1);
     ++pendingCount_;
     ++storedCount_;
-    if (backend_ == Backend::Heap) {
-        std::vector<Entry> &heap = buckets_[0];
-        heap.push_back(Entry{when, nextSeq_++, id, std::move(callback)});
-        std::push_heap(heap.begin(), heap.end(), std::greater<Entry>{});
-    } else {
-        if (!widthSeeded_) {
-            // Seed the bucket width from the very first delay; resizes
-            // re-derive it from the observed population.
-            widthShift_ = widthShiftForGap(when - now_);
-            widthSeeded_ = true;
-        }
-        // An insert behind the scan cursor's window would be missed.
-        if (scanCacheValid_
-            && when < scanWindowEnd_ - (Tick(1) << widthShift_))
-            scanCacheValid_ = false;
-        // Emplaced, not routed through placeEntry: the extra Entry
-        // move would drag the std::function's manager call with it.
-        size_t idx = (static_cast<uint64_t>(when) >> widthShift_)
-            & bucketMask_;
-        buckets_[idx].emplace_back(when, nextSeq_++, id,
-                                   std::move(callback));
-        if (pendingCount_ > 2 * buckets_.size())
-            resizeCalendar(buckets_.size() * 2);
+    if (!widthSeeded_) {
+        // Seed the bucket width from the very first delay; resizes
+        // re-derive it from the observed population.
+        widthShift_ = widthShiftForGap(when - now_);
+        widthSeeded_ = true;
     }
+    // An insert behind the scan cursor's window would be missed.
+    if (scanCacheValid_
+        && when < scanWindowEnd_ - (Tick(1) << widthShift_))
+        scanCacheValid_ = false;
+    // Emplaced, not routed through placeEntry: the extra Entry move
+    // would drag the std::function's manager call with it.
+    size_t idx =
+        (static_cast<uint64_t>(when) >> widthShift_) & bucketMask_;
+    buckets_[idx].emplace_back(when, nextSeq_++, id, std::move(callback));
+    if (pendingCount_ > 2 * buckets_.size())
+        resizeCalendar(buckets_.size() * 2);
     // Executed ids leave zero flags behind; trim the window when it
     // far outgrows the pending set.
     if (idFlags_.size() > 1024
@@ -147,12 +114,6 @@ EventQueue::compactStorage()
         std::erase_if(bucket, [this](const Entry &entry) {
             return !idPending(entry.id);
         });
-    }
-    if (backend_ == Backend::Heap) {
-        // The heap property does not survive arbitrary erasure; the
-        // rebuild restores the same (when, seq) pop order.
-        std::make_heap(buckets_[0].begin(), buckets_[0].end(),
-                       std::greater<Entry>{});
     }
     storedCount_ = pendingCount_;
     cancelledResidue_ = 0;
@@ -284,34 +245,21 @@ EventQueue::execute(Tick until)
 {
     size_t executed = 0;
     while (pendingCount_ > 0) {
-        Entry entry{};
-        if (backend_ == Backend::Heap) {
-            std::vector<Entry> &heap = buckets_[0];
-            if (heap.front().when > until)
-                break;
-            std::pop_heap(heap.begin(), heap.end(),
-                          std::greater<Entry>{});
-            entry = std::move(heap.back());
-            heap.pop_back();
-            --storedCount_;
-        } else {
-            size_t b = 0;
-            size_t s = 0;
-            bool found = findNext(b, s);
-            DCBATT_ASSERT(found,
-                          "pending events missing from calendar");
-            std::vector<Entry> &vec = buckets_[b];
-            if (vec[s].when > until)
-                break;
-            // Swap-remove in place (not a helper returning by value:
-            // every extra Entry move costs a std::function manager
-            // call on this per-event path).
-            entry = std::move(vec[s]);
-            if (s != vec.size() - 1)
-                vec[s] = std::move(vec.back());
-            vec.pop_back();
-            --storedCount_;
-        }
+        size_t b = 0;
+        size_t s = 0;
+        bool found = findNext(b, s);
+        DCBATT_ASSERT(found, "pending events missing from calendar");
+        std::vector<Entry> &vec = buckets_[b];
+        if (vec[s].when > until)
+            break;
+        // Swap-remove in place (not a helper returning by value: every
+        // extra Entry move costs a std::function manager call on this
+        // per-event path).
+        Entry entry = std::move(vec[s]);
+        if (s != vec.size() - 1)
+            vec[s] = std::move(vec.back());
+        vec.pop_back();
+        --storedCount_;
         if (!idPending(entry.id)) {
             --cancelledResidue_; // cancelled while queued
             continue;
@@ -327,13 +275,12 @@ EventQueue::execute(Tick until)
                       static_cast<long long>(now_));
         // Re-key the scan cursor to the tick being advanced to so the
         // next dequeue resumes in this window.
-        if (backend_ == Backend::Calendar && scanCacheValid_)
+        if (scanCacheValid_)
             scanCacheNow_ = entry.when;
         now_ = entry.when;
         entry.callback();
         ++executed;
-        if (backend_ == Backend::Calendar
-            && buckets_.size() > kMinBuckets
+        if (buckets_.size() > kMinBuckets
             && pendingCount_ < buckets_.size() / 8)
             resizeCalendar(buckets_.size() / 2);
     }

@@ -8,26 +8,17 @@
  * at scheduling time. Periodic activity (controller polling, physics
  * integration steps) is built on top via PeriodicTask.
  *
- * Two interchangeable backends implement the pending set (see
- * DESIGN.md §14 for the policy discussion):
- *
- *  - Calendar (default): a calendar queue — a power-of-two ring of
- *    buckets, each one bucket-width of ticks wide, with the width
- *    adapted to the observed inter-event gap at resize points.
- *    schedule() is an O(1) append into the target bucket; dequeue
- *    scans forward from now's bucket one window at a time and falls
- *    back to a direct whole-table search after a fruitless
- *    revolution. Amortized O(1) per event for the simulator's
- *    workloads (a handful of periodic streams).
- *  - Heap: the original binary-heap ordering, kept as an escape hatch
- *    and as the reference for the differential tests.
- *
- * Both backends execute events in exactly the same (when, seq) order —
- * the calendar layout changes where entries are stored, never which
- * entry is next — which the randomized differential fuzz test pins.
- * Select with DCBATT_EVENT_QUEUE=calendar|heap (backend choice only
- * affects speed, never event order, so the env read is not a
- * determinism hazard).
+ * The pending set is a calendar queue (DESIGN.md §14): a power-of-two
+ * ring of buckets, each one bucket-width of ticks wide, with the width
+ * adapted to the observed inter-event gap at resize points. schedule()
+ * is an O(1) append into the target bucket; dequeue scans forward from
+ * now's bucket one window at a time and falls back to a direct
+ * whole-table search after a fruitless revolution. Amortized O(1) per
+ * event for the simulator's workloads (a handful of periodic streams).
+ * The layout changes where entries are stored, never which entry is
+ * next: events run in strict (when, seq) order, which a randomized
+ * differential fuzz test pins against an independent ordered-map
+ * queue in the test suite.
  *
  * Cancellation is lazy: cancel() clears the event's pending flag and
  * the stored entry becomes residue that is dropped when it surfaces.
@@ -56,20 +47,7 @@ class EventQueue
   public:
     using Callback = std::function<void()>;
 
-    /** Pending-set implementation (see file comment). */
-    enum class Backend
-    {
-        Calendar,
-        Heap,
-    };
-
-    /** Backend selected by $DCBATT_EVENT_QUEUE (default Calendar). */
-    static Backend defaultBackend();
-
-    EventQueue() : EventQueue(defaultBackend()) {}
-    explicit EventQueue(Backend backend);
-
-    Backend backend() const { return backend_; }
+    EventQueue();
 
     /** Current simulation time. */
     Tick now() const { return now_; }
@@ -125,7 +103,7 @@ class EventQueue
         EventId id;
         Callback callback;
 
-        /** Strict (when, seq) event order shared by both backends. */
+        /** Strict (when, seq) event order. */
         bool
         operator>(const Entry &other) const
         {
@@ -160,14 +138,10 @@ class EventQueue
     void resizeCalendar(size_t buckets);
     void placeEntry(Entry &&entry);
 
-    Backend backend_;
-
     /**
-     * Calendar backend: bucket b stores entries whose
-     * (when >> widthShift_) ≡ b (mod bucket count). Buckets are
-     * unsorted; the dequeue scan takes the (when, seq) minimum within
-     * the bucket's current window. Also used (bucket 0 only, heap
-     * ordered) by the Heap backend.
+     * Bucket b stores entries whose (when >> widthShift_) ≡ b (mod
+     * bucket count). Buckets are unsorted; the dequeue scan takes the
+     * (when, seq) minimum within the bucket's current window.
      */
     std::vector<std::vector<Entry>> buckets_;
     size_t bucketMask_ = 0;

@@ -38,34 +38,28 @@ constexpr double kBudgetSlackW = 1e3;
 
 /**
  * One MSB shard: a core::MsbRun over its own streaming trace source
- * and (sharded mode) its own event queue, plus the budget bookkeeping
- * only the region reports. All mutable state is confined to the
- * shard; the driving thread touches it only between chunks, in
- * shard-index order.
+ * and its own event queue, plus the budget bookkeeping only the region
+ * reports. All mutable state is confined to the shard; the driving
+ * thread touches it only between chunks, in shard-index order.
  */
 class MsbShard
 {
   public:
-    /**
-     * @p shared_queue null: shard owns a queue (sharded mode);
-     * non-null: events ride the caller's queue (single-queue mode).
-     */
-    MsbShard(const RegionSpec &spec, int index,
-             EventQueue *shared_queue)
+    MsbShard(const RegionSpec &spec, int index)
         : spec_(&spec), index_(index),
           name_(power::msbName(spec, index)),
           journal_(obs::eventLoggingEnabled()),
-          ownQueue_(shared_queue
-                        ? nullptr
-                        : std::make_unique<EventQueue>()),
-          queue_(shared_queue ? shared_queue : ownQueue_.get()),
           source_(msbTraceSpec(spec, index)),
-          run_(runConfig(spec, index), *queue_, source_,
+          run_(runConfig(spec, index), queue_, source_,
                [this](Seconds) { observeStep(); })
     {
     }
 
-    /** Run this shard's queue through @p until (sharded mode). */
+    /** The run's step callback holds this shard's address. */
+    MsbShard(const MsbShard &) = delete;
+    MsbShard &operator=(const MsbShard &) = delete;
+
+    /** Run this shard's queue through @p until. */
     void
     runUntil(Tick until)
     {
@@ -74,7 +68,7 @@ class MsbShard
         std::optional<obs::RunScope> scope;
         if (journal_)
             scope.emplace(name_);
-        queue_->runUntil(until);
+        queue_.runUntil(until);
     }
 
     /** Budget-splitter input; called between chunks only. */
@@ -210,9 +204,8 @@ class MsbShard
     int index_;
     std::string name_;
     bool journal_;
-    /** Owned queue (sharded mode); destroyed after the run below. */
-    std::unique_ptr<EventQueue> ownQueue_;
-    EventQueue *queue_;
+    /** Declared before run_, so it is destroyed after it. */
+    EventQueue queue_;
     trace::StreamingTraceSource source_;
     core::MsbRun run_;
 
@@ -283,15 +276,6 @@ runRegion(const RegionSpec &spec, const RegionRunOptions &options)
             static_cast<size_t>(spec.buildings),
             spec.buildingLimit.value());
     }
-
-    // Single-queue mode: the shared queue must outlive the shards,
-    // and the splitter events must be scheduled BEFORE any shard is
-    // built so that, at a shared tick, the split always runs first
-    // (lowest seq). Sharded mode gets the same ordering from the
-    // chunk boundaries below.
-    std::unique_ptr<EventQueue> shared_queue;
-    if (options.singleQueue)
-        shared_queue = std::make_unique<EventQueue>();
 
     RegionResult result;
     result.itMw = util::TimeSeries(Seconds(0.0),
@@ -382,33 +366,19 @@ runRegion(const RegionSpec &spec, const RegionRunOptions &options)
             recorder->sampleAt(toSeconds(at).value());
     };
 
-    if (options.singleQueue) {
-        for (Tick t = 0; t < horizon; t += cadence)
-            shared_queue->schedule(t, [&coordinate, t] {
-                coordinate(t);
-            });
-    }
+    for (int i = 0; i < n_msbs; ++i)
+        shards.push_back(std::make_unique<MsbShard>(spec, i));
 
-    for (int i = 0; i < n_msbs; ++i) {
-        shards.push_back(std::make_unique<MsbShard>(
-            spec, i, shared_queue.get()));
-    }
-
-    if (options.singleQueue) {
-        shared_queue->runUntil(horizon - 1);
-    } else {
-        util::ThreadPool pool(std::max(options.threads, 1u));
-        for (Tick t = 0; t < horizon; t += cadence) {
-            coordinate(t);
-            Tick chunk_end = std::min(t + cadence, horizon);
-            // runUntil is inclusive: events AT the boundary tick must
-            // wait for the next split, exactly as the splitter's
-            // lower seq arranges in single-queue mode.
-            pool.parallelFor(
-                static_cast<size_t>(n_msbs), [&](size_t shard) {
-                    shards[shard]->runUntil(chunk_end - 1);
-                });
-        }
+    util::ThreadPool pool(std::max(options.threads, 1u));
+    for (Tick t = 0; t < horizon; t += cadence) {
+        coordinate(t);
+        Tick chunk_end = std::min(t + cadence, horizon);
+        // runUntil is inclusive: events AT the boundary tick must wait
+        // for the next split, so every tick's physics sees that tick's
+        // grants (region_engine.h, "Chunk boundary").
+        pool.parallelFor(static_cast<size_t>(n_msbs), [&](size_t shard) {
+            shards[shard]->runUntil(chunk_end - 1);
+        });
     }
 
     // --- fold outcomes (shard-index order, driving thread) ----------

@@ -5,8 +5,7 @@
  *
  * Each MSB of a power::RegionSpec becomes an independent *shard*: a
  * core::MsbRun (the step kernel runChargingEvent also runs) over its
- * own streaming trace source and — in the default sharded mode — its
- * own EventQueue. Shards only
+ * own streaming trace source and its own EventQueue. Shards only
  * interact through the cross-MSB budget splitter
  * (core::splitRegionBudget), which runs every coordination tick on
  * the driving thread and imposes per-MSB power ceilings via
@@ -18,18 +17,15 @@
  *  - Shard count equals the MSB count and is part of the spec, never
  *    derived from --threads. Shard i's trace seed is substream i of
  *    the region seed.
- *  - Sharded mode advances every shard queue in lockstep chunks of
- *    one coordination period on a util::ThreadPool; all cross-shard
- *    reads (budget reports, rollups) happen between chunks, on the
- *    driving thread, in shard-index order. Results are therefore
- *    bit-identical at any --threads.
- *  - Single-queue mode (RegionRunOptions::singleQueue) runs the same
- *    spec through ONE EventQueue carrying every shard's events plus
- *    the splitter as highest-priority same-tick events. It is the
- *    reference implementation for the differential test: both modes
- *    must produce byte-identical artifacts. The chunked runUntil
- *    boundary sits at (tick - 1) precisely so that boundary-tick
- *    physics runs after the splitter in both modes.
+ *  - Every shard queue advances in lockstep chunks of one coordination
+ *    period on a util::ThreadPool; all cross-shard reads (budget
+ *    reports, rollups) happen between chunks, on the driving thread,
+ *    in shard-index order. Results are therefore bit-identical at any
+ *    --threads.
+ *  - Chunk boundary: the split for tick t runs before any shard
+ *    physics at tick t. A chunk therefore runs each queue through
+ *    (t + cadence - 1), leaving the boundary tick's events for after
+ *    the next split. RegionEngine.PinnedFingerprint guards this.
  *
  * Artifacts: a per-MSB outcome table and a region rollup tape sampled
  * at the coordination cadence, plus obs-layer per-MSB gauges and the
@@ -54,14 +50,8 @@ namespace dcbatt::sim {
 /** Execution knobs (never simulation semantics). */
 struct RegionRunOptions
 {
-    /** Worker threads for the sharded mode (>= 1). */
+    /** Worker threads (>= 1). */
     unsigned threads = 1;
-    /**
-     * Run every shard through one shared EventQueue instead of
-     * per-shard queues (the differential-test reference; forces
-     * single-threaded execution).
-     */
-    bool singleQueue = false;
 };
 
 /** Outcome of one MSB shard: its rack tallies plus region fields. */
@@ -136,8 +126,7 @@ trace::StreamingTraceSpec msbTraceSpec(const power::RegionSpec &spec,
 
 /**
  * Run the region described by @p spec for its full duration.
- * Byte-identical output for any options.threads; singleQueue selects
- * the reference execution mode (same artifacts, one queue).
+ * Byte-identical output for any options.threads.
  */
 RegionResult runRegion(const power::RegionSpec &spec,
                        const RegionRunOptions &options = {});

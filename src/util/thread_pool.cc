@@ -63,8 +63,8 @@ ThreadPool::workerLoop()
             job = std::move(queue_.front());
             queue_.pop_front();
         }
-        // packaged_task catches the task's exception into its future;
-        // a bare job that throws would terminate, which is the right
+        // submit() catches the task's exception into its future; a
+        // bare job that throws would terminate, which is the right
         // default for the pool's own plumbing.
         job();
     }

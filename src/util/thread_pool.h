@@ -31,6 +31,7 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <optional>
 // The pool is the one sanctioned owner of raw threads in the tree;
 // everything else fans out through it so worker count stays a
 // non-semantic knob (DESIGN.md §9).
@@ -64,17 +65,39 @@ class ThreadPool
 
     /**
      * Enqueue @p fn and return a future for its result. An exception
-     * thrown by @p fn is delivered by the future's get().
+     * thrown by @p fn is delivered by the future's get(). The pool
+     * destroys @p fn, and everything it captured, before the future
+     * becomes ready.
      */
     template <typename F>
     auto
     submit(F &&fn) -> std::future<std::invoke_result_t<F>>
     {
         using R = std::invoke_result_t<F>;
-        auto task = std::make_shared<std::packaged_task<R()>>(
-            std::forward<F>(fn));
-        std::future<R> future = task->get_future();
-        enqueue([task] { (*task)(); });
+        struct Task
+        {
+            std::optional<std::decay_t<F>> fn;
+            std::promise<R> promise;
+        };
+        auto task = std::make_shared<Task>();
+        task->fn.emplace(std::forward<F>(fn));
+        std::future<R> future = task->promise.get_future();
+        enqueue([task] {
+            try {
+                if constexpr (std::is_void_v<R>) {
+                    (*task->fn)();
+                    task->fn.reset();
+                    task->promise.set_value();
+                } else {
+                    R result = (*task->fn)();
+                    task->fn.reset();
+                    task->promise.set_value(std::forward<R>(result));
+                }
+            } catch (...) {
+                task->fn.reset();
+                task->promise.set_exception(std::current_exception());
+            }
+        });
         return future;
     }
 

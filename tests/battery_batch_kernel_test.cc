@@ -116,14 +116,6 @@ TEST(BatchLane, IneligibleConfigurationsStayScalar)
     EXPECT_EQ(paused.tryExportBatchLane(4.0, stage),
               BatchLaneKind::None);
 
-    BbuParams numeric = params;
-    numeric.integrator = CcCvIntegrator::NumericReference;
-    BbuModel reference(numeric);
-    reference.forceDod(0.8);
-    reference.startCharging(Amperes(5.0));
-    EXPECT_EQ(reference.tryExportBatchLane(4.0, stage),
-              BatchLaneKind::None);
-
     // A step that crosses the CC->CV handover must not stage.
     BbuModel near_handover(params);
     near_handover.forceDod(0.8);

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -75,6 +76,17 @@ struct TrackCase
     double otLengthS;
     bool postpone;
 };
+
+/**
+ * gtest puts the printed parameter in the ctest name. Without this it
+ * prints the bytes, which include the name's heap pointer, so the
+ * names would change from one build to the next.
+ */
+void
+PrintTo(const TrackCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 /** (time, type, rack) of one tracking event. */
 using TrackEvent = std::tuple<double, std::string, int>;

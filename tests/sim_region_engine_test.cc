@@ -1,18 +1,20 @@
 /**
  * @file
- * Region engine determinism: sharded-vs-threads and
- * sharded-vs-single-queue differential tests, the event journal's
- * order across thread counts, and a one-MSB region against the paper
- * path (core::runChargingEvent) on the same trace.
+ * Region engine determinism: a pinned fingerprint of two region runs,
+ * the threads differential, the event journal's order across thread
+ * counts, and a one-MSB region against the paper path
+ * (core::runChargingEvent) on the same trace.
  *
  * The contract (region_engine.h) is bit-identical results — exact
- * double equality, not tolerance — for any --threads and between the
- * sharded and single-queue execution modes.
+ * double equality, not tolerance — for any --threads. The threads
+ * differential runs the same shard code on both sides, so the pinned
+ * fingerprint is what catches a change to the shard loop itself.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -53,6 +55,16 @@ smallSpec()
     spec.windowSamples = 100;
     spec.maxResidentWindows = 2;
     spec.auditInterval = util::minutes(2.0);
+    return spec;
+}
+
+/** smallSpec() under a binding budget: 60% of the fleet rating. */
+power::RegionSpec
+tightSpec()
+{
+    power::RegionSpec spec = smallSpec();
+    spec.regionBudget =
+        util::Watts(0.6 * spec.msbLimit.value() * spec.msbs);
     return spec;
 }
 
@@ -129,18 +141,6 @@ TEST(RegionEngine, ThreadCountDoesNotChangeResults)
     expectResultsIdentical(a, b);
 }
 
-TEST(RegionEngine, ShardedMatchesSingleQueueReference)
-{
-    power::RegionSpec spec = smallSpec();
-    RegionRunOptions sharded;
-    sharded.threads = 2;
-    RegionRunOptions reference;
-    reference.singleQueue = true;
-    RegionResult a = runRegion(spec, sharded);
-    RegionResult b = runRegion(spec, reference);
-    expectResultsIdentical(a, b);
-}
-
 TEST(RegionEngine, RunIsSane)
 {
     power::RegionSpec spec = smallSpec();
@@ -189,9 +189,7 @@ TEST(RegionEngine, TightBudgetStillDeterministic)
 {
     // Oversubscribe hard (60% of fleet rating) so the splitter is
     // binding, then re-check the threads differential under pressure.
-    power::RegionSpec spec = smallSpec();
-    spec.regionBudget =
-        util::Watts(0.6 * spec.msbLimit.value() * spec.msbs);
+    power::RegionSpec spec = tightSpec();
     RegionRunOptions one;
     one.threads = 1;
     RegionRunOptions three;
@@ -203,6 +201,90 @@ TEST(RegionEngine, TightBudgetStillDeterministic)
     // anything.
     double budget_mw = 0.6 * spec.msbLimit.value() * spec.msbs / 1e6;
     EXPECT_LE(a.grantMw.maxValue(), budget_mw + 1e-6);
+}
+
+/**
+ * FNV-1a over the bit pattern of every RegionResult field: each
+ * per-MSB outcome field, all seven rollup series and the region
+ * totals.
+ */
+uint64_t
+fingerprint(const RegionResult &result)
+{
+    uint64_t hash = 0xcbf29ce484222325ULL;
+    auto bytes = [&hash](const void *data, size_t n) {
+        const auto *p = static_cast<const unsigned char *>(data);
+        for (size_t i = 0; i < n; ++i) {
+            hash ^= p[i];
+            hash *= 0x100000001b3ULL;
+        }
+    };
+    auto add = [&bytes](auto value) { bytes(&value, sizeof(value)); };
+    auto add_series = [&add](const util::TimeSeries &series) {
+        add(series.start().value());
+        add(series.step().value());
+        add(series.size());
+        for (double v : series.values())
+            add(v);
+    };
+    add(result.msbs.size());
+    for (const RegionMsbOutcome &msb : result.msbs) {
+        add(msb.meanInitialDod);
+        for (int n : msb.racksByPriority)
+            add(n);
+        for (int n : msb.slaMetByPriority)
+            add(n);
+        add(msb.outages);
+        add(msb.everCapped);
+        add(msb.everHeld);
+        add(msb.breakerTripped);
+        add(msb.msbIndex);
+        add(msb.name.size());
+        bytes(msb.name.data(), msb.name.size());
+        add(msb.racks);
+        add(msb.suite);
+        add(msb.building);
+        add(msb.peakMw);
+        add(msb.overloadSteps);
+        add(msb.budgetOverSteps);
+        add(msb.meanGrantMw);
+        add(msb.minGrantMw);
+        add(msb.maxGrantMw);
+        add(msb.itEnergyMwh);
+        add(msb.rechargeEnergyMwh);
+        add(msb.traceWindowsGenerated);
+        add(msb.traceRefetches);
+        add(msb.traceEvictions);
+        add(msb.tracePeakResidentBytes);
+    }
+    add_series(result.itMw);
+    add_series(result.demandItMw);
+    add_series(result.rechargeMw);
+    add_series(result.capMw);
+    add_series(result.grantMw);
+    add_series(result.unmetMw);
+    add_series(result.regionPowerMw);
+    add(result.peakRegionMw);
+    add(result.coordinationTicks);
+    add(result.budgetAudits);
+    add(result.physicalAudits);
+    add(result.tracePeakResidentBytes);
+    return hash;
+}
+
+/**
+ * Both small scenarios pinned bit for bit. The threads differential
+ * compares the shard loop with itself; these numbers come from
+ * outside it, so a change at the chunk boundary (boundary-tick
+ * physics running before the split) or anywhere else in the run
+ * fails here. Re-pin only for a deliberate change of region bytes.
+ */
+TEST(RegionEngine, PinnedFingerprint)
+{
+    EXPECT_EQ(fingerprint(runRegion(smallSpec(), {})),
+              0xfdac5f94e613f135ULL);
+    EXPECT_EQ(fingerprint(runRegion(tightSpec(), {})),
+              0x3fbba7fc3479c631ULL);
 }
 
 /**

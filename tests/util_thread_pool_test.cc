@@ -1,11 +1,13 @@
 /**
  * @file
- * Tests for util::ThreadPool: submit/future plumbing, exception
- * propagation through both submit() and parallelFor(), parallelFor
- * index coverage, and reuse of the pool after a full drain.
+ * Tests for util::ThreadPool: submit/future plumbing, release of a
+ * task's captures before its future is ready, exception propagation
+ * through both submit() and parallelFor(), parallelFor index
+ * coverage, and reuse of the pool after a full drain.
  */
 
 #include <atomic>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -31,6 +33,31 @@ TEST(ThreadPool, SubmitPropagatesException)
     auto future = pool.submit(
         []() -> int { throw std::runtime_error("boom"); });
     EXPECT_THROW(future.get(), std::runtime_error);
+}
+
+TEST(ThreadPool, SubmitReleasesCapturesBeforeFutureIsReady)
+{
+    ThreadPool pool(2);
+    for (int round = 0; round < 50; ++round) {
+        auto held = std::make_shared<int>(round);
+        std::weak_ptr<int> watch = held;
+        auto future =
+            pool.submit([held = std::move(held)] { return *held; });
+        EXPECT_EQ(future.get(), round);
+        EXPECT_TRUE(watch.expired()) << "round " << round;
+    }
+}
+
+TEST(ThreadPool, SubmitReleasesCapturesWhenTaskThrows)
+{
+    ThreadPool pool(2);
+    auto held = std::make_shared<int>(0);
+    std::weak_ptr<int> watch = held;
+    auto future = pool.submit([held = std::move(held)]() -> int {
+        throw std::runtime_error("boom");
+    });
+    EXPECT_THROW(future.get(), std::runtime_error);
+    EXPECT_TRUE(watch.expired());
 }
 
 TEST(ThreadPool, ParallelForVisitsEachIndexExactlyOnce)

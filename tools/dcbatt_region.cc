@@ -5,10 +5,9 @@
  * Runs a full region (default: 50 MSBs / 15,000 racks for one
  * simulated day) through sim::runRegion and prints a region summary
  * plus a per-MSB outcome table. Stdout is a deterministic artifact:
- * byte-identical at any --threads value and between the sharded and
- * --single-queue execution modes, which is exactly what the CI
+ * byte-identical at any --threads value, which is exactly what the CI
  * region-smoke job and the differential tests diff. Anything
- * execution-dependent (mode, thread count, wall time) goes to stderr.
+ * execution-dependent (thread count, wall time) goes to stderr.
  *
  *   dcbatt_region                         # the 50-MSB reference day
  *   dcbatt_region --msbs 4 --racks-per-msb 300 --duration-hours 6 \
@@ -63,8 +62,6 @@ Flags (all optional):
   --seed N               region seed                  (default 42)
   --threads N            worker threads (execution knob only;
                          artifacts are identical)     (default 1)
-  --single-queue         reference mode: all shards on one event
-                         queue (same artifacts, no parallelism)
   --window-samples N     streaming-trace window size  (default 1200)
   --resident-windows N   resident-window cap          (default 2)
   --audit-seconds X      per-MSB physical-invariant audit cadence
@@ -115,7 +112,6 @@ struct CliOptions
 {
     power::RegionSpec spec;
     unsigned threads = 1;
-    bool singleQueue = false;
     std::string rollupCsvPath;
     std::string metricsJsonPath;
     std::string traceOutPath;
@@ -192,8 +188,6 @@ parseArgs(int argc, char **argv)
             if (threads <= 0)
                 util::fatal("--threads must be >= 1");
             options.threads = static_cast<unsigned>(threads);
-        } else if (flag == "--single-queue") {
-            options.singleQueue = true;
         } else if (flag == "--window-samples") {
             spec.windowSamples = count_value(i);
         } else if (flag == "--resident-windows") {
@@ -269,11 +263,9 @@ main(int argc, char **argv)
     const power::RegionSpec &spec = options.spec;
     sim::RegionRunOptions run;
     run.threads = options.threads;
-    run.singleQueue = options.singleQueue;
     // Execution knobs are stderr-only: stdout must be byte-identical
-    // across --threads and execution modes (the CI smoke diff).
-    std::fprintf(stderr, "dcbatt_region: %s mode, %u thread(s)\n",
-                 options.singleQueue ? "single-queue" : "sharded",
+    // across --threads (the CI smoke diff).
+    std::fprintf(stderr, "dcbatt_region: %u thread(s)\n",
                  options.threads);
 
     sim::RegionResult result = sim::runRegion(spec, run);
