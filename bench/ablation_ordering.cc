@@ -26,6 +26,9 @@ using core::PriorityAwareOptions;
 int
 main(int argc, char **argv)
 {
+    unsigned threads = 0;
+    auto observability = bench::parseBenchArgs(argc, argv, &threads);
+    util::ThreadPool pool(threads);
     bench::banner("Ablation",
                   "Algorithm 1 ordering and greedy variants "
                   "(limit 2.3 MW, medium discharge)");
@@ -58,10 +61,6 @@ main(int argc, char **argv)
         variants.push_back({"restore on headroom (extension)", o});
     }
 
-    auto options = bench::parseBenchRunOptions(argc, argv);
-    bench::initObservability(options);
-    util::ThreadPool pool(
-        bench::resolveThreadCount(options.threads));
     sim::SweepRunner runner(pool);
 
     std::vector<sim::SweepTask> tasks;
@@ -99,6 +98,6 @@ main(int argc, char **argv)
         "grants — more total SLAs,\n   but the wrong ones;\n"
         " - skip-greedy and restore-on-headroom recover some grants "
         "the strict paper\n   algorithm leaves on the table.\n");
-    bench::finishObservability(options);
+    observability.finish();
     return 0;
 }

@@ -1,17 +1,10 @@
 #include "bench_common.h"
 
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <type_traits>
 
-#include "obs/chrome_trace_writer.h"
-#include "obs/crash_bundle.h"
-#include "obs/event_log.h"
-#include "obs/metrics.h"
-#include "obs/time_series_recorder.h"
-#include "obs/trace_span.h"
 #include "trace/trace_cache.h"
 #include "util/logging.h"
 
@@ -88,126 +81,29 @@ fmtMin(util::Seconds seconds)
     return util::strf("%.1f min", util::toMinutes(seconds));
 }
 
-BenchRunOptions
-parseBenchRunOptions(int argc, char **argv)
+cli::Observability
+parseBenchArgs(int argc, char **argv, unsigned *threads,
+               const std::function<void(cli::Flags &)> &add_flags)
 {
-    BenchRunOptions options;
-    auto need_value = [&](int i) -> const char * {
-        if (i + 1 >= argc)
-            util::fatal(util::strf("flag %s needs a value", argv[i]));
-        return argv[i + 1];
-    };
-    for (int i = 1; i < argc; ++i) {
-        std::string flag = argv[i];
-        if (flag == "--threads") {
-            options.threads = std::atoi(need_value(i++));
-        } else if (flag == "--years") {
-            options.aorYears = std::atof(need_value(i++));
-        } else if (flag == "--shards") {
-            options.aorShards = std::atoi(need_value(i++));
-        } else if (flag == "--metrics-json") {
-            options.metricsJsonPath = need_value(i++);
-        } else if (flag == "--trace-out") {
-            options.traceOutPath = need_value(i++);
-        } else if (flag == "--timeseries-out") {
-            options.timeSeriesOutPath = need_value(i++);
-        } else if (flag == "--timeseries-cadence") {
-            options.timeSeriesCadence = std::atof(need_value(i++));
-        } else if (flag == "--timeseries-mode") {
-            options.timeSeriesMode = need_value(i++);
-        } else if (flag == "--events-out") {
-            options.eventsOutPath = need_value(i++);
-        } else if (flag == "--crash-dir") {
-            options.crashDirPath = need_value(i++);
-        } else if (!flag.empty()
-                   && flag.find_first_not_of("0123456789.e+")
-                       == std::string::npos) {
-            // Bare year count (fig09a's historical positional arg).
-            options.aorYears = std::atof(flag.c_str());
-        } else {
-            util::fatal(util::strf(
-                "unknown bench flag: %s (expected --threads N, "
-                "--years X, --shards N, --metrics-json PATH, "
-                "--trace-out PATH, --timeseries-out PATH, "
-                "--timeseries-cadence SECS, --timeseries-mode "
-                "decimate|ring, --events-out PATH, --crash-dir DIR)",
-                flag.c_str()));
-        }
+    cli::Flags flags;
+    if (threads != nullptr) {
+        flags.addInt("--threads", threads,
+                     "worker threads (default: hardware concurrency);\n"
+                     "output is identical at any value",
+                     0, INT_MAX);
     }
-    if (options.threads < 0)
-        util::fatal("--threads must be >= 0");
-    if (options.aorShards < 1)
-        util::fatal("--shards must be >= 1");
-    if (options.aorYears <= 0.0)
-        util::fatal("--years must be positive");
-    if (options.timeSeriesCadence <= 0.0)
-        util::fatal("--timeseries-cadence must be positive");
-    if (options.timeSeriesMode != "decimate"
-        && options.timeSeriesMode != "ring")
-        util::fatal("--timeseries-mode must be decimate or ring");
-    return options;
-}
-
-void
-initObservability(const BenchRunOptions &options)
-{
-    if (!options.traceOutPath.empty())
-        obs::setTracingEnabled(true);
-    if (!options.timeSeriesOutPath.empty()) {
-        obs::TimeSeriesOptions ts;
-        ts.cadenceSeconds = options.timeSeriesCadence;
-        ts.bound = options.timeSeriesMode == "ring"
-            ? obs::TimeSeriesBound::Ring
-            : obs::TimeSeriesBound::Decimate;
-        obs::armTimeSeries(ts);
+    if (add_flags)
+        add_flags(flags);
+    cli::Observability observability;
+    observability.addFlags(flags);
+    flags.parse(argc, argv);
+    observability.arm();
+    if (threads != nullptr) {
+        if (*threads == 0)
+            *threads = util::ThreadPool::hardwareThreads();
+        std::fprintf(stderr, "[bench] worker threads: %u\n", *threads);
     }
-    if (!options.eventsOutPath.empty())
-        obs::setEventLoggingEnabled(true);
-    // The flag wins; the environment variable lets CI arm post-mortem
-    // bundles fleet-wide without touching every invocation.
-    std::string crash_dir = options.crashDirPath;
-    if (crash_dir.empty()) {
-        if (const char *env = std::getenv("DCBATT_CRASH_DIR"))
-            crash_dir = env;
-    }
-    if (!crash_dir.empty())
-        obs::setCrashBundleDir(crash_dir);
-}
-
-void
-finishObservability(const BenchRunOptions &options)
-{
-    if (!options.metricsJsonPath.empty()) {
-        obs::writeMetricsJson(options.metricsJsonPath);
-        std::fprintf(stderr, "[bench] metrics snapshot: %s\n",
-                     options.metricsJsonPath.c_str());
-    }
-    if (!options.traceOutPath.empty()) {
-        obs::writeChromeTrace(options.traceOutPath);
-        std::fprintf(stderr, "[bench] chrome trace: %s\n",
-                     options.traceOutPath.c_str());
-    }
-    if (!options.timeSeriesOutPath.empty()) {
-        obs::writeTimeSeries(options.timeSeriesOutPath);
-        std::fprintf(stderr, "[bench] time series: %s\n",
-                     options.timeSeriesOutPath.c_str());
-    }
-    if (!options.eventsOutPath.empty()) {
-        obs::writeEventsJsonl(options.eventsOutPath);
-        std::fprintf(stderr, "[bench] event log: %s\n",
-                     options.eventsOutPath.c_str());
-    }
-}
-
-unsigned
-resolveThreadCount(int threads)
-{
-    unsigned resolved = threads > 0
-        ? static_cast<unsigned>(threads)
-        : util::ThreadPool::hardwareThreads();
-    // stderr on purpose: stdout must not depend on the thread count.
-    std::fprintf(stderr, "[bench] worker threads: %u\n", resolved);
-    return resolved;
+    return observability;
 }
 
 void

@@ -1,15 +1,18 @@
 /**
  * @file
  * Shared plumbing for the figure/table reproduction benches: the
- * paper's MSB fleet trace (generated once and cached), and small
- * formatting helpers so every bench prints comparable output.
+ * paper's MSB fleet trace (generated once and cached), the command
+ * line every bench parses, and small formatting helpers so every
+ * bench prints comparable output.
  */
 
 #ifndef DCBATT_BENCH_BENCH_COMMON_H_
 #define DCBATT_BENCH_BENCH_COMMON_H_
 
+#include <functional>
 #include <string>
 
+#include "cli.h"
 #include "core/charging_event_sim.h"
 #include "sim/sweep_runner.h"
 #include "trace/trace_generator.h"
@@ -54,73 +57,16 @@ std::string fmtMin(util::Seconds seconds);
 void banner(const std::string &artifact, const std::string &summary);
 
 /**
- * Command-line options shared by the parallel benches. Thread count
- * only changes wall time; the AOR year/shard knobs are semantic (they
- * select the sampled failure history).
+ * Parse a bench's command line and arm the recorders it asks for: the
+ * observability flags, the flags @p add_flags registers, and, for a
+ * bench that builds a pool, `--threads N` into @p threads (0, the
+ * default, resolves to the hardware concurrency; the count goes to
+ * stderr, as stdout must not depend on it). Call finish() on the
+ * result after the run.
  */
-struct BenchRunOptions
-{
-    /** Worker threads; 0 = hardware concurrency. */
-    int threads = 0;
-    /** Monte Carlo horizon in years (fig09a). */
-    double aorYears = 3e4;
-    /** AOR shard count (fig09a); 1 = the legacy serial timeline. */
-    int aorShards = 64;
-    /** Write the final metrics snapshot here (empty = off). */
-    std::string metricsJsonPath;
-    /** Record spans and write a Chrome trace here (empty = off). */
-    std::string traceOutPath;
-    /**
-     * Record flight-recorder time series and write them here (CSV,
-     * or compact JSON for .json paths; empty = off).
-     */
-    std::string timeSeriesOutPath;
-    /** Sampling cadence for --timeseries-out, in sim seconds. */
-    double timeSeriesCadence = 30.0;
-    /** Bound policy for --timeseries-out: decimate (default)/ring. */
-    std::string timeSeriesMode = "decimate";
-    /** Record the structured event log and write JSONL here. */
-    std::string eventsOutPath;
-    /**
-     * Dump a post-mortem crash bundle here on contract/invariant
-     * failure (also read from $DCBATT_CRASH_DIR; empty = off).
-     */
-    std::string crashDirPath;
-};
-
-/**
- * Parse `--threads N`, `--years X`, `--shards N`, `--metrics-json
- * PATH`, `--trace-out PATH`, `--timeseries-out PATH`,
- * `--timeseries-cadence SECS`, `--timeseries-mode decimate|ring`,
- * `--events-out PATH`, `--crash-dir DIR`. A bare positional number
- * is accepted as the year count (fig09a back-compat). Unknown flags
- * are fatal.
- */
-BenchRunOptions parseBenchRunOptions(int argc, char **argv);
-
-/**
- * Arm the requested recording sinks (spans for --trace-out, the
- * time-series recorder, the event log, the crash-bundle directory —
- * the latter also honoring $DCBATT_CRASH_DIR when the flag is
- * absent). Call before the run so recording covers it; a no-op when
- * nothing was requested.
- */
-void initObservability(const BenchRunOptions &options);
-
-/**
- * Write the side files requested by the observability flags. Call
- * after worker threads have quiesced (after the sweep). All of them
- * are side channels: nothing is printed to stdout, so the figure
- * artifact bytes do not depend on these flags.
- */
-void finishObservability(const BenchRunOptions &options);
-
-/**
- * Resolve the worker count (0 -> hardware concurrency) and announce
- * it on *stderr* — never stdout, which must stay byte-identical
- * across thread counts.
- */
-unsigned resolveThreadCount(int threads);
+cli::Observability parseBenchArgs(
+    int argc, char **argv, unsigned *threads = nullptr,
+    const std::function<void(cli::Flags &)> &add_flags = nullptr);
 
 } // namespace dcbatt::bench
 

@@ -28,8 +28,7 @@ using util::Seconds;
 int
 main(int argc, char **argv)
 {
-    auto run_options = bench::parseBenchRunOptions(argc, argv);
-    bench::initObservability(run_options);
+    auto observability = bench::parseBenchArgs(argc, argv);
     bench::banner("Extension: charger-aware AOR",
                   "AOR from episode-dependent recharge times instead "
                   "of a fixed sweep value");
@@ -98,6 +97,6 @@ main(int argc, char **argv)
         "spike\n60%%, and the coordinated SLA currents land each "
         "priority close to its Table II\ntarget without the "
         "fixed-charge-time approximation.\n");
-    bench::finishObservability(run_options);
+    observability.finish();
     return 0;
 }

@@ -23,8 +23,7 @@ using core::PolicyKind;
 int
 main(int argc, char **argv)
 {
-    auto run_options = bench::parseBenchRunOptions(argc, argv);
-    bench::initObservability(run_options);
+    auto observability = bench::parseBenchArgs(argc, argv);
     bench::banner("Extension: postponed charging",
                   "capping vs postponement below the 1 A floor "
                   "budget (medium discharge)");
@@ -62,6 +61,6 @@ main(int argc, char **argv)
         "same P1/P2 protection, lower P3 redundancy while held. "
         "This is the\nAOR relaxation for lower priorities the paper "
         "anticipated.\n");
-    bench::finishObservability(run_options);
+    observability.finish();
     return 0;
 }

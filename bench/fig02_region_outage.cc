@@ -25,8 +25,7 @@ using util::Watts;
 int
 main(int argc, char **argv)
 {
-    auto run_options = bench::parseBenchRunOptions(argc, argv);
-    bench::initObservability(run_options);
+    auto observability = bench::parseBenchArgs(argc, argv);
     bench::banner("Fig. 2 (Case I)",
                   "regional utility blip: battery recharge spike with "
                   "the original 5 A charger");
@@ -86,6 +85,6 @@ main(int argc, char **argv)
     std::printf("\nWhy: the original charger always starts in CC mode "
                 "at 5 A regardless of DOD\n(Section III-A), so even a "
                 "sub-second outage triggers the worst-case spike.\n");
-    bench::finishObservability(run_options);
+    observability.finish();
     return 0;
 }

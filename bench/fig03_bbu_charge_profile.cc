@@ -21,8 +21,7 @@ using util::Seconds;
 int
 main(int argc, char **argv)
 {
-    auto run_options = bench::parseBenchRunOptions(argc, argv);
-    bench::initObservability(run_options);
+    auto observability = bench::parseBenchArgs(argc, argv);
     bench::banner("Fig. 3",
                   "BBU charge profile after a full discharge (5 A "
                   "original charger)");
@@ -89,6 +88,6 @@ main(int argc, char **argv)
                     fresh.startCharging(Amperes(5.0));
                     return fresh.inputPower().value();
                 }());
-    bench::finishObservability(run_options);
+    observability.finish();
     return 0;
 }

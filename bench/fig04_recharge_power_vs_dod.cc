@@ -22,8 +22,7 @@ using util::Seconds;
 int
 main(int argc, char **argv)
 {
-    auto run_options = bench::parseBenchRunOptions(argc, argv);
-    bench::initObservability(run_options);
+    auto observability = bench::parseBenchArgs(argc, argv);
     bench::banner("Fig. 4",
                   "BBU recharge power vs time for DOD 25/50/75/100% "
                   "(5 A charger)");
@@ -78,6 +77,6 @@ main(int argc, char **argv)
 
     std::printf("Paper checks: initial power ~260 W for every DOD; "
                 "CV-phase spread across DODs < 4 min.\n");
-    bench::finishObservability(run_options);
+    observability.finish();
     return 0;
 }

@@ -18,8 +18,7 @@ using util::Amperes;
 int
 main(int argc, char **argv)
 {
-    auto run_options = bench::parseBenchRunOptions(argc, argv);
-    bench::initObservability(run_options);
+    auto observability = bench::parseBenchArgs(argc, argv);
     bench::banner("Fig. 5",
                   "charging time vs DOD for charging currents 1-5 A");
 
@@ -71,6 +70,6 @@ main(int argc, char **argv)
     std::printf("  <50%% DOD at 2 A ~same time:     %s\n",
                 bench::fmtMin(model.chargeTime(0.5, Amperes(2.0)))
                     .c_str());
-    bench::finishObservability(run_options);
+    observability.finish();
     return 0;
 }

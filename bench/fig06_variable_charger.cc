@@ -20,8 +20,7 @@ using util::Amperes;
 int
 main(int argc, char **argv)
 {
-    auto run_options = bench::parseBenchRunOptions(argc, argv);
-    bench::initObservability(run_options);
+    auto observability = bench::parseBenchArgs(argc, argv);
     bench::banner("Fig. 6(b) / Eq. (1)",
                   "variable charger CC current selection vs DOD");
 
@@ -66,6 +65,6 @@ main(int argc, char **argv)
                 worst_minutes);
     std::printf("  recharge power cut by 60%% for DOD < 50%% "
                 "(2 A vs 5 A).\n");
-    bench::finishObservability(run_options);
+    observability.finish();
     return 0;
 }

@@ -60,8 +60,7 @@ runRow(std::shared_ptr<const battery::ChargerPolicy> policy)
 int
 main(int argc, char **argv)
 {
-    auto run_options = bench::parseBenchRunOptions(argc, argv);
-    bench::initObservability(run_options);
+    auto observability = bench::parseBenchArgs(argc, argv);
     bench::banner("Fig. 7",
                   "RPP power during the variable-charger production "
                   "validation (14-rack row, 60 s open transition)");
@@ -99,6 +98,6 @@ main(int argc, char **argv)
     std::printf("reduction:                      %.0f%% "
                 "(paper: 60%%)\n",
                 (1.0 - var_spike / orig_spike) * 100.0);
-    bench::finishObservability(run_options);
+    observability.finish();
     return 0;
 }

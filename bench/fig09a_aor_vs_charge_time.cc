@@ -12,6 +12,7 @@
  * (seed, shards, years). `--shards 1` is the legacy serial timeline.
  */
 
+#include <climits>
 #include <cstdio>
 
 #include "bench_common.h"
@@ -25,20 +26,28 @@ using util::minutes;
 int
 main(int argc, char **argv)
 {
+    // The paper simulates 1e5 years; default to 3e4 here to keep the
+    // bench quick (pass --years to override).
+    reliability::AorConfig config;
+    config.years = 3e4;
+    config.shards = 64;
+    unsigned threads = 0;
+    auto observability =
+        bench::parseBenchArgs(argc, argv, &threads, [&](cli::Flags &flags) {
+            flags.addDouble("--years", &config.years,
+                            "Monte Carlo horizon (default 30000)");
+            flags.addInt("--shards", &config.shards,
+                         "AOR shards; 1 is the serial timeline (default 64)",
+                         1, INT_MAX);
+        });
+    if (config.years <= 0.0)
+        util::fatal("--years must be positive");
+    util::ThreadPool pool(threads);
+
     bench::banner("Fig. 9(a)",
                   "AOR of rack power vs battery charging time "
                   "(Monte Carlo)");
 
-    auto options = bench::parseBenchRunOptions(argc, argv);
-    bench::initObservability(options);
-    util::ThreadPool pool(
-        bench::resolveThreadCount(options.threads));
-
-    reliability::AorConfig config;
-    // The paper simulates 1e5 years; default to 3e4 here to keep the
-    // bench quick (pass --years to override).
-    config.years = options.aorYears;
-    config.shards = options.aorShards;
     reliability::AorSimulator sim(reliability::paperFailureData(),
                                   config, &pool);
     std::printf("simulated horizon: %.0f years in %d shards, %.2f "
@@ -70,6 +79,6 @@ main(int argc, char **argv)
     std::printf("Paper anchors: AOR(30 min) = 99.94%%, AOR(60 min) = "
                 "99.90%%, AOR(90 min) = 99.85%%;\nAOR decreases "
                 "~linearly with charging time.\n");
-    bench::finishObservability(options);
+    observability.finish();
     return 0;
 }

@@ -18,8 +18,7 @@ using power::Priority;
 int
 main(int argc, char **argv)
 {
-    auto run_options = bench::parseBenchRunOptions(argc, argv);
-    bench::initObservability(run_options);
+    auto observability = bench::parseBenchArgs(argc, argv);
     bench::banner("Fig. 9(b)",
                   "SLA charging current vs DOD per rack priority");
 
@@ -61,6 +60,6 @@ main(int argc, char **argv)
                 "prototype assigned; P1 saturates at the 5 A hardware "
                 "limit for\nDOD above %.0f%%.\n",
                 calc.maxAttainableDod(Priority::P1) * 100.0);
-    bench::finishObservability(run_options);
+    observability.finish();
     return 0;
 }

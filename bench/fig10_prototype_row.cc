@@ -26,8 +26,7 @@ using util::Watts;
 int
 main(int argc, char **argv)
 {
-    auto run_options = bench::parseBenchRunOptions(argc, argv);
-    bench::initObservability(run_options);
+    auto observability = bench::parseBenchArgs(argc, argv);
     bench::banner("Fig. 10",
                   "prototype: leaf-controller coordinated charging of "
                   "a 17-rack row after a 5 s open transition");
@@ -129,6 +128,6 @@ main(int argc, char **argv)
                 "battery faster than the production\n"
                 "packs' measured wall time; the SLA outcomes match "
                 "(see EXPERIMENTS.md).\n");
-    bench::finishObservability(run_options);
+    observability.finish();
     return 0;
 }

@@ -21,8 +21,7 @@ using util::Seconds;
 int
 main(int argc, char **argv)
 {
-    auto run_options = bench::parseBenchRunOptions(argc, argv);
-    bench::initObservability(run_options);
+    auto observability = bench::parseBenchArgs(argc, argv);
     bench::banner("Fig. 11",
                   "rack recharge power during a charging-current "
                   "override (20 s actuation lag)");
@@ -87,6 +86,6 @@ main(int argc, char **argv)
                 bench::fmtKw(util::Watts(recharge.sample(
                                  Seconds(stabilized_at + 10.0))))
                     .c_str());
-    bench::finishObservability(run_options);
+    observability.finish();
     return 0;
 }

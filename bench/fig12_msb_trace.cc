@@ -18,8 +18,7 @@ using namespace dcbatt;
 int
 main(int argc, char **argv)
 {
-    auto run_options = bench::parseBenchRunOptions(argc, argv);
-    bench::initObservability(run_options);
+    auto observability = bench::parseBenchArgs(argc, argv);
     bench::banner("Fig. 12",
                   "aggregate MSB power over one week (synthetic "
                   "production trace, 316 racks)");
@@ -88,6 +87,6 @@ main(int argc, char **argv)
                 aggregate.timeAt(peak).value() / 86400.0,
                 bench::fmtMw(util::Watts(aggregate[peak])).c_str());
     std::printf("fleet:       316 racks = 89 P1 + 142 P2 + 85 P3\n");
-    bench::finishObservability(run_options);
+    observability.finish();
     return 0;
 }

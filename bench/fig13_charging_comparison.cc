@@ -26,6 +26,9 @@ using util::Watts;
 int
 main(int argc, char **argv)
 {
+    unsigned threads = 0;
+    auto observability = bench::parseBenchArgs(argc, argv, &threads);
+    util::ThreadPool pool(threads);
     bench::banner("Fig. 13 + Table III",
                   "MSB power with original / variable / "
                   "priority-aware charging; max server capping");
@@ -47,10 +50,6 @@ main(int argc, char **argv)
                                    PolicyKind::PriorityAware};
     const char glyphs[] = {'o', 'v', 'p'};
 
-    auto options = bench::parseBenchRunOptions(argc, argv);
-    bench::initObservability(options);
-    util::ThreadPool pool(
-        bench::resolveThreadCount(options.threads));
     sim::SweepRunner runner(pool);
 
     // All 18 (case, policy) events, in print order.
@@ -121,6 +120,6 @@ main(int argc, char **argv)
                 "all six cases. Capping begins for priority-aware "
                 "only when\navailable power drops below ~120 kW "
                 "(316 racks at the 1 A floor).\n");
-    bench::finishObservability(options);
+    observability.finish();
     return 0;
 }

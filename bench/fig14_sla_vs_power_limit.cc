@@ -22,6 +22,9 @@ using core::PolicyKind;
 int
 main(int argc, char **argv)
 {
+    unsigned threads = 0;
+    auto observability = bench::parseBenchArgs(argc, argv, &threads);
+    util::ThreadPool pool(threads);
     bench::banner("Fig. 14",
                   "racks meeting the charging-time SLA vs MSB power "
                   "limit (priority-aware vs global)");
@@ -36,10 +39,6 @@ main(int argc, char **argv)
     for (double limit = 2.6; limit >= 2.2 - 1e-9; limit -= 0.05)
         limits.push_back(limit);
 
-    auto options = bench::parseBenchRunOptions(argc, argv);
-    bench::initObservability(options);
-    util::ThreadPool pool(
-        bench::resolveThreadCount(options.threads));
     sim::SweepRunner runner(pool);
 
     std::vector<sim::SweepTask> tasks;
@@ -95,6 +94,6 @@ main(int argc, char **argv)
         "demand), then P2;\n"
         " - server capping appears only when the limit approaches the "
         "IT load plus the\n   316-rack 1 A floor (~120 kW).\n");
-    bench::finishObservability(options);
+    observability.finish();
     return 0;
 }

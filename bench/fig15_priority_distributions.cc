@@ -90,6 +90,9 @@ printPanel(const char *panel, const Distribution &dist,
 int
 main(int argc, char **argv)
 {
+    unsigned threads = 0;
+    auto observability = bench::parseBenchArgs(argc, argv, &threads);
+    util::ThreadPool pool(threads);
     bench::banner("Fig. 15",
                   "SLA satisfaction vs power limit for different rack "
                   "priority distributions (medium discharge)");
@@ -111,10 +114,6 @@ main(int argc, char **argv)
     trace::TraceSet even_traces = make_traces(even.priorities);
     trace::TraceSet p1_traces = make_traces(all_p1.priorities);
 
-    auto options = bench::parseBenchRunOptions(argc, argv);
-    bench::initObservability(options);
-    util::ThreadPool pool(
-        bench::resolveThreadCount(options.threads));
     sim::SweepRunner runner(pool);
 
     std::vector<sim::SweepTask> tasks;
@@ -152,6 +151,6 @@ main(int argc, char **argv)
                 "of satisfied SLAs for the given power — the "
                 "priority-aware average is\nseveral times the global "
                 "baseline's.\n");
-    bench::finishObservability(options);
+    observability.finish();
     return 0;
 }

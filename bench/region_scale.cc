@@ -17,9 +17,8 @@
 #include <sys/resource.h>
 
 #include <chrono>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 
@@ -64,26 +63,20 @@ Options
 parseOptions(int argc, char **argv)
 {
     Options options;
-    for (int i = 1; i < argc; ++i) {
-        auto need = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc)
-                util::fatal(util::strf("%s needs a value", flag));
-            return argv[++i];
-        };
-        if (std::strcmp(argv[i], "--msbs") == 0)
-            options.msbs = std::atoi(need("--msbs"));
-        else if (std::strcmp(argv[i], "--racks-per-msb") == 0)
-            options.racksPerMsb = std::atoi(need("--racks-per-msb"));
-        else if (std::strcmp(argv[i], "--hours") == 0)
-            options.hours = std::atof(need("--hours"));
-        else if (std::strcmp(argv[i], "--threads") == 0)
-            options.threads = static_cast<unsigned>(
-                std::atoi(need("--threads")));
-        else if (std::strcmp(argv[i], "--perf-json") == 0)
-            options.perfJsonPath = need("--perf-json");
-        else
-            util::fatal(util::strf("unknown flag %s", argv[i]));
-    }
+    cli::Flags flags;
+    flags.addInt("--msbs", &options.msbs, "MSB count (default 8)", 1,
+                 INT_MAX);
+    flags.addInt("--racks-per-msb", &options.racksPerMsb,
+                 "racks per MSB (default 150)", 1, INT_MAX);
+    flags.addDouble("--hours", &options.hours,
+                    "simulated hours (default 2)");
+    flags.addInt("--threads", &options.threads,
+                 "workers of the second run (default: hardware\n"
+                 "concurrency)",
+                 0, INT_MAX);
+    flags.addString("--perf-json", &options.perfJsonPath, "PATH",
+                    "write walls, speedup and peak RSS as JSON");
+    flags.parse(argc, argv);
     if (options.threads == 0) {
         options.threads =
             std::max(1u, std::thread::hardware_concurrency());

@@ -17,8 +17,7 @@ using namespace dcbatt;
 int
 main(int argc, char **argv)
 {
-    auto run_options = bench::parseBenchRunOptions(argc, argv);
-    bench::initObservability(run_options);
+    auto observability = bench::parseBenchArgs(argc, argv);
     bench::banner("Table I", "component failure and repair times");
 
     auto data = reliability::paperFailureData();
@@ -48,6 +47,6 @@ main(int argc, char **argv)
                 result.lossEventsPerYear);
     std::printf("simulated dark hours/year:      %.2f\n",
                 result.darkHoursPerYear);
-    bench::finishObservability(run_options);
+    observability.finish();
     return 0;
 }

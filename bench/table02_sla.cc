@@ -18,8 +18,7 @@ using power::Priority;
 int
 main(int argc, char **argv)
 {
-    auto run_options = bench::parseBenchRunOptions(argc, argv);
-    bench::initObservability(run_options);
+    auto observability = bench::parseBenchArgs(argc, argv);
     bench::banner("Table II",
                   "charging time SLA for different rack priority");
 
@@ -49,6 +48,6 @@ main(int argc, char **argv)
     std::printf("Paper Table II: P1 99.94%% / 5.26 h/yr / 30 min; "
                 "P2 99.90%% / 8.76 h/yr / 60 min;\n"
                 "P3 99.85%% / 13.14 h/yr / 90 min.\n");
-    bench::finishObservability(run_options);
+    observability.finish();
     return 0;
 }

@@ -16,20 +16,12 @@
  * `dcbatt_region --help` prints the flag list.
  */
 
-#include <cerrno>
 #include <climits>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "obs/chrome_trace_writer.h"
-#include "obs/crash_bundle.h"
-#include "obs/event_log.h"
-#include "obs/metrics.h"
-#include "obs/time_series_recorder.h"
+#include "cli.h"
 #include "power/region_spec.h"
 #include "sim/region_engine.h"
 #include "util/csv.h"
@@ -40,196 +32,76 @@ using namespace dcbatt;
 
 namespace {
 
-const char kUsage[] = R"(usage: dcbatt_region [flags]
-
-Flags (all optional):
-  --msbs N               MSB count                    (default 50)
-  --racks-per-msb N      racks per MSB                (default 300)
-  --buildings N          buildings in the region      (default 1)
-  --suites-per-building N                             (default 4)
-  --budget-mw X          region power budget (default: 85% of the
-                         summed MSB breaker ratings)
-  --suite-limit-mw X     per-suite feeder cap  (default: none)
-  --building-limit-mw X  per-building feeder cap (default: none)
-  --mean-mw-per-msb X    per-MSB mean IT load         (default 2.0)
-  --duration-hours X     simulated time               (default 24)
-  --coordination-seconds X  budget-split cadence      (default 60)
-  --physics-step X       physics dt in seconds        (default 1.0)
-  --first-outage-hours X staggered outage campaign start (def. 2)
-  --stagger-seconds X    per-MSB outage stagger       (default 600)
-  --dod X                target mean DOD              (default 0.5)
-  --ot-seconds X         explicit open-transition length
-  --seed N               region seed                  (default 42)
-  --threads N            worker threads (execution knob only;
-                         artifacts are identical)     (default 1)
-  --window-samples N     streaming-trace window size  (default 1200)
-  --resident-windows N   resident-window cap          (default 2)
-  --audit-seconds X      per-MSB physical-invariant audit cadence
-  --rollup-csv PATH      write the region rollup tape as CSV
-  --metrics-json PATH    deterministic metrics snapshot
-  --trace-out PATH       Chrome trace of wall-clock spans
-  --timeseries-out PATH  flight-recorder tape (region rollup probes)
-  --timeseries-cadence SECS / --timeseries-mode decimate|ring
-  --events-out PATH      structured event log (JSONL)
-  --crash-dir DIR        post-mortem crash bundle directory
-  --verbose              debug logging on stderr
-  --help                 this list
-)";
-
-/** @p text as a whole base-10 integer in [lo, hi]; fatal otherwise. */
-long long
-parseInteger(const char *flag, const char *text, long long lo,
-             long long hi)
-{
-    errno = 0;
-    char *end = nullptr;
-    long long value = std::strtoll(text, &end, 10);
-    if (end == text || *end != '\0' || errno == ERANGE || value < lo
-        || value > hi) {
-        util::fatal(util::strf("%s: '%s' is not an integer in [%lld, "
-                               "%lld]",
-                               flag, text, lo, hi));
-    }
-    return value;
-}
-
-/** @p text as a whole finite number; fatal otherwise. */
-double
-parseDouble(const char *flag, const char *text)
-{
-    errno = 0;
-    char *end = nullptr;
-    double value = std::strtod(text, &end);
-    if (end == text || *end != '\0' || errno == ERANGE
-        || !std::isfinite(value)) {
-        util::fatal(util::strf("%s: '%s' is not a finite number", flag,
-                               text));
-    }
-    return value;
-}
-
 struct CliOptions
 {
     power::RegionSpec spec;
     unsigned threads = 1;
     std::string rollupCsvPath;
-    std::string metricsJsonPath;
-    std::string traceOutPath;
-    std::string timeSeriesOutPath;
-    double timeSeriesCadence = 60.0;
-    std::string timeSeriesMode = "decimate";
-    std::string eventsOutPath;
-    std::string crashDirPath;
+    cli::Observability observability;
     bool verbose = false;
 };
 
-CliOptions
-parseArgs(int argc, char **argv)
+void
+parseArgs(int argc, char **argv, CliOptions &options)
 {
-    CliOptions options;
     power::RegionSpec &spec = options.spec;
-    auto need_value = [&](int i) -> const char * {
-        if (i + 1 >= argc)
-            util::fatal(util::strf("flag %s needs a value", argv[i]));
-        return argv[i + 1];
-    };
-    // Consume the flag's value as a number, naming the flag on error.
-    auto int_value = [&](int &i) {
-        const char *text = need_value(i);
-        return static_cast<int>(
-            parseInteger(argv[i++], text, INT_MIN, INT_MAX));
-    };
-    auto count_value = [&](int &i) {
-        const char *text = need_value(i);
-        return static_cast<size_t>(
-            parseInteger(argv[i++], text, 0, LLONG_MAX));
-    };
-    auto double_value = [&](int &i) {
-        const char *text = need_value(i);
-        return parseDouble(argv[i++], text);
-    };
-    for (int i = 1; i < argc; ++i) {
-        std::string flag = argv[i];
-        if (flag == "--msbs") {
-            spec.msbs = int_value(i);
-        } else if (flag == "--racks-per-msb") {
-            spec.racksPerMsb = int_value(i);
-        } else if (flag == "--buildings") {
-            spec.buildings = int_value(i);
-        } else if (flag == "--suites-per-building") {
-            spec.suitesPerBuilding = int_value(i);
-        } else if (flag == "--budget-mw") {
-            spec.regionBudget = util::megawatts(double_value(i));
-        } else if (flag == "--suite-limit-mw") {
-            spec.suiteLimit = util::megawatts(double_value(i));
-        } else if (flag == "--building-limit-mw") {
-            spec.buildingLimit = util::megawatts(double_value(i));
-        } else if (flag == "--mean-mw-per-msb") {
-            spec.msbAggregateMean = util::megawatts(double_value(i));
-            spec.msbAggregateAmplitude = spec.msbAggregateMean * 0.075;
-        } else if (flag == "--duration-hours") {
-            spec.duration = util::hours(double_value(i));
-        } else if (flag == "--coordination-seconds") {
-            spec.coordinationPeriod = util::Seconds(double_value(i));
-        } else if (flag == "--physics-step") {
-            spec.physicsStep = util::Seconds(double_value(i));
-        } else if (flag == "--first-outage-hours") {
-            spec.firstOutage = util::hours(double_value(i));
-        } else if (flag == "--stagger-seconds") {
-            spec.outageStagger = util::Seconds(double_value(i));
-        } else if (flag == "--dod") {
-            spec.targetMeanDod = double_value(i);
-        } else if (flag == "--ot-seconds") {
-            spec.openTransitionLength = util::Seconds(double_value(i));
-        } else if (flag == "--seed") {
-            spec.seed = count_value(i);
-        } else if (flag == "--threads") {
-            int threads = int_value(i);
-            if (threads <= 0)
-                util::fatal("--threads must be >= 1");
-            options.threads = static_cast<unsigned>(threads);
-        } else if (flag == "--window-samples") {
-            spec.windowSamples = count_value(i);
-        } else if (flag == "--resident-windows") {
-            spec.maxResidentWindows = count_value(i);
-        } else if (flag == "--audit-seconds") {
-            double audit = double_value(i);
-            if (audit <= 0.0)
-                util::fatal("--audit-seconds must be positive");
-            spec.auditInterval = util::Seconds(audit);
-        } else if (flag == "--rollup-csv") {
-            options.rollupCsvPath = need_value(i++);
-        } else if (flag == "--metrics-json") {
-            options.metricsJsonPath = need_value(i++);
-        } else if (flag == "--trace-out") {
-            options.traceOutPath = need_value(i++);
-        } else if (flag == "--timeseries-out") {
-            options.timeSeriesOutPath = need_value(i++);
-        } else if (flag == "--timeseries-cadence") {
-            options.timeSeriesCadence = double_value(i);
-            if (options.timeSeriesCadence <= 0.0)
-                util::fatal("--timeseries-cadence must be positive");
-        } else if (flag == "--timeseries-mode") {
-            options.timeSeriesMode = need_value(i++);
-            if (options.timeSeriesMode != "decimate"
-                && options.timeSeriesMode != "ring")
-                util::fatal(
-                    "--timeseries-mode must be decimate or ring");
-        } else if (flag == "--events-out") {
-            options.eventsOutPath = need_value(i++);
-        } else if (flag == "--crash-dir") {
-            options.crashDirPath = need_value(i++);
-        } else if (flag == "--verbose") {
-            options.verbose = true;
-        } else if (flag == "--help" || flag == "-h") {
-            std::fputs(kUsage, stdout);
-            std::exit(0);
-        } else {
-            util::fatal(util::strf("unknown flag: %s (try --help)",
-                                   flag.c_str()));
-        }
-    }
-    return options;
+    cli::Flags flags;
+    flags.addInt("--msbs", &spec.msbs, "MSB count (default 50)");
+    flags.addInt("--racks-per-msb", &spec.racksPerMsb,
+                 "racks per MSB (default 300)");
+    flags.addInt("--buildings", &spec.buildings,
+                 "buildings in the region (default 1)");
+    flags.addInt("--suites-per-building", &spec.suitesPerBuilding,
+                 "suites per building (default 4)");
+    flags.addDouble("--budget-mw", &spec.regionBudget,
+                    "region power budget (default: 85% of the\n"
+                    "summed MSB breaker ratings)",
+                    1e6);
+    flags.addDouble("--suite-limit-mw", &spec.suiteLimit,
+                    "per-suite feeder cap (default: none)", 1e6);
+    flags.addDouble("--building-limit-mw", &spec.buildingLimit,
+                    "per-building feeder cap (default: none)", 1e6);
+    flags.add("--mean-mw-per-msb", "X", "per-MSB mean IT load (default 2.0)",
+              [&spec](const char *flag, const char *text) {
+                  spec.msbAggregateMean =
+                      util::megawatts(cli::parseDouble(flag, text));
+                  spec.msbAggregateAmplitude =
+                      spec.msbAggregateMean * 0.075;
+              });
+    flags.addDouble("--duration-hours", &spec.duration,
+                    "simulated time (default 24)", 3600.0);
+    flags.addDouble("--coordination-seconds", &spec.coordinationPeriod,
+                    "budget-split cadence (default 60)");
+    flags.addDouble("--physics-step", &spec.physicsStep,
+                    "physics dt in seconds (default 1.0)");
+    flags.addDouble("--first-outage-hours", &spec.firstOutage,
+                    "staggered outage campaign start (default 2)",
+                    3600.0);
+    flags.addDouble("--stagger-seconds", &spec.outageStagger,
+                    "per-MSB outage stagger (default 600)");
+    flags.addDouble("--dod", &spec.targetMeanDod,
+                    "target mean DOD (default 0.5)");
+    flags.addDouble("--ot-seconds", &spec.openTransitionLength,
+                    "explicit open-transition length");
+    flags.addInt("--seed", &spec.seed, "region seed (default 42)");
+    flags.addInt("--threads", &options.threads,
+                 "worker threads (execution knob only;\n"
+                 "artifacts are identical) (default 1)",
+                 1, INT_MAX);
+    flags.addInt("--window-samples", &spec.windowSamples,
+                 "streaming-trace window size (default 1200)");
+    flags.addInt("--resident-windows", &spec.maxResidentWindows,
+                 "resident-window cap (default 2)");
+    flags.addDouble("--audit-seconds", &spec.auditInterval,
+                    "per-MSB physical-invariant audit cadence");
+    flags.addString("--rollup-csv", &options.rollupCsvPath, "PATH",
+                    "write the region rollup tape as CSV");
+    options.observability.addFlags(flags, 60.0);
+    flags.addSwitch("--verbose", &options.verbose,
+                    "debug logging on stderr");
+    flags.parse(argc, argv);
+    if (spec.auditInterval && spec.auditInterval->value() <= 0.0)
+        util::fatal("--audit-seconds must be positive");
 }
 
 } // namespace
@@ -237,28 +109,11 @@ parseArgs(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    CliOptions options = parseArgs(argc, argv);
+    CliOptions options;
+    parseArgs(argc, argv, options);
     if (options.verbose)
         util::setLogLevel(util::LogLevel::Debug);
-    if (!options.traceOutPath.empty())
-        obs::setTracingEnabled(true);
-    if (!options.timeSeriesOutPath.empty()) {
-        obs::TimeSeriesOptions ts;
-        ts.cadenceSeconds = options.timeSeriesCadence;
-        ts.bound = options.timeSeriesMode == "ring"
-            ? obs::TimeSeriesBound::Ring
-            : obs::TimeSeriesBound::Decimate;
-        obs::armTimeSeries(ts);
-    }
-    if (!options.eventsOutPath.empty())
-        obs::setEventLoggingEnabled(true);
-    std::string crash_dir = options.crashDirPath;
-    if (crash_dir.empty()) {
-        if (const char *env = std::getenv("DCBATT_CRASH_DIR"))
-            crash_dir = env;
-    }
-    if (!crash_dir.empty())
-        obs::setCrashBundleDir(crash_dir);
+    options.observability.arm();
 
     const power::RegionSpec &spec = options.spec;
     sim::RegionRunOptions run;
@@ -389,26 +244,6 @@ main(int argc, char **argv)
                      options.rollupCsvPath.c_str());
     }
 
-    // Side channels: stdout stays identical with or without them.
-    if (!options.metricsJsonPath.empty()) {
-        obs::writeMetricsJson(options.metricsJsonPath);
-        std::fprintf(stderr, "metrics snapshot: %s\n",
-                     options.metricsJsonPath.c_str());
-    }
-    if (!options.traceOutPath.empty()) {
-        obs::writeChromeTrace(options.traceOutPath);
-        std::fprintf(stderr, "chrome trace: %s\n",
-                     options.traceOutPath.c_str());
-    }
-    if (!options.timeSeriesOutPath.empty()) {
-        obs::writeTimeSeries(options.timeSeriesOutPath);
-        std::fprintf(stderr, "time series: %s\n",
-                     options.timeSeriesOutPath.c_str());
-    }
-    if (!options.eventsOutPath.empty()) {
-        obs::writeEventsJsonl(options.eventsOutPath);
-        std::fprintf(stderr, "event log: %s\n",
-                     options.eventsOutPath.c_str());
-    }
+    options.observability.finish();
     return tripped > 0 ? 2 : 0;
 }

@@ -11,61 +11,60 @@
  *   dcbatt_sim --policy original --racks 100 --ot-seconds 60 \
  *              --csv out.csv
  *
+ * `dcbatt_sim --help` prints the table parseArgs() registers:
+ *
+ * usage: dcbatt_sim [flags]
+ *
  * Flags (all optional):
- *   --policy original|variable|global|priority-aware   (default pa)
- *   --racks N          fleet size                      (default 316)
- *   --p1 N --p2 N --p3 N  priority counts (default paper's 89/142/85,
- *                       scaled when --racks differs)
- *   --limit-mw X[,Y,...]  MSB power limit(s); several, comma-
- *                      separated, sweep in parallel    (default 2.5)
- *   --mean-mw X        fleet mean IT load              (default 2.0)
- *   --dod X            target mean DOD                 (default 0.5)
- *   --ot-seconds X     explicit open-transition length
- *   --postpone         enable the postponement extension
- *   --restore          enable restore-on-headroom
- *   --seed N           trace seed                      (default 42)
- *   --threads N        worker threads for multi-limit sweeps
- *                      (default: hardware concurrency)
- *   --audit-seconds X  audit the physical invariants every X sim
- *                      seconds (a violation aborts the run)
- *   --csv PATH         write time,msb,it,recharge,cap series
- *                      (single-limit runs only)
- *   --metrics-json PATH  write the deterministic metrics snapshot
- *                      (counters/histograms; identical at any
- *                      --threads value)
- *   --trace-out PATH   record wall-clock spans and write a Chrome
- *                      trace (open in chrome://tracing or Perfetto)
- *   --timeseries-out PATH  record the flight-recorder telemetry tape
- *                      (MSB load, capped racks, SoC quantiles, CC/CV
- *                      population, Dynamo state) and write CSV — or
- *                      compact JSON when PATH ends in .json
- *   --timeseries-cadence SECS  tape cadence in sim seconds (def. 30)
- *   --timeseries-mode decimate|ring  bounded-memory policy
- *   --events-out PATH  record the structured event log and write
- *                      JSONL (schema dcbatt-events-v1)
- *   --crash-dir DIR    dump a post-mortem crash bundle into DIR on
- *                      any contract/invariant failure (also read
- *                      from $DCBATT_CRASH_DIR); inspect with
- *                      tools/postmortem_inspect.py
- *   --selftest-crash   deliberately trip a DCBATT_REQUIRE after
- *                      arming, to exercise the crash-bundle path
- *   --verbose          debug-level logging on stderr (trace-cache
- *                      hit/miss accounting, etc.)
+ *   --policy NAME          original|variable|global|priority-aware (or pa)
+ *                          (default priority-aware)
+ *   --racks N              fleet size (default 316)
+ *   --p1 N                 P1 rack count; with --p2 and --p3 it must sum
+ *                          to --racks (default: the paper's 89/142/85 mix,
+ *                          scaled to --racks)
+ *   --p2 N                 P2 rack count
+ *   --p3 N                 P3 rack count
+ *   --limit-mw X[,Y,...]   MSB power limit(s); several, comma-separated,
+ *                          sweep in parallel (default 2.5)
+ *   --mean-mw X            fleet mean IT load (default 2.0)
+ *   --dod X                target mean DOD, in (0, 1] (default 0.5)
+ *   --ot-seconds X         explicit open-transition length
+ *   --postpone             enable the postponement extension
+ *   --restore              enable restore-on-headroom
+ *   --seed N               trace seed (default 42)
+ *   --threads N            worker threads for multi-limit sweeps (default:
+ *                          hardware concurrency)
+ *   --audit-seconds X      audit the physical invariants every X sim
+ *                          seconds (a violation aborts the run)
+ *   --csv PATH             write the time,msb,it,recharge,cap series
+ *                          (single-limit runs only)
+ *   --metrics-json PATH    deterministic metrics snapshot
+ *   --trace-out PATH       Chrome trace of wall-clock spans (Perfetto)
+ *   --timeseries-out PATH  flight-recorder tape: CSV, or JSON for *.json
+ *   --timeseries-cadence SECS
+ *                          tape cadence in sim seconds (default 30)
+ *   --timeseries-mode decimate|ring
+ *                          tape memory bound (default decimate)
+ *   --events-out PATH      structured event log (JSONL, dcbatt-events-v1)
+ *   --crash-dir DIR        post-mortem crash bundle directory (default
+ *                          $DCBATT_CRASH_DIR); see tools/postmortem_inspect.py
+ *   --selftest-crash       trip a DCBATT_REQUIRE after arming, to exercise
+ *                          the crash-bundle path
+ *   --verbose              debug-level logging on stderr (trace-cache
+ *                          hit/miss accounting, etc.)
+ *   --help                 this list
  */
 
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "cli.h"
 #include "core/charging_event_sim.h"
-#include "obs/chrome_trace_writer.h"
 #include "obs/crash_bundle.h"
 #include "obs/event_log.h"
-#include "obs/metrics.h"
-#include "obs/time_series_recorder.h"
-#include "obs/trace_span.h"
 #include "sim/sweep_runner.h"
 #include "trace/trace_cache.h"
 #include "trace/trace_generator.h"
@@ -81,52 +80,31 @@ namespace {
 
 struct CliOptions
 {
-    core::PolicyKind policy = core::PolicyKind::PriorityAware;
-    int racks = 316;
-    int p1 = -1, p2 = -1, p3 = -1;
+    core::ChargingEventConfig config;
+    trace::TraceGenSpec traces;
+    std::optional<int> p1, p2, p3;
     std::vector<double> limitsMw{2.5};
     double meanMw = 2.0;
-    double dod = 0.5;
-    double otSeconds = -1.0;
-    bool postpone = false;
-    bool restore = false;
-    uint64_t seed = 42;
     int threads = 0;  // 0 = hardware concurrency
-    double auditSeconds = -1.0;
     std::string csvPath;
-    std::string metricsJsonPath;
-    std::string traceOutPath;
-    std::string timeSeriesOutPath;
-    double timeSeriesCadence = 30.0;
-    std::string timeSeriesMode = "decimate";
-    std::string eventsOutPath;
-    std::string crashDirPath;
+    cli::Observability observability;
     bool selftestCrash = false;
     bool verbose = false;
 };
 
+/** The comma-separated --limit-mw list; each entry a positive number. */
 std::vector<double>
-parseLimitList(const std::string &value)
+parseLimitList(const char *flag, const std::string &value)
 {
     std::vector<double> limits;
-    size_t pos = 0;
-    while (pos <= value.size()) {
-        size_t comma = value.find(',', pos);
-        std::string item = value.substr(
-            pos, comma == std::string::npos ? std::string::npos
-                                            : comma - pos);
-        if (item.empty())
-            util::fatal("--limit-mw: empty list entry");
-        limits.push_back(std::atof(item.c_str()));
+    size_t start = 0;
+    for (size_t comma = 0; comma != std::string::npos; start = comma + 1) {
+        comma = value.find(',', start);
+        std::string item = value.substr(start, comma - start);
+        limits.push_back(cli::parseDouble(flag, item.c_str()));
         if (limits.back() <= 0.0)
-            util::fatal(util::strf("--limit-mw: bad entry '%s'",
-                                   item.c_str()));
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
+            util::fatal(util::strf("%s: bad entry '%s'", flag, item.c_str()));
     }
-    if (limits.empty())
-        util::fatal("--limit-mw needs at least one value");
     return limits;
 }
 
@@ -144,90 +122,70 @@ parsePolicy(const std::string &name)
     util::fatal(util::strf("unknown policy: %s", name.c_str()));
 }
 
-CliOptions
-parseArgs(int argc, char **argv)
+void
+parseArgs(int argc, char **argv, CliOptions &options)
 {
-    CliOptions options;
-    auto need_value = [&](int i) -> const char * {
-        if (i + 1 >= argc) {
-            util::fatal(util::strf("flag %s needs a value", argv[i]));
-        }
-        return argv[i + 1];
-    };
-    for (int i = 1; i < argc; ++i) {
-        std::string flag = argv[i];
-        if (flag == "--policy") {
-            options.policy = parsePolicy(need_value(i++));
-        } else if (flag == "--racks") {
-            options.racks = std::atoi(need_value(i++));
-        } else if (flag == "--p1") {
-            options.p1 = std::atoi(need_value(i++));
-        } else if (flag == "--p2") {
-            options.p2 = std::atoi(need_value(i++));
-        } else if (flag == "--p3") {
-            options.p3 = std::atoi(need_value(i++));
-        } else if (flag == "--limit-mw") {
-            options.limitsMw = parseLimitList(need_value(i++));
-        } else if (flag == "--mean-mw") {
-            options.meanMw = std::atof(need_value(i++));
-        } else if (flag == "--dod") {
-            options.dod = std::atof(need_value(i++));
-        } else if (flag == "--ot-seconds") {
-            options.otSeconds = std::atof(need_value(i++));
-        } else if (flag == "--postpone") {
-            options.postpone = true;
-        } else if (flag == "--restore") {
-            options.restore = true;
-        } else if (flag == "--seed") {
-            options.seed = static_cast<uint64_t>(
-                std::atoll(need_value(i++)));
-        } else if (flag == "--threads") {
-            options.threads = std::atoi(need_value(i++));
-            if (options.threads < 0)
-                util::fatal("--threads must be >= 0");
-        } else if (flag == "--audit-seconds") {
-            options.auditSeconds = std::atof(need_value(i++));
-        } else if (flag == "--csv") {
-            options.csvPath = need_value(i++);
-        } else if (flag == "--metrics-json") {
-            options.metricsJsonPath = need_value(i++);
-        } else if (flag == "--trace-out") {
-            options.traceOutPath = need_value(i++);
-        } else if (flag == "--timeseries-out") {
-            options.timeSeriesOutPath = need_value(i++);
-        } else if (flag == "--timeseries-cadence") {
-            options.timeSeriesCadence =
-                std::atof(need_value(i++));
-            if (options.timeSeriesCadence <= 0.0)
-                util::fatal("--timeseries-cadence must be positive");
-        } else if (flag == "--timeseries-mode") {
-            options.timeSeriesMode = need_value(i++);
-            if (options.timeSeriesMode != "decimate"
-                && options.timeSeriesMode != "ring")
-                util::fatal(
-                    "--timeseries-mode must be decimate or ring");
-        } else if (flag == "--events-out") {
-            options.eventsOutPath = need_value(i++);
-        } else if (flag == "--crash-dir") {
-            options.crashDirPath = need_value(i++);
-        } else if (flag == "--selftest-crash") {
-            options.selftestCrash = true;
-        } else if (flag == "--verbose") {
-            options.verbose = true;
-        } else if (flag == "--help" || flag == "-h") {
-            std::printf("see the header comment of tools/dcbatt_sim.cc"
-                        " for the flag list\n");
-            std::exit(0);
-        } else {
-            util::fatal(util::strf("unknown flag: %s (try --help)",
-                                   flag.c_str()));
-        }
-    }
-    if (options.racks <= 0)
-        util::fatal("--racks must be positive");
-    if (options.dod <= 0.0 || options.dod > 1.0)
+    core::ChargingEventConfig &config = options.config;
+    cli::Flags flags;
+    flags.add("--policy", "NAME",
+              "original|variable|global|priority-aware (or pa)\n"
+              "(default priority-aware)",
+              [&config](const char *, const char *text) {
+                  config.policy = parsePolicy(text);
+              });
+    flags.addInt("--racks", &options.traces.rackCount,
+                 "fleet size (default 316)", 1, INT_MAX);
+    flags.addInt("--p1", &options.p1,
+                 "P1 rack count; with --p2 and --p3 it must sum\n"
+                 "to --racks (default: the paper's 89/142/85 mix,\n"
+                 "scaled to --racks)",
+                 0, INT_MAX);
+    flags.addInt("--p2", &options.p2, "P2 rack count", 0, INT_MAX);
+    flags.addInt("--p3", &options.p3, "P3 rack count", 0, INT_MAX);
+    flags.add("--limit-mw", "X[,Y,...]",
+              "MSB power limit(s); several, comma-separated,\n"
+              "sweep in parallel (default 2.5)",
+              [&options](const char *flag, const char *text) {
+                  options.limitsMw = parseLimitList(flag, text);
+              });
+    flags.addDouble("--mean-mw", &options.meanMw,
+                    "fleet mean IT load (default 2.0)");
+    flags.addDouble("--dod", &config.targetMeanDod,
+                    "target mean DOD, in (0, 1] (default 0.5)");
+    flags.addDouble("--ot-seconds", &config.openTransitionLength,
+                    "explicit open-transition length");
+    flags.addSwitch("--postpone",
+                    &config.priorityAwareOptions.allowPostponement,
+                    "enable the postponement extension");
+    flags.addSwitch("--restore",
+                    &config.priorityAwareOptions.restoreOnHeadroom,
+                    "enable restore-on-headroom");
+    flags.addInt("--seed", &options.traces.seed, "trace seed (default 42)");
+    flags.addInt("--threads", &options.threads,
+                 "worker threads for multi-limit sweeps (default:\n"
+                 "hardware concurrency)",
+                 0, INT_MAX);
+    flags.addDouble("--audit-seconds", &config.auditInterval,
+                    "audit the physical invariants every X sim\n"
+                    "seconds (a violation aborts the run)");
+    flags.addString("--csv", &options.csvPath, "PATH",
+                    "write the time,msb,it,recharge,cap series\n"
+                    "(single-limit runs only)");
+    options.observability.addFlags(flags);
+    flags.addSwitch("--selftest-crash", &options.selftestCrash,
+                    "trip a DCBATT_REQUIRE after arming, to exercise\n"
+                    "the crash-bundle path");
+    flags.addSwitch("--verbose", &options.verbose,
+                    "debug-level logging on stderr (trace-cache\n"
+                    "hit/miss accounting, etc.)");
+    flags.parse(argc, argv);
+    if (config.targetMeanDod <= 0.0 || config.targetMeanDod > 1.0)
         util::fatal("--dod must be in (0, 1]");
-    return options;
+    if (config.openTransitionLength
+        && config.openTransitionLength->value() <= 0.0)
+        util::fatal("--ot-seconds must be positive");
+    if (config.auditInterval && config.auditInterval->value() <= 0.0)
+        util::fatal("--audit-seconds must be positive");
 }
 
 } // namespace
@@ -235,33 +193,16 @@ parseArgs(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    CliOptions options = parseArgs(argc, argv);
+    CliOptions options;
+    parseArgs(argc, argv, options);
     if (options.verbose)
         util::setLogLevel(util::LogLevel::Debug);
-    if (!options.traceOutPath.empty())
-        obs::setTracingEnabled(true);
-    if (!options.timeSeriesOutPath.empty()) {
-        obs::TimeSeriesOptions ts;
-        ts.cadenceSeconds = options.timeSeriesCadence;
-        ts.bound = options.timeSeriesMode == "ring"
-            ? obs::TimeSeriesBound::Ring
-            : obs::TimeSeriesBound::Decimate;
-        obs::armTimeSeries(ts);
-    }
-    if (!options.eventsOutPath.empty())
-        obs::setEventLoggingEnabled(true);
-    std::string crash_dir = options.crashDirPath;
-    if (crash_dir.empty()) {
-        if (const char *env = std::getenv("DCBATT_CRASH_DIR"))
-            crash_dir = env;
-    }
-    if (!crash_dir.empty())
-        obs::setCrashBundleDir(crash_dir);
+    options.observability.arm();
     if (options.selftestCrash) {
         // Exercise the post-mortem path end to end: arm (above), put
         // a couple of events on the tape, then trip a contract check
         // exactly the way real invariant failures do.
-        if (crash_dir.empty())
+        if (options.observability.crashDir().empty())
             util::fatal("--selftest-crash needs --crash-dir (or "
                         "$DCBATT_CRASH_DIR)");
         obs::setCrashContext("selftest", "1");
@@ -270,62 +211,33 @@ main(int argc, char **argv)
         DCBATT_REQUIRE(false,
                        "selftest crash requested (--selftest-crash)");
     }
-    // All exports are side channels (own files, notes on stderr):
-    // stdout stays byte-identical whether or not they are requested.
-    auto finish_observability = [&options] {
-        if (!options.metricsJsonPath.empty()) {
-            obs::writeMetricsJson(options.metricsJsonPath);
-            std::fprintf(stderr, "metrics snapshot: %s\n",
-                         options.metricsJsonPath.c_str());
-        }
-        if (!options.traceOutPath.empty()) {
-            obs::writeChromeTrace(options.traceOutPath);
-            std::fprintf(stderr, "chrome trace: %s\n",
-                         options.traceOutPath.c_str());
-        }
-        if (!options.timeSeriesOutPath.empty()) {
-            obs::writeTimeSeries(options.timeSeriesOutPath);
-            std::fprintf(stderr, "time series: %s\n",
-                         options.timeSeriesOutPath.c_str());
-        }
-        if (!options.eventsOutPath.empty()) {
-            obs::writeEventsJsonl(options.eventsOutPath);
-            std::fprintf(stderr, "event log: %s\n",
-                         options.eventsOutPath.c_str());
-        }
-    };
+
+    core::ChargingEventConfig &config = options.config;
+    trace::TraceGenSpec &tspec = options.traces;
+    const int racks = tspec.rackCount;
 
     // Priority mix: explicit counts, or the paper's ratio scaled.
-    int p1 = options.p1, p2 = options.p2, p3 = options.p3;
-    if (p1 < 0 || p2 < 0 || p3 < 0) {
-        p1 = options.racks * 89 / 316;
-        p3 = options.racks * 85 / 316;
-        p2 = options.racks - p1 - p3;
-    } else if (p1 + p2 + p3 != options.racks) {
-        util::fatal(util::strf("--p1+--p2+--p3 = %d but --racks = %d",
-                               p1 + p2 + p3, options.racks));
+    if (!options.p1 && !options.p2 && !options.p3) {
+        options.p1 = static_cast<int>(racks * 89LL / 316);
+        options.p3 = static_cast<int>(racks * 85LL / 316);
+        options.p2 = racks - *options.p1 - *options.p3;
+    } else if (!options.p1 || !options.p2 || !options.p3) {
+        util::fatal("--p1, --p2 and --p3 must be given together");
+    }
+    int p1 = *options.p1, p2 = *options.p2, p3 = *options.p3;
+    long long sum = static_cast<long long>(p1) + p2 + p3;
+    if (sum != racks) {
+        util::fatal(util::strf("--p1+--p2+--p3 = %lld but --racks = %d",
+                               sum, racks));
     }
     auto priorities = power::makePriorityMix(p1, p2, p3);
 
-    trace::TraceGenSpec tspec;
-    tspec.rackCount = options.racks;
     tspec.startTime = util::hours(10.0);
     tspec.duration = util::hours(8.0);
-    tspec.seed = options.seed;
     tspec.aggregateMean = util::megawatts(options.meanMw);
     tspec.aggregateAmplitude = util::megawatts(0.05 * options.meanMw);
     tspec.priorities = priorities;
-
-    core::ChargingEventConfig config;
-    config.policy = options.policy;
-    config.targetMeanDod = options.dod;
-    if (options.otSeconds > 0.0)
-        config.openTransitionLength = util::Seconds(options.otSeconds);
     config.priorities = priorities;
-    config.priorityAwareOptions.allowPostponement = options.postpone;
-    config.priorityAwareOptions.restoreOnHeadroom = options.restore;
-    if (options.auditSeconds > 0.0)
-        config.auditInterval = util::Seconds(options.auditSeconds);
 
     // Several --limit-mw values: fan the sweep out across a worker
     // pool and print one summary row per limit. The single-limit path
@@ -361,7 +273,7 @@ main(int argc, char **argv)
 
         std::printf("dcbatt_sim: %s, %d racks (%d P1 / %d P2 / %d "
                     "P3), %zu limits\n\n",
-                    core::toString(options.policy), options.racks, p1,
+                    core::toString(config.policy), racks, p1,
                     p2, p3, options.limitsMw.size());
         util::TextTable table({"limit (MW)", "peak MSB (MW)",
                                "overload (s)", "tripped", "P1 met",
@@ -387,7 +299,7 @@ main(int argc, char **argv)
                             util::toKilowatts(result.maxCap))});
         }
         std::printf("%s", table.render().c_str());
-        finish_observability();
+        options.observability.finish();
         return tripped ? 2 : 0;
     }
 
@@ -397,7 +309,7 @@ main(int argc, char **argv)
 
     std::printf("dcbatt_sim: %s, %d racks (%d P1 / %d P2 / %d P3), "
                 "limit %.2f MW\n",
-                core::toString(options.policy), options.racks, p1, p2,
+                core::toString(config.policy), racks, p1, p2,
                 p3, options.limitsMw[0]);
     std::printf("open transition %.0f s at the trace peak, fleet mean "
                 "DOD %.2f\n\n",
@@ -430,7 +342,7 @@ main(int argc, char **argv)
     table.addRow({"racks postponed", util::strf("%d", held)});
     table.addRow({"racks with battery-exhaustion outage",
                   util::strf("%d", outages)});
-    if (options.auditSeconds > 0.0) {
+    if (config.auditInterval) {
         table.addRow({"invariant audits (violations)",
                       util::strf("%llu (%llu)",
                                  static_cast<unsigned long long>(
@@ -457,6 +369,6 @@ main(int argc, char **argv)
         std::printf("\npower series written to %s\n",
                     options.csvPath.c_str());
     }
-    finish_observability();
+    options.observability.finish();
     return result.breakerTripped ? 2 : 0;
 }
