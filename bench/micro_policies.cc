@@ -11,6 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
+#include <vector>
 
 #include "battery/bbu.h"
 #include "core/charging_event_sim.h"
@@ -327,12 +328,10 @@ BM_StreamingTraceWindow(benchmark::State &state)
 }
 BENCHMARK(BM_StreamingTraceWindow);
 
-void
-BM_StepRacksQuiescent(benchmark::State &state)
+/** A region MSB: 300 racks, 2 SBs, 16-rack RPPs, a 100/100/100 mix. */
+power::Topology
+regionMsbTopology()
 {
-    // The steady state of a region MSB-day: 300 racks with full
-    // batteries, a 3 s trace applied every third 1 s physics step.
-    // One iteration is one physics step (stepRacks + observeBreakers).
     constexpr int kRacks = 300;
     power::TopologySpec spec;
     spec.rootKind = power::NodeKind::Msb;
@@ -341,19 +340,36 @@ BM_StepRacksQuiescent(benchmark::State &state)
     spec.racksPerRpp = 16;
     spec.totalRacks = kRacks;
     spec.priorities = power::makePriorityMix(100, 100, 100);
-    power::Topology topo =
-        power::Topology::build(spec, battery::makeVariableCharger());
+    return power::Topology::build(spec, battery::makeVariableCharger());
+}
+
+/** An hour of 3 s demand samples for @p racks racks. */
+trace::TraceSet
+hourOfDemand(int racks)
+{
     trace::TraceGenSpec trace_spec;
-    trace_spec.rackCount = kRacks;
+    trace_spec.rackCount = racks;
     trace_spec.duration = util::hours(1.0);
     trace_spec.step = util::Seconds(3.0);
-    trace::TraceSet traces = trace::generateTraces(trace_spec);
+    return trace::generateTraces(trace_spec);
+}
+
+void
+BM_StepRacksQuiescent(benchmark::State &state)
+{
+    // The steady state of a region MSB-day: 300 racks with full
+    // batteries, a 3 s trace applied rack by rack every third 1 s
+    // physics step. One iteration is one physics step (stepRacks +
+    // observeBreakers).
+    power::Topology topo = regionMsbTopology();
+    const int racks = static_cast<int>(topo.racks().size());
+    trace::TraceSet traces = hourOfDemand(racks);
     const util::Seconds dt(1.0);
     size_t step = 0;
     for (auto _ : state) {
         if (step % 3 == 0) {
             size_t sample = (step / 3) % traces.sampleCount();
-            for (int i = 0; i < kRacks; ++i)
+            for (int i = 0; i < racks; ++i)
                 topo.rack(i).setItDemand(
                     util::Watts(traces.rack(i)[sample]));
         }
@@ -362,9 +378,41 @@ BM_StepRacksQuiescent(benchmark::State &state)
         benchmark::DoNotOptimize(topo.stepPowerTotals());
         ++step;
     }
-    state.SetItemsProcessed(state.iterations() * kRacks);
+    state.SetItemsProcessed(state.iterations() * racks);
 }
 BENCHMARK(BM_StepRacksQuiescent);
+
+void
+BM_StepRacksDemandRow(benchmark::State &state)
+{
+    // BM_StepRacksQuiescent's shape with the trace applied as whole
+    // rows through Topology::applyDemandRow(), as core::MsbRun does: a
+    // demand row touches no rack, so every step stays quiet and only
+    // re-folds the totals and re-sums the tree after a row.
+    power::Topology topo = regionMsbTopology();
+    const size_t racks = topo.racks().size();
+    trace::TraceSet traces = hourOfDemand(static_cast<int>(racks));
+    std::vector<double> rows(traces.sampleCount() * racks);
+    for (size_t i = 0; i < racks; ++i) {
+        for (size_t t = 0; t < traces.sampleCount(); ++t)
+            rows[t * racks + i] = traces.rack(static_cast<int>(i))[t];
+    }
+    const util::Seconds dt(1.0);
+    size_t step = 0;
+    for (auto _ : state) {
+        if (step % 3 == 0) {
+            size_t sample = (step / 3) % traces.sampleCount();
+            topo.applyDemandRow(&rows[sample * racks]);
+        }
+        topo.stepRacks(dt);
+        topo.observeBreakers(dt);
+        benchmark::DoNotOptimize(topo.stepPowerTotals());
+        ++step;
+    }
+    state.SetItemsProcessed(state.iterations()
+                            * static_cast<int64_t>(racks));
+}
+BENCHMARK(BM_StepRacksDemandRow);
 
 void
 BM_ControlTickQuiet(benchmark::State &state)
@@ -374,16 +422,7 @@ BM_ControlTickQuiet(benchmark::State &state)
     // whose MSB controller holds caps its release margin keeps in
     // place. Nothing charges and no rack moves between ticks, so the
     // tick must not pay for the racks: one iteration is one tickAll().
-    constexpr int kRacks = 300;
-    power::TopologySpec spec;
-    spec.rootKind = power::NodeKind::Msb;
-    spec.sbsPerMsb = 2;
-    spec.rppsPerSb = (kRacks + 2 * 16 - 1) / (2 * 16);
-    spec.racksPerRpp = 16;
-    spec.totalRacks = kRacks;
-    spec.priorities = power::makePriorityMix(100, 100, 100);
-    power::Topology topo =
-        power::Topology::build(spec, battery::makeVariableCharger());
+    power::Topology topo = regionMsbTopology();
     for (power::Rack *rack : topo.racks())
         rack->setItDemand(util::kilowatts(6.0));
     sim::EventQueue queue;
@@ -410,7 +449,8 @@ BM_ControlTickQuiet(benchmark::State &state)
     }
     if (plane.totalCap().value() != msb.totalCap().value())
         state.SkipWithError("caps moved during the idle ticks");
-    state.SetItemsProcessed(state.iterations() * kRacks);
+    state.SetItemsProcessed(state.iterations()
+                            * static_cast<int64_t>(topo.racks().size()));
 }
 BENCHMARK(BM_ControlTickQuiet);
 

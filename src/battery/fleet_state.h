@@ -1,17 +1,23 @@
 /**
  * @file
- * Struct-of-arrays snapshot of the battery fleet's per-rack hot state.
+ * Struct-of-arrays per-rack power state of one topology.
  *
  * The charging-event engine samples the same handful of per-rack
  * quantities every physics step (IT load, recharge power, cap,
  * input/hold/charge-completion flags). Walking 316 rack objects and
  * their shelves for each read costs far more than the reads
- * themselves, so power::Topology::stepRacks() refreshes this batch —
- * one row per rack, rack id == row index — in the same pass that
- * advances the physics, and the sampling loop then runs over dense
- * arrays. Rows hold exactly the values the object walk would have
- * produced at the post-step state; they are snapshots, not caches
- * with invalidation.
+ * themselves, so the topology keeps them as dense columns, one row per
+ * rack, rack id == row index, and the sampling loop runs over them.
+ *
+ * Two kinds of column live here (DESIGN.md §16):
+ *  - storage: `itDemandW` and `capW` are the racks' demand and cap
+ *    themselves. power::Rack reads and writes its own row, so these
+ *    are always current.
+ *  - snapshots: every other column holds exactly the value the object
+ *    walk would produce at the post-step state. power::Topology::
+ *    stepRacks() rewrites a row whenever its rack was touched or not
+ *    quiescent, and Topology::applyDemandRow() keeps `itLoadW` current
+ *    as it stores a trace row. They are not caches with invalidation.
  */
 
 #ifndef DCBATT_BATTERY_FLEET_STATE_H_
@@ -23,15 +29,17 @@
 
 namespace dcbatt::battery {
 
-/** Per-rack hot-state rows; rack id indexes every array. */
+/** Per-rack power rows; rack id indexes every array. */
 struct FleetState
 {
+    /** Storage: Rack::itDemand() in watts (uncapped, trace-driven). */
+    std::vector<double> itDemandW;
+    /** Storage: Rack::capAmount() in watts. */
+    std::vector<double> capW;
     /** Rack::itLoad() in watts (demand minus cap, floored at 0). */
     std::vector<double> itLoadW;
     /** Rack::rechargePower() in watts (0 while input power is off). */
     std::vector<double> rechargeW;
-    /** Rack::capAmount() in watts. */
-    std::vector<double> capW;
     /** Rack::inputPowerOn(). */
     std::vector<std::uint8_t> inputOn;
     /** PowerShelf::chargingHeld(). */
@@ -43,12 +51,17 @@ struct FleetState
     /** PowerShelf::cvCount() (charging BBUs in the CV phase). */
     std::vector<std::int32_t> cvBbus;
 
+    /**
+     * Size every column once, before any rack points into the storage
+     * columns: resizing later would leave those pointers dangling.
+     */
     void
     resize(std::size_t racks)
     {
+        itDemandW.assign(racks, 0.0);
+        capW.assign(racks, 0.0);
         itLoadW.assign(racks, 0.0);
         rechargeW.assign(racks, 0.0);
-        capW.assign(racks, 0.0);
         inputOn.assign(racks, 1);
         held.assign(racks, 0);
         fullyCharged.assign(racks, 1);

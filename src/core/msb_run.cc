@@ -9,7 +9,6 @@
 namespace dcbatt::core {
 
 using util::Seconds;
-using util::Watts;
 
 MsbRun::MsbRun(MsbRunConfig config, sim::EventQueue &queue,
                trace::DemandRows &rows, StepObserver on_step)
@@ -67,9 +66,7 @@ MsbRun::MsbRun(MsbRunConfig config, sim::EventQueue &queue,
 void
 MsbRun::applyRow(size_t sample)
 {
-    const double *row = rows_->row(sample);
-    for (power::Rack *rack : topo_.racks())
-        rack->setItDemand(Watts(*row++));
+    topo_.applyDemandRow(rows_->row(sample));
     lastSample_ = sample;
 }
 

@@ -22,13 +22,29 @@ Rack::Rack(int id, std::string name, Priority priority,
 }
 
 void
+Rack::attach(battery::FleetState &fleet, PowerTree &tree, int32_t leaf,
+             bool *fleet_touched)
+{
+    auto row = static_cast<size_t>(id_);
+    DCBATT_REQUIRE(row < fleet.size(), "rack %s: no fleet row %d",
+                   name_.c_str(), id_);
+    fleet.itDemandW[row] = *itDemandW_;
+    fleet.capW[row] = *capW_;
+    itDemandW_ = &fleet.itDemandW[row];
+    capW_ = &fleet.capW[row];
+    tree_ = &tree;
+    leaf_ = leaf;
+    fleetTouched_ = fleet_touched;
+}
+
+void
 Rack::markPowerDirty()
 {
     powerTouched_ = true;
-    if (node_)
-        node_->invalidatePower();
-    if (fleetTouched_)
+    if (tree_) {
+        tree_->invalidate(leaf_);
         *fleetTouched_ = true;
+    }
 }
 
 void
@@ -41,8 +57,8 @@ Rack::setCapAmount(Watts amount)
                    "negative cap %g W on rack %s", amount.value(),
                    name_.c_str());
     Watts clamped = util::max(amount, Watts(0.0));
-    if (clamped.value() != capAmount_.value()) {
-        capAmount_ = clamped;
+    if (clamped.value() != *capW_) {
+        *capW_ = clamped.value();
         markPowerDirty();
     }
 }

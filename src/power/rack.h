@@ -14,16 +14,25 @@
 #define DCBATT_POWER_RACK_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 
+#include "battery/fleet_state.h"
 #include "battery/power_shelf.h"
 #include "power/priority.h"
 #include "util/units.h"
 
 namespace dcbatt::power {
 
-class PowerNode;
+class PowerTree;
+
+/** IT load after capping: @p demand minus @p cap, floored at zero. */
+inline util::Watts
+cappedItLoad(util::Watts demand, util::Watts cap)
+{
+    return util::max(demand - cap, util::Watts(0.0));
+}
 
 /** A rack (leaf of the power hierarchy). */
 class Rack
@@ -40,6 +49,10 @@ class Rack
          std::shared_ptr<const battery::ChargerPolicy> policy,
          battery::BbuParams params = {});
 
+    /** Racks point into their own storage; they never move. */
+    Rack(const Rack &) = delete;
+    Rack &operator=(const Rack &) = delete;
+
     int id() const { return id_; }
     const std::string &name() const { return name_; }
     Priority priority() const { return priority_; }
@@ -49,18 +62,22 @@ class Rack
     const battery::PowerShelf &shelf() const { return shelf_; }
 
     /** Demand the servers would draw uncapped (trace-driven). */
-    util::Watts itDemand() const { return itDemand_; }
+    util::Watts itDemand() const { return util::Watts(*itDemandW_); }
+    /**
+     * The single-rack demand mutation. A topology applies a whole
+     * trace row through Topology::applyDemandRow() instead.
+     */
     void
     setItDemand(util::Watts demand)
     {
-        if (demand.value() != itDemand_.value()) {
-            itDemand_ = demand;
+        if (demand.value() != *itDemandW_) {
+            *itDemandW_ = demand.value();
             markPowerDirty();
         }
     }
 
     /** Power cap currently imposed by the control plane (0 = none). */
-    util::Watts capAmount() const { return capAmount_; }
+    util::Watts capAmount() const { return util::Watts(*capW_); }
     /**
      * Cap the IT load by @p amount below demand. A meaningfully
      * negative amount is a precondition violation; sub-microwatt
@@ -70,8 +87,8 @@ class Rack
     void
     uncap()
     {
-        if (capAmount_.value() != 0.0) {
-            capAmount_ = util::Watts(0.0);
+        if (*capW_ != 0.0) {
+            *capW_ = 0.0;
             markPowerDirty();
         }
     }
@@ -79,7 +96,7 @@ class Rack
     /** IT load after capping (what the servers actually draw). */
     util::Watts itLoad() const
     {
-        return util::max(itDemand_ - capAmount_, util::Watts(0.0));
+        return cappedItLoad(itDemand(), capAmount());
     }
 
     bool inputPowerOn() const { return shelf_.inputPowerOn(); }
@@ -116,8 +133,10 @@ class Rack
      * Whether anything may have changed the rack's draw, cap, input
      * power or shelf state since the last clearPowerTouched(): set by
      * every path that invalidates the cached power aggregates above
-     * the rack. Unlike the leaf node's cache flag, a later read of the
-     * aggregates does not reset it.
+     * the rack. Unlike the leaf's cache flag, a later read of the
+     * aggregates does not reset it. A demand row stored through
+     * Topology::applyDemandRow() does not set it either: that keeps
+     * the rack's fleet row current itself.
      */
     bool powerTouched() const { return powerTouched_; }
     void clearPowerTouched() { powerTouched_ = false; }
@@ -157,18 +176,15 @@ class Rack
     void clearOutageFlag() { sawOutage_ = false; }
 
     /**
-     * Wire up the topology leaf node this rack feeds and the
-     * topology's "some rack was touched" flag; every mutation of the
-     * rack's power draw then invalidates the cached aggregates on the
-     * leaf-to-root path and raises the flag. A free-standing rack
-     * (tests) runs without either.
+     * Move the rack's demand and cap into row id() of @p fleet's
+     * storage columns, and wire up the tree leaf @p leaf it feeds and
+     * the topology's "some rack was touched" flag; every mutation of
+     * the rack's power draw then invalidates the cached aggregates on
+     * the leaf-to-root path and raises the flag. A free-standing rack
+     * (tests) keeps its own storage and runs without either.
      */
-    void
-    attachNode(PowerNode *node, bool *fleet_touched)
-    {
-        node_ = node;
-        fleetTouched_ = fleet_touched;
-    }
+    void attach(battery::FleetState &fleet, PowerTree &tree, int32_t leaf,
+                bool *fleet_touched);
 
   private:
     /**
@@ -183,10 +199,17 @@ class Rack
     std::string name_;
     Priority priority_;
     battery::PowerShelf shelf_;
-    PowerNode *node_ = nullptr;
+    PowerTree *tree_ = nullptr;
+    int32_t leaf_ = -1;
     bool *fleetTouched_ = nullptr;
-    util::Watts itDemand_{0.0};
-    util::Watts capAmount_{0.0};
+    /**
+     * Demand and cap in watts: the rack's row of the topology's
+     * storage columns once attached, the two fields below before.
+     */
+    double *itDemandW_ = &ownItDemandW_;
+    double *capW_ = &ownCapW_;
+    double ownItDemandW_ = 0.0;
+    double ownCapW_ = 0.0;
     bool sawOutage_ = false;
     bool powerTouched_ = true;
 };

@@ -1,5 +1,7 @@
 #include "power/region_spec.h"
 
+#include <cmath>
+
 #include "util/logging.h"
 
 namespace dcbatt::power {
@@ -40,9 +42,8 @@ msbName(const RegionSpec &spec, int msb)
 util::Watts
 effectiveRegionBudget(const RegionSpec &spec)
 {
-    if (spec.regionBudget.value() > 0.0)
-        return spec.regionBudget;
-    return spec.msbLimit * (0.85 * static_cast<double>(spec.msbs));
+    return spec.regionBudget.value_or(
+        spec.msbLimit * (0.85 * static_cast<double>(spec.msbs)));
 }
 
 std::vector<Priority>
@@ -101,6 +102,23 @@ msbOutageLength(const RegionSpec &spec)
         spec.openTransitionLength);
 }
 
+namespace {
+
+/** Fatal unless @p q is positive: finite, or +inf when @p inf_ok. */
+template <typename Tag>
+void
+requirePositive(const char *field, util::Quantity<Tag> q,
+                bool inf_ok = false)
+{
+    const double v = q.value();
+    if (!(v > 0.0) || (std::isinf(v) && !inf_ok)) {
+        util::fatal(util::strf("RegionSpec: %s must be positive, got %g",
+                               field, v));
+    }
+}
+
+} // namespace
+
 void
 validateRegionSpec(const RegionSpec &spec)
 {
@@ -125,6 +143,15 @@ validateRegionSpec(const RegionSpec &spec)
     if (spec.firstOutage.value() < 0.0
         || spec.outageStagger.value() < 0.0)
         util::fatal("RegionSpec: negative outage schedule");
+    if (spec.regionBudget)
+        requirePositive("regionBudget", *spec.regionBudget);
+    requirePositive("suiteLimit", spec.suiteLimit, true);
+    requirePositive("buildingLimit", spec.buildingLimit, true);
+    requirePositive("msbAggregateMean", spec.msbAggregateMean);
+    if (spec.openTransitionLength) {
+        requirePositive("openTransitionLength",
+                        *spec.openTransitionLength);
+    }
     (void)msbPriorityMix(spec);  // validates the mix counts
     // The stagger is non-negative, so the last MSB charges last.
     const int last = spec.msbs - 1;

@@ -65,10 +65,10 @@ struct RegionSpec
     util::Watts buildingLimit{std::numeric_limits<double>::infinity()};
     /**
      * Region-wide power budget the splitter divides across MSBs each
-     * coordination tick. <= 0 selects the default oversubscribed
-     * budget: 85% of msbs * msbLimit.
+     * coordination tick; must be positive. Unset selects the default
+     * oversubscribed budget: 85% of msbs * msbLimit.
      */
-    util::Watts regionBudget{0.0};
+    std::optional<util::Watts> regionBudget;
 
     // --- time base ----------------------------------------------------
     uint64_t seed = 42;
@@ -117,7 +117,7 @@ int buildingOfMsb(const RegionSpec &spec, int msb);
 /** Canonical MSB name: "<region>/b<building>/s<suite>/msb<index>". */
 std::string msbName(const RegionSpec &spec, int msb);
 
-/** The region budget with the <= 0 default resolved. */
+/** The region budget, with the unset default resolved. */
 util::Watts effectiveRegionBudget(const RegionSpec &spec);
 
 /** Per-MSB priority mix with the -1 defaults resolved. */
@@ -134,7 +134,9 @@ util::Seconds msbOutageLength(const RegionSpec &spec);
 
 /**
  * Exits (util::fatal) unless the spec is internally consistent, naming
- * the first problem: shapes, steps, the priority mix, and an outage
+ * the first problem: shapes, steps, the priority mix, budgets and
+ * feeder caps that are not positive, a load model whose mean is not
+ * positive, an open transition that is not positive, and an outage
  * campaign whose last charge start falls at or after the run's end.
  */
 void validateRegionSpec(const RegionSpec &spec);

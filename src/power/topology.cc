@@ -33,8 +33,52 @@ toString(NodeKind kind)
     return "?";
 }
 
-PowerNode::PowerNode(std::string name, NodeKind kind)
-    : name_(std::move(name)), kind_(kind)
+double
+PowerTree::leafPower(size_t row) const
+{
+    if (*touched_)
+        return racks_[row]->inputPower().value();
+    const battery::FleetState &fleet = *fleet_;
+    return fleet.inputOn[row] ? fleet.itLoadW[row] + fleet.rechargeW[row]
+                              : 0.0;
+}
+
+void
+PowerTree::invalidateAll()
+{
+    std::fill(valid_.begin(), valid_.end(), 0);
+}
+
+void
+PowerTree::refresh()
+{
+    if (valid_[0])
+        return;
+    // Reverse creation order visits children before their parents.
+    for (size_t i = powerW_.size(); i-- > 0;) {
+        if (valid_[i])
+            continue;
+        double total = 0.0;
+        if (row_[i] >= 0) {
+            total = leafPower(static_cast<size_t>(row_[i]));
+        } else {
+            for (int32_t k = childBegin_[i]; k < childBegin_[i + 1]; ++k) {
+                auto c = static_cast<size_t>(
+                    childIndex_[static_cast<size_t>(k)]);
+                DCBATT_ASSERT(valid_[c],
+                              "stale child %zu under %zu in bottom-up "
+                              "refresh", c, i);
+                total += powerW_[c];
+            }
+        }
+        powerW_[i] = total;
+        valid_[i] = 1;
+    }
+}
+
+PowerNode::PowerNode(std::string name, NodeKind kind, PowerTree &tree,
+                     int32_t index)
+    : name_(std::move(name)), kind_(kind), tree_(&tree), index_(index)
 {
 }
 
@@ -43,10 +87,6 @@ PowerNode::addChild(PowerNode *child)
 {
     DCBATT_REQUIRE(child != nullptr, "null child under node %s",
                    name_.c_str());
-    DCBATT_REQUIRE(child->parent_ == nullptr,
-                   "node %s already has parent %s", child->name_.c_str(),
-                   child->parent_->name_.c_str());
-    child->parent_ = this;
     children_.push_back(child);
 }
 
@@ -63,54 +103,6 @@ PowerNode::attachRack(Rack *rack)
                    "cannot attach a rack to %s node %s",
                    toString(kind_), name_.c_str());
     rack_ = rack;
-}
-
-Watts
-PowerNode::inputPower() const
-{
-    if (powerCacheValid_)
-        return Watts(cachedPowerW_);
-    Watts total(0.0);
-    if (rack_) {
-        total = rack_->inputPower();
-    } else {
-        for (const PowerNode *child : children_)
-            total += child->inputPower();
-    }
-    cachedPowerW_ = total.value();
-    powerCacheValid_ = true;
-    return total;
-}
-
-void
-PowerNode::refreshPowerCache() const
-{
-    if (powerCacheValid_)
-        return;
-    Watts total(0.0);
-    if (rack_) {
-        total = rack_->inputPower();
-    } else {
-        // Children summed in child order, exactly like the recursive
-        // path, so the cached value is bit-identical to it.
-        for (const PowerNode *child : children_) {
-            DCBATT_ASSERT(child->powerCacheValid_,
-                          "stale child %s under %s in bottom-up refresh",
-                          child->name_.c_str(), name_.c_str());
-            total += Watts(child->cachedPowerW_);
-        }
-    }
-    cachedPowerW_ = total.value();
-    powerCacheValid_ = true;
-}
-
-void
-PowerNode::invalidatePower()
-{
-    for (PowerNode *node = this; node && node->powerCacheValid_;
-         node = node->parent_) {
-        node->powerCacheValid_ = false;
-    }
 }
 
 std::vector<Rack *>
@@ -165,7 +157,9 @@ makePriorityMix(int p1, int p2, int p3)
 PowerNode *
 Topology::newNode(std::string name, NodeKind kind)
 {
-    nodes_.push_back(std::make_unique<PowerNode>(std::move(name), kind));
+    nodes_.push_back(std::make_unique<PowerNode>(
+        std::move(name), kind, *tree_,
+        static_cast<int32_t>(nodes_.size())));
     return nodes_.back().get();
 }
 
@@ -177,6 +171,7 @@ Topology::build(const TopologySpec &spec,
         util::fatal("Topology::build: null charger policy");
     Topology topo;
     topo.activity_ = std::make_unique<StepActivity>();
+    topo.tree_ = std::make_unique<PowerTree>();
     int rack_budget = spec.totalRacks;
     int next_rack_id = 0;
 
@@ -200,7 +195,6 @@ Topology::build(const TopologySpec &spec,
         topo.rackPtrs_.push_back(rack);
         PowerNode *leaf = topo.newNode(name, NodeKind::RackNode);
         leaf->attachRack(rack);
-        rack->attachNode(leaf, &topo.activity_->touched);
         rack->shelf().shareSkippedSteps(&topo.activity_->skippedSteps);
         rpp.addChild(leaf);
     };
@@ -301,12 +295,43 @@ Topology::build(const TopologySpec &spec,
     }
     if (topo.rackPtrs_.empty())
         util::fatal("Topology::build: topology has no racks");
-    for (const auto &node : topo.nodes_) {
-        if (node->breaker())
-            topo.breakerNodes_.push_back(node.get());
-    }
+    DCBATT_REQUIRE(topo.root_ == topo.nodes_.front().get(),
+                   "root %s is not the first node", spec.rootName.c_str());
     topo.fleet_ = std::make_unique<battery::FleetState>();
     topo.fleet_->resize(topo.rackPtrs_.size());
+
+    // Lay the tree out flat, in creation order.
+    PowerTree &tree = *topo.tree_;
+    const size_t n = topo.nodes_.size();
+    tree.powerW_.assign(n, 0.0);
+    tree.valid_.assign(n, 0);
+    tree.parent_.assign(n, -1);
+    tree.row_.assign(n, -1);
+    tree.childBegin_.reserve(n + 1);
+    tree.racks_ = topo.rackPtrs_;
+    tree.fleet_ = topo.fleet_.get();
+    tree.touched_ = &topo.activity_->touched;
+    for (const auto &node : topo.nodes_) {
+        auto i = static_cast<size_t>(node->index_);
+        tree.childBegin_.push_back(
+            static_cast<int32_t>(tree.childIndex_.size()));
+        for (const PowerNode *child : node->children_) {
+            auto c = static_cast<size_t>(child->index_);
+            DCBATT_REQUIRE(tree.parent_[c] < 0, "node %s has two parents",
+                           child->name_.c_str());
+            tree.childIndex_.push_back(child->index_);
+            tree.parent_[c] = node->index_;
+        }
+        if (Rack *rack = node->rack_) {
+            tree.row_[i] = rack->id();
+            rack->attach(*topo.fleet_, tree, node->index_,
+                         &topo.activity_->touched);
+        }
+        if (node->breaker())
+            topo.breakers_.push_back({node->index_, node->breaker()});
+    }
+    tree.childBegin_.push_back(
+        static_cast<int32_t>(tree.childIndex_.size()));
     return topo;
 }
 
@@ -322,6 +347,26 @@ Topology::nodesOfKind(NodeKind kind) const
 }
 
 void
+Topology::applyDemandRow(const double *row)
+{
+    battery::FleetState &fleet = *fleet_;
+    bool changed = false;
+    for (size_t i = 0; i < fleet.size(); ++i) {
+        const double demand = row[i];
+        if (demand == fleet.itDemandW[i])
+            continue;
+        changed = true;
+        fleet.itDemandW[i] = demand;
+        fleet.itLoadW[i] =
+            cappedItLoad(Watts(demand), Watts(fleet.capW[i])).value();
+    }
+    if (!changed)
+        return;
+    tree_->invalidateAll();
+    totalsStale_ = true;
+}
+
+void
 Topology::stepRacks(Seconds dt)
 {
     battery::FleetState &fleet = *fleet_;
@@ -332,9 +377,12 @@ Topology::stepRacks(Seconds dt)
     // A quiet fleet (every rack quiescent at the last step, none
     // touched since) is the steady state outside a charging event:
     // each rack's step would be tryQuiescentStep() alone and no row
-    // would change, so count the step and leave rows and totals be.
+    // would change, so count the step and leave the rows be. Only a
+    // demand row stored since the last fold moves the totals.
     if (quiet() && dt.value() > 0.0) {
         ++activity_->skippedSteps;
+        if (totalsStale_)
+            foldStepTotals();
         return;
     }
     // Phase 1: stage every rack whose step is a lockstep integration
@@ -392,7 +440,6 @@ Topology::stepRacks(Seconds dt)
         Rack &r = *rackPtrs_[i];
         fleet.itLoadW[i] = r.itLoad().value();
         fleet.rechargeW[i] = r.rechargePower().value();
-        fleet.capW[i] = r.capAmount().value();
         fleet.inputOn[i] = r.inputPowerOn() ? 1 : 0;
         fleet.held[i] = r.shelf().chargingHeld() ? 1 : 0;
         fleet.fullyCharged[i] = r.shelf().fullyCharged() ? 1 : 0;
@@ -405,12 +452,18 @@ Topology::stepRacks(Seconds dt)
     activity_->touched = false;
     activity_->active = active;
     // The totals are a pure function of the rows: with no row
-    // refreshed they are the last step's, bit for bit.
-    if (refreshedRows_.empty())
-        return;
-    // Fold the fleet power sums while the rows are in cache, in row
-    // order — bit-identical to the per-step walk the consumers
+    // refreshed and no demand row stored they are the last step's,
+    // bit for bit.
+    if (!refreshedRows_.empty() || totalsStale_)
+        foldStepTotals();
+}
+
+void
+Topology::foldStepTotals()
+{
+    // In row order — bit-identical to the per-step walk the consumers
     // (charging_event_sim's sampler) used to run themselves.
+    const battery::FleetState &fleet = *fleet_;
     StepPowerTotals totals;
     const size_t n = fleet.size();
     for (size_t i = 0; i < n; ++i) {
@@ -420,22 +473,17 @@ Topology::stepRacks(Seconds dt)
         totals.capW += fleet.capW[i];
     }
     stepTotals_ = totals;
+    totalsStale_ = false;
 }
 
 void
 Topology::observeBreakers(Seconds dt)
 {
-    // Refresh every stale cache bottom-up first (children always sit
-    // after their parents in creation order, so reverse order visits
-    // children first); the observe pass then reads cache hits only,
-    // never recursing. A fresh root means a fresh tree, so the walk
-    // is skipped.
-    if (!root_->powerCacheValid()) {
-        for (auto it = nodes_.rbegin(); it != nodes_.rend(); ++it)
-            (*it)->refreshPowerCache();
-    }
-    for (PowerNode *node : breakerNodes_)
-        node->breaker()->observe(node->inputPower(), dt);
+    // Refresh every stale node first; the observe pass then reads
+    // cache hits only.
+    tree_->refresh();
+    for (const BreakerRef &b : breakers_)
+        b.breaker->observe(Watts(tree_->power(b.node)), dt);
 }
 
 void

@@ -45,16 +45,86 @@ enum class NodeKind
 
 const char *toString(NodeKind kind);
 
+/**
+ * The power tree's aggregate cache in flat arrays, owned by a topology
+ * and indexed by node creation order, so a parent always precedes its
+ * children (the root is node 0). Per node it holds the cached input
+ * power, a valid flag, the parent index, and the children in child
+ * order (CSR offsets into one index array). A stale node implies stale
+ * ancestors: invalidation always walks up to the root, and a refresh
+ * needs fresh children.
+ */
+class PowerTree
+{
+  public:
+    /** Cached aggregate of node @p node in watts, refreshed if stale. */
+    double
+    power(int32_t node)
+    {
+        auto i = static_cast<size_t>(node);
+        if (!valid_[i])
+            refresh();
+        return powerW_[i];
+    }
+
+    /**
+     * Mark node @p node stale, walking up to the root; the walk stops
+     * at the first already-stale ancestor.
+     */
+    void
+    invalidate(int32_t node)
+    {
+        for (; node >= 0 && valid_[static_cast<size_t>(node)];
+             node = parent_[static_cast<size_t>(node)])
+            valid_[static_cast<size_t>(node)] = 0;
+    }
+
+    /** Mark every node stale. */
+    void invalidateAll();
+
+    /**
+     * Re-sum every stale node bottom-up over the indices, children in
+     * child order, so each value is bit-identical to a cold recursive
+     * recompute. A fresh root means a fresh tree: that costs one load.
+     */
+    void refresh();
+
+  private:
+    friend class Topology;
+
+    /**
+     * A leaf's input power. When no rack was touched since the last
+     * Topology::stepRacks(), every fleet row is current and the leaf
+     * reads its row: the same doubles as Rack::inputPower().
+     */
+    double leafPower(size_t row) const;
+
+    std::vector<double> powerW_;
+    std::vector<uint8_t> valid_;
+    /** Parent index, -1 at the root. */
+    std::vector<int32_t> parent_;
+    /** Children of node i: childIndex_[childBegin_[i], childBegin_[i+1]). */
+    std::vector<int32_t> childBegin_;
+    std::vector<int32_t> childIndex_;
+    /** Fleet row of a leaf node, -1 for an inner node. */
+    std::vector<int32_t> row_;
+    /** Racks by row, for leaves read while some rack is touched. */
+    std::vector<Rack *> racks_;
+    const battery::FleetState *fleet_ = nullptr;
+    const bool *touched_ = nullptr;
+};
+
 /** One node of the power tree. Leaves reference a Rack. */
 class PowerNode
 {
   public:
-    PowerNode(std::string name, NodeKind kind);
+    /** Node @p index of @p tree (see PowerTree). */
+    PowerNode(std::string name, NodeKind kind, PowerTree &tree,
+              int32_t index);
 
     const std::string &name() const { return name_; }
     NodeKind kind() const { return kind_; }
 
-    PowerNode *parent() const { return parent_; }
     const std::vector<PowerNode *> &children() const { return children_; }
     void addChild(PowerNode *child);
 
@@ -67,51 +137,29 @@ class PowerNode
     void attachRack(Rack *rack);
 
     /**
-     * Aggregate input power of the subtree rooted here. Cached: the
-     * recursive sum is only recomputed for subtrees whose racks were
-     * dirtied since the last read (children are summed in child order
-     * either way, so the cached value is bit-identical to a cold
-     * recompute).
+     * Aggregate input power of the subtree rooted here, from the
+     * topology's flat cache: only nodes above racks that changed since
+     * the last read are re-summed.
      */
-    util::Watts inputPower() const;
-
-    /**
-     * Mark this node's cached aggregate stale, walking up to the
-     * root. The walk stops at the first already-invalid ancestor:
-     * invalidation always proceeds leaf-to-root, so an invalid node
-     * implies invalid ancestors.
-     */
-    void invalidatePower();
-
-    /**
-     * Non-recursive cache refresh: recompute this node's aggregate
-     * from its children's caches (or its rack), assuming every child
-     * is already fresh. Callers must visit children first —
-     * Topology::observeBreakers walks nodes in reverse creation order,
-     * which is bottom-up because children are always created after
-     * their parents.
-     */
-    void refreshPowerCache() const;
-
-    /**
-     * Whether the cached aggregate is fresh. A fresh node implies a
-     * fresh subtree: invalidation always walks up to the root, and a
-     * refresh needs fresh children.
-     */
-    bool powerCacheValid() const { return powerCacheValid_; }
+    util::Watts
+    inputPower() const
+    {
+        return util::Watts(tree_->power(index_));
+    }
 
     /** All racks in this subtree (depth-first order). */
     std::vector<Rack *> racksBelow() const;
 
   private:
+    friend class Topology;
+
     std::string name_;
     NodeKind kind_;
-    PowerNode *parent_ = nullptr;
+    PowerTree *tree_;
+    int32_t index_;
     std::vector<PowerNode *> children_;
     std::unique_ptr<CircuitBreaker> breaker_;
     Rack *rack_ = nullptr;
-    mutable double cachedPowerW_ = 0.0;
-    mutable bool powerCacheValid_ = false;
 };
 
 /** Shape and ratings of a topology to build. */
@@ -172,13 +220,23 @@ class Topology
     std::vector<PowerNode *> nodesOfKind(NodeKind kind) const;
 
     /**
+     * Store one trace row of IT demand, @p row[i] for rack i, over the
+     * fleet's demand column, keeping `itLoadW` current in place. When
+     * a demand changed, the tree cache goes stale as a whole and the
+     * next stepRacks() re-folds the power totals. No rack is touched:
+     * a quiet() topology stays quiet (DESIGN.md §16).
+     */
+    void applyDemandRow(const double *row);
+
+    /**
      * Advance every rack's physics by dt in one batch pass, refreshing
      * the struct-of-arrays fleet snapshot as it goes. A rack whose
      * step is a no-op (input on, nothing charging) and which nothing
      * touched since its row was last refreshed keeps its row as is;
-     * when no row changed, the power totals are kept too. When the
-     * topology is quiet() the step visits no rack at all: it only
-     * counts as one more quiescent step of every shelf.
+     * when no row changed and no demand row was applied, the power
+     * totals are kept too. When the topology is quiet() the step
+     * visits no rack at all: it counts as one more quiescent step of
+     * every shelf, and re-folds the totals after a demand row.
      */
     void stepRacks(util::Seconds dt);
 
@@ -194,8 +252,9 @@ class Topology
     }
 
     /**
-     * Per-rack hot-state rows (rack id == row index), refreshed by
-     * stepRacks(). Valid between a stepRacks() call and the next
+     * Per-rack power rows (rack id == row index). The demand and cap
+     * columns are the racks' storage; the other columns are refreshed
+     * by stepRacks() and valid between a stepRacks() call and the next
      * rack mutation.
      */
     const battery::FleetState &fleet() const { return *fleet_; }
@@ -211,10 +270,9 @@ class Topology
 
     /**
      * Fleet-wide power sums of the last stepRacks() call, folded in
-     * row order over the rows it just refreshed (the rows are hot in
-     * cache there; per-step consumers would otherwise re-walk the
-     * fleet every physics tick). itW counts powered racks only,
-     * matching the per-row predicate `inputOn`.
+     * row order over every row (per-step consumers would otherwise
+     * re-walk the fleet every physics tick). itW counts powered racks
+     * only, matching the per-row predicate `inputOn`.
      */
     struct StepPowerTotals
     {
@@ -244,6 +302,8 @@ class Topology
     Topology() = default;
 
     PowerNode *newNode(std::string name, NodeKind kind);
+    /** Fold stepTotals_ over every fleet row, in row order. */
+    void foldStepTotals();
 
     /** One rack staged for the batched lockstep charge sweep. */
     struct BatchLaneRef
@@ -255,8 +315,12 @@ class Topology
     std::vector<std::unique_ptr<PowerNode>> nodes_;
     std::vector<std::unique_ptr<Rack>> racks_;
     std::vector<Rack *> rackPtrs_;
-    /** Owned via pointer so the rows stay put across Topology moves. */
+    /**
+     * Owned via pointer so the rows and the tree cache stay put across
+     * Topology moves: racks and nodes point into them.
+     */
     std::unique_ptr<battery::FleetState> fleet_;
+    std::unique_ptr<PowerTree> tree_;
     /**
      * Batched-charging scratch, reused across stepRacks() calls (the
      * vectors keep their capacity). The kernel is built lazily on the
@@ -284,8 +348,16 @@ class Topology
     };
     std::unique_ptr<StepActivity> activity_;
     StepPowerTotals stepTotals_;
-    /** Nodes carrying a breaker, in creation order. */
-    std::vector<PowerNode *> breakerNodes_;
+    /** A demand row changed a row since stepTotals_ was folded. */
+    bool totalsStale_ = false;
+    /** A breaker and the tree index of the node it protects. */
+    struct BreakerRef
+    {
+        int32_t node;
+        CircuitBreaker *breaker;
+    };
+    /** Every breaker, in node creation order. */
+    std::vector<BreakerRef> breakers_;
     PowerNode *root_ = nullptr;
 };
 

@@ -6,12 +6,17 @@
  * inputPower() equals a brute-force recursive recompute — exactly, not
  * approximately, because the cache refresh sums children in the same
  * order with the same expressions. The same holds for the fleet rows
- * and totals stepRacks() keeps when it skips no-op rack steps.
+ * and totals stepRacks() keeps when it skips no-op rack steps, and for
+ * a topology that takes its demand as whole rows through
+ * applyDemandRow() against a twin that takes it rack by rack.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "power/topology.h"
@@ -25,7 +30,7 @@ using util::Watts;
 
 /**
  * Cache-free recursive aggregate, associating the sum exactly like
- * PowerNode::refreshPowerCache (children in order, left to right).
+ * PowerTree's refresh (children in order, left to right).
  */
 Watts
 bruteForcePower(const PowerNode &node)
@@ -372,6 +377,258 @@ TEST(PowerAggregationCache, RackStepElisionMatchesFullRefresh)
     for (const Rack *r : topo.racks())
         quiescent += r->shelf().stepStats().quiescentSteps;
     EXPECT_GT(quiescent, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Topology::applyDemandRow() stores a trace row without touching any
+// rack: it keeps `itLoadW` current itself, marks the tree cache stale
+// and has the next step re-fold the totals, so a quiet topology stays
+// quiet across demand rows. The differential below feeds one topology
+// its demand as rows and a twin the same demand through per-rack
+// Rack::setItDemand(), applies the same random caps, open transitions,
+// holds, fail/repair and cache reads to both, steps both through
+// stepRacks() + observeBreakers(), and after every step requires bit
+// equality of the fleet rows, the totals, every node's inputPower()
+// and the shelf step counters. refreshedRows() must list exactly the
+// rows a per-rack pass would refresh on each side: the twin's also
+// hold the rows its demand touched, the row path's never do.
+// ---------------------------------------------------------------------
+
+bool
+sameBits(double a, double b)
+{
+    return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+template <typename T>
+bool
+sameColumn(const std::vector<T> &a, const std::vector<T> &b)
+{
+    return a.size() == b.size()
+        && std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+/** Every node of @p topo, in creation order within each kind. */
+std::vector<const PowerNode *>
+allNodes(Topology &topo)
+{
+    std::vector<const PowerNode *> out;
+    for (NodeKind kind : {NodeKind::Msb, NodeKind::Sb, NodeKind::Rpp,
+                          NodeKind::RackNode}) {
+        for (const PowerNode *node : topo.nodesOfKind(kind))
+            out.push_back(node);
+    }
+    return out;
+}
+
+void
+expectTwinsExact(Topology &topo, Topology &twin, int m)
+{
+    const battery::FleetState &a = topo.fleet();
+    const battery::FleetState &b = twin.fleet();
+    ASSERT_TRUE(sameColumn(a.itDemandW, b.itDemandW)) << "after " << m;
+    ASSERT_TRUE(sameColumn(a.capW, b.capW)) << "after " << m;
+    ASSERT_TRUE(sameColumn(a.itLoadW, b.itLoadW)) << "after " << m;
+    ASSERT_TRUE(sameColumn(a.rechargeW, b.rechargeW)) << "after " << m;
+    ASSERT_TRUE(sameColumn(a.inputOn, b.inputOn)) << "after " << m;
+    ASSERT_TRUE(sameColumn(a.held, b.held)) << "after " << m;
+    ASSERT_TRUE(sameColumn(a.fullyCharged, b.fullyCharged))
+        << "after " << m;
+    ASSERT_TRUE(sameColumn(a.chargingBbus, b.chargingBbus))
+        << "after " << m;
+    ASSERT_TRUE(sameColumn(a.cvBbus, b.cvBbus)) << "after " << m;
+    const Topology::StepPowerTotals &ta = topo.stepPowerTotals();
+    const Topology::StepPowerTotals &tb = twin.stepPowerTotals();
+    ASSERT_TRUE(sameBits(ta.itW, tb.itW)) << "after " << m;
+    ASSERT_TRUE(sameBits(ta.rechargeW, tb.rechargeW)) << "after " << m;
+    ASSERT_TRUE(sameBits(ta.capW, tb.capW)) << "after " << m;
+    std::vector<const PowerNode *> na = allNodes(topo);
+    std::vector<const PowerNode *> nb = allNodes(twin);
+    ASSERT_EQ(na.size(), nb.size());
+    for (size_t k = 0; k < na.size(); ++k) {
+        ASSERT_TRUE(sameBits(na[k]->inputPower().value(),
+                             nb[k]->inputPower().value()))
+            << na[k]->name() << " after " << m;
+    }
+    for (size_t i = 0; i < topo.racks().size(); ++i) {
+        const auto &sa = topo.racks()[i]->shelf().stepStats();
+        const auto &sb = twin.racks()[i]->shelf().stepStats();
+        ASSERT_EQ(sa.quiescentSteps, sb.quiescentSteps) << "rack " << i;
+        ASSERT_EQ(sa.lockstepSteps, sb.lockstepSteps) << "rack " << i;
+        ASSERT_EQ(sa.fullSteps, sb.fullSteps) << "rack " << i;
+        ASSERT_EQ(topo.racks()[i]->sawOutage(),
+                  twin.racks()[i]->sawOutage());
+    }
+}
+
+/** The rows a per-rack pass over @p topo's racks would refresh now. */
+std::vector<size_t>
+rowsToRefresh(const Topology &topo)
+{
+    std::vector<size_t> rows;
+    for (size_t i = 0; i < topo.racks().size(); ++i) {
+        const Rack &r = *topo.racks()[i];
+        if (!r.inputPowerOn() || r.shelf().anyCharging()
+            || r.powerTouched())
+            rows.push_back(i);
+    }
+    return rows;
+}
+
+TEST(PowerAggregationCache, DemandRowMatchesPerRackDemand)
+{
+    TopologySpec spec;
+    spec.rootKind = NodeKind::Msb;
+    spec.sbsPerMsb = 2;
+    spec.rppsPerSb = 2;
+    spec.racksPerRpp = 4;
+    Topology topo = Topology::build(spec, battery::makeVariableCharger());
+    Topology twin = Topology::build(spec, battery::makeVariableCharger());
+    const int n = static_cast<int>(topo.racks().size());
+    std::vector<PowerNode *> rpps = topo.nodesOfKind(NodeKind::Rpp);
+    std::vector<PowerNode *> twin_rpps = twin.nodesOfKind(NodeKind::Rpp);
+    std::vector<const PowerNode *> nodes = allNodes(topo);
+    std::vector<const PowerNode *> twin_nodes = allNodes(twin);
+    std::vector<uint8_t> rpp_off(rpps.size(), 0);
+    std::vector<double> row(static_cast<size_t>(n), 6000.0);
+
+    util::Rng rng(4242);
+    auto both = [&](int id, auto &&mutate) {
+        mutate(topo.rack(id));
+        mutate(twin.rack(id));
+    };
+    // A new trace row: most racks move, some hold their demand.
+    auto apply_row = [&] {
+        for (double &w : row) {
+            if (rng.uniform(0.0, 1.0) < 0.8)
+                w = rng.uniform(500.0, 12000.0);
+        }
+        topo.applyDemandRow(row.data());
+        for (int i = 0; i < n; ++i)
+            twin.rack(i).setItDemand(Watts(row[static_cast<size_t>(i)]));
+    };
+    apply_row();
+
+    int m = 0;
+    int steps = 0;
+    int quiet_row_steps = 0;
+    bool row_since_step = false;
+    auto step = [&](Seconds dt) {
+        std::vector<size_t> want = rowsToRefresh(topo);
+        std::vector<size_t> twin_want = rowsToRefresh(twin);
+        if (topo.quiet() && row_since_step)
+            ++quiet_row_steps;
+        topo.stepRacks(dt);
+        twin.stepRacks(dt);
+        topo.observeBreakers(dt);
+        twin.observeBreakers(dt);
+        ++steps;
+        row_since_step = false;
+        ASSERT_EQ(topo.refreshedRows(), want) << "after " << m;
+        ASSERT_EQ(twin.refreshedRows(), twin_want) << "after " << m;
+        ASSERT_TRUE(std::includes(twin_want.begin(), twin_want.end(),
+                                  want.begin(), want.end()))
+            << "after " << m;
+        expectTwinsExact(topo, twin, m);
+    };
+    auto row_or_step = [&](int k) {
+        // A 3 s trace on 1 s physics steps.
+        if (k % 3 == 0) {
+            apply_row();
+            row_since_step = true;
+        }
+        step(Seconds(1.0));
+    };
+    auto any_charging = [&] {
+        return std::any_of(topo.racks().begin(), topo.racks().end(),
+                           [](const Rack *r) {
+                               return r->shelf().anyCharging();
+                           });
+    };
+
+    for (m = 0; m < 1200; ++m) {
+        auto id = static_cast<int>(rng.uniform(0.0, 1.0) * n);
+        double roll = rng.uniform(0.0, 1.0);
+        if (roll < 0.15) {
+            apply_row();
+            row_since_step = true;
+        } else if (roll < 0.22) {
+            Watts cap(rng.uniform(0.0, 2000.0));
+            both(id, [cap](Rack &r) { r.setCapAmount(cap); });
+        } else if (roll < 0.25) {
+            both(id, [](Rack &r) { r.uncap(); });
+        } else if (roll < 0.29) {
+            auto k = static_cast<size_t>(id) % rpps.size();
+            if (rpp_off[k]) {
+                Topology::endOpenTransition(*rpps[k]);
+                Topology::endOpenTransition(*twin_rpps[k]);
+            } else {
+                Topology::startOpenTransition(*rpps[k]);
+                Topology::startOpenTransition(*twin_rpps[k]);
+            }
+            rpp_off[k] ^= 1;
+        } else if (roll < 0.33) {
+            bool held = topo.rack(id).shelf().chargingHeld();
+            both(id, [held](Rack &r) {
+                if (held)
+                    r.shelf().resumeCharging();
+                else
+                    r.shelf().holdCharging();
+            });
+        } else if (roll < 0.35) {
+            auto bbu = static_cast<int>(rng.uniform(0.0, 1.0) * 6.0);
+            bool healthy = topo.rack(id).shelf().bbuHealthy(bbu);
+            both(id, [healthy, bbu](Rack &r) {
+                if (healthy)
+                    r.shelf().failBbu(bbu);
+                else
+                    r.shelf().repairBbu(bbu);
+            });
+        } else if (roll < 0.42) {
+            // A read between steps, on the row path's side only: its
+            // lazy re-sum must match the twin's.
+            auto k = static_cast<size_t>(rng.uniform(0.0, 1.0)
+                                         * static_cast<double>(
+                                             nodes.size()));
+            ASSERT_TRUE(sameBits(nodes[k]->inputPower().value(),
+                                 twin_nodes[k]->inputPower().value()))
+                << nodes[k]->name() << " after " << m;
+        } else if (roll < 0.44) {
+            // Settle the fleet, then run a quiet stretch on which the
+            // trace keeps moving.
+            for (size_t k = 0; k < rpps.size(); ++k) {
+                if (!rpp_off[k])
+                    continue;
+                Topology::endOpenTransition(*rpps[k]);
+                Topology::endOpenTransition(*twin_rpps[k]);
+                rpp_off[k] = 0;
+            }
+            for (int i = 0; i < n; ++i) {
+                if (topo.rack(i).shelf().chargingHeld())
+                    both(i, [](Rack &r) { r.shelf().resumeCharging(); });
+            }
+            for (int k = 0; k < 400 && any_charging(); ++k)
+                step(Seconds(120.0));
+            ASSERT_FALSE(any_charging()) << "after " << m;
+            for (int k = 0; k < 60; ++k) {
+                if (rng.uniform(0.0, 1.0) < 0.05) {
+                    auto who =
+                        static_cast<int>(rng.uniform(0.0, 1.0) * n);
+                    Watts cap(rng.uniform(0.0, 2000.0));
+                    both(who, [cap](Rack &r) { r.setCapAmount(cap); });
+                }
+                row_or_step(k);
+            }
+        } else {
+            step(Seconds(roll < 0.9 ? 1.0 : 120.0));
+        }
+        if (HasFatalFailure())
+            return;
+    }
+    // The walk must have exercised what it claims to: the row path
+    // stays quiet across demand rows.
+    EXPECT_GT(steps, 500);
+    EXPECT_GT(quiet_row_steps, 50);
 }
 
 } // namespace
