@@ -382,6 +382,58 @@ BM_StepRacksQuiescent(benchmark::State &state)
 }
 BENCHMARK(BM_StepRacksQuiescent);
 
+/**
+ * Bring every rack of @p topo back from an open transition at its own
+ * DOD (0.5 to 0.9 in rack order) and take the first step, the one-off
+ * pack-by-pack comparison that puts each shelf in lockstep.
+ */
+void
+rearmCharging(power::Topology &topo, util::Seconds dt)
+{
+    power::Topology::startOpenTransition(topo.root());
+    const size_t racks = topo.racks().size();
+    for (size_t i = 0; i < racks; ++i) {
+        topo.racks()[i]->shelf().forceUniformDod(
+            0.5 + 0.4 * static_cast<double>(i)
+                / static_cast<double>(racks - 1));
+    }
+    power::Topology::endOpenTransition(topo.root());
+    topo.stepRacks(dt);
+    topo.observeBreakers(dt);
+}
+
+void
+BM_StepRacksCharging(benchmark::State &state)
+{
+    // A region MSB right after an open transition: all 300 racks
+    // recharge in lockstep, each inside one CC or CV segment at the
+    // variable charger's DOD-dependent setpoint. One iteration is one
+    // 1 s physics step (stepRacks + observeBreakers). Every 600 steps,
+    // well before the shallowest rack completes, the fleet is re-armed
+    // outside the timed region.
+    power::Topology topo = regionMsbTopology();
+    for (power::Rack *rack : topo.racks())
+        rack->setItDemand(util::kilowatts(6.0));
+    const util::Seconds dt(1.0);
+    rearmCharging(topo, dt);
+    size_t step = 0;
+    for (auto _ : state) {
+        if (++step % 600 == 0) {
+            state.PauseTiming();
+            rearmCharging(topo, dt);
+            state.ResumeTiming();
+        }
+        topo.stepRacks(dt);
+        topo.observeBreakers(dt);
+        benchmark::DoNotOptimize(topo.stepPowerTotals());
+    }
+    if (topo.quiet())
+        state.SkipWithError("the fleet stopped charging");
+    state.SetItemsProcessed(state.iterations()
+                            * static_cast<int64_t>(topo.racks().size()));
+}
+BENCHMARK(BM_StepRacksCharging);
+
 void
 BM_StepRacksDemandRow(benchmark::State &state)
 {

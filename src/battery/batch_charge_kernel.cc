@@ -81,19 +81,18 @@ BatchChargeKernel::BatchChargeKernel(const BbuParams &params)
 }
 
 void
-BatchChargeKernel::ccLanesScalar(BatchChargeStage &stage, double dt,
+BatchChargeKernel::ccLanesScalar(ChargeLaneColumns &lanes, double dt,
                                  std::size_t begin) const
 {
-    const std::size_t n = stage.ccLanes();
-    const double *dod = stage.ccDod.data();
-    const double *sp = stage.ccSetpointA.data();
-    double *dod_out = stage.ccDodOut.data();
-    double *input_w = stage.ccInputW.data();
+    const std::size_t n = lanes.ccLanes();
+    double *dod = lanes.ccDod.data();
+    const double *sp = lanes.ccSetpointA.data();
+    double *input_w = lanes.ccInputW.data();
     for (std::size_t i = begin; i < n; ++i) {
         // applyCharge(dod, setpoint * dt): the whole step stays inside
-        // the CC segment (the exporter checked the handover).
+        // the CC segment (the lane's gate checked the handover).
         double nd = std::max(0.0, dod[i] - (sp[i] * dt) / refillC_);
-        dod_out[i] = nd;
+        dod[i] = nd;
         // refreshDerived(): current == setpoint; input power from the
         // linear OCV line at the new DOD.
         double t = std::clamp((1.0 - nd) / ocvSocSpan_, 0.0, 1.0);
@@ -103,36 +102,27 @@ BatchChargeKernel::ccLanesScalar(BatchChargeStage &stage, double dt,
 }
 
 void
-BatchChargeKernel::cvLanesScalar(BatchChargeStage &stage, double dt,
+BatchChargeKernel::cvLanesScalar(ChargeLaneColumns &lanes, double dt,
                                  double factor, std::size_t begin) const
 {
-    const std::size_t n = stage.cvLanes();
-    const double *dod = stage.cvDod.data();
-    const double *i0 = stage.cvI0A.data();
-    const double *elapsed = stage.cvElapsedS.data();
-    double *dod_out = stage.cvDodOut.data();
-    double *elapsed_out = stage.cvElapsedOutS.data();
+    const std::size_t n = lanes.cvLanes();
+    double *dod = lanes.cvDod.data();
+    const double *i0 = lanes.cvCurrentA.data();
+    double *elapsed = lanes.cvElapsedS.data();
     for (std::size_t i = begin; i < n; ++i) {
         // applyCharge(dod, cvDeliveredCoulombs(i0, i0 * factor)).
         double i1 = i0[i] * factor;
         double nd =
             std::max(0.0, dod[i] - (tauS_ * (i0[i] - i1)) / refillC_);
-        dod_out[i] = nd;
-        elapsed_out[i] = elapsed[i] + dt;
+        dod[i] = nd;
+        elapsed[i] = elapsed[i] + dt;
     }
 }
 
 void
-BatchChargeKernel::advanceWithMode(BatchChargeStage &stage, double dt,
+BatchChargeKernel::advanceWithMode(ChargeLaneColumns &lanes, double dt,
                                    SimdMode mode) const
 {
-    stage.ccDodOut.resize(stage.ccLanes());
-    stage.ccInputW.resize(stage.ccLanes());
-    stage.cvDodOut.resize(stage.cvLanes());
-    stage.cvElapsedOutS.resize(stage.cvLanes());
-    stage.cvCurrentA.resize(stage.cvLanes());
-    stage.cvInputW.resize(stage.cvLanes());
-
     // One cvDecayFactor(dt) shared by every CV lane — the same double
     // the per-pack memo would return, since all lanes advance by dt.
     const double factor = std::exp(-dt / tauS_);
@@ -145,32 +135,30 @@ BatchChargeKernel::advanceWithMode(BatchChargeStage &stage, double dt,
                                       cvV_,     tauS_,       ocvSocSpan_,
                                       ocvVoltSpan_};
         cc_done = internal::ccLanesAvx2(
-            c, dt, stage.ccLanes(), stage.ccDod.data(),
-            stage.ccSetpointA.data(), stage.ccDodOut.data(),
-            stage.ccInputW.data());
+            c, dt, lanes.ccLanes(), lanes.ccDod.data(),
+            lanes.ccSetpointA.data(), lanes.ccInputW.data());
         cv_done = internal::cvLanesAvx2(
-            c, dt, factor, stage.cvLanes(), stage.cvDod.data(),
-            stage.cvI0A.data(), stage.cvElapsedS.data(),
-            stage.cvDodOut.data(), stage.cvElapsedOutS.data());
+            c, dt, factor, lanes.cvLanes(), lanes.cvDod.data(),
+            lanes.cvCurrentA.data(), lanes.cvElapsedS.data());
     }
 #else
     (void)mode;
 #endif
-    ccLanesScalar(stage, dt, cc_done);
-    cvLanesScalar(stage, dt, factor, cv_done);
+    ccLanesScalar(lanes, dt, cc_done);
+    cvLanesScalar(lanes, dt, factor, cv_done);
 
     // Per-lane CV current and input power. The decay stays a scalar
     // libm std::exp in both modes: refreshDerived() recomputes
     // e^{-elapsed/tau} from scratch (not i0 * factor — the floats
     // differ), and vectorized exp implementations are not bit-equal
     // to libm's.
-    const std::size_t n = stage.cvLanes();
-    const double *sp = stage.cvSetpointA.data();
-    const double *elapsed_out = stage.cvElapsedOutS.data();
-    double *current = stage.cvCurrentA.data();
-    double *input_w = stage.cvInputW.data();
+    const std::size_t n = lanes.cvLanes();
+    const double *sp = lanes.cvSetpointA.data();
+    const double *elapsed = lanes.cvElapsedS.data();
+    double *current = lanes.cvCurrentA.data();
+    double *input_w = lanes.cvInputW.data();
     for (std::size_t i = 0; i < n; ++i) {
-        double decay = std::exp(-elapsed_out[i] / tauS_);
+        double decay = std::exp(-elapsed[i] / tauS_);
         double cur = sp[i] * decay;
         current[i] = cur;
         input_w[i] = (cvV_ * cur) / effic_;

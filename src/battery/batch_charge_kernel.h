@@ -7,9 +7,10 @@
  * Those representatives all run the same closed-form CC-CV update with
  * the same dt and the same calibration — only their (dod, setpoint,
  * cvElapsed) state differs. This kernel hoists that update out of the
- * per-rack object walk into two dense lanes (one CC, one CV) so the
- * arithmetic runs over contiguous arrays, auto-vectorized in the
- * scalar build and hand-vectorized under AVX2 when the CPU has it.
+ * per-rack object walk into two dense lane sets (one CC, one CV), held
+ * resident across steps by battery::ChargeLanes, so the arithmetic
+ * runs over contiguous columns in place, auto-vectorized in the scalar
+ * build and hand-vectorized under AVX2 when the CPU has it.
  *
  * Bit-exactness contract: both lane implementations evaluate exactly
  * the expressions BbuModel::stepAnalytic() + refreshDerived() evaluate
@@ -23,8 +24,8 @@
  * step, AVX2 vs. scalar).
  *
  * Runtime switches (read from the environment):
- *  - DCBATT_BATCH=off      disable batch staging entirely (Topology
- *                          falls back to the per-rack step walk);
+ *  - DCBATT_BATCH=off      admit no lane at all (Topology falls back
+ *                          to the per-rack step walk);
  *  - DCBATT_SIMD=off       force the scalar lanes;
  *  - DCBATT_SIMD=avx2      require the AVX2 lanes (scalar fallback
  *                          with a warning if the CPU lacks them);
@@ -51,56 +52,35 @@ enum class SimdMode
 /** The resolved DCBATT_SIMD mode (env + CPU probe, cached). */
 SimdMode activeSimdMode();
 
-/** Whether Topology should stage batch lanes at all (DCBATT_BATCH). */
+/** Whether Topology should admit charge lanes at all (DCBATT_BATCH). */
 bool batchChargingEnabled();
 
 /**
- * Staging arrays for one batched step: one row per exported lockstep
- * representative, split into a CC lane set and a CV lane set (their
- * update expressions differ). Inputs are filled by
- * BbuModel::tryExportBatchLane() in rack order; outputs by
- * BatchChargeKernel::advance(). The vectors are reused across steps —
- * clear() keeps capacity.
+ * The continuous state of the resident charge lanes (see
+ * battery/charge_lanes.h), one row per lockstep representative, in a
+ * CC set and a CV set (their update expressions differ). Every vector
+ * of a set has one entry per lane; BatchChargeKernel::advance() moves
+ * the state forward in place.
  */
-struct BatchChargeStage
+struct ChargeLaneColumns
 {
-    /** CC lane inputs. */
+    /** CC lanes; the current stays at the setpoint. */
     std::vector<double> ccDod;
     std::vector<double> ccSetpointA;
-    /** CC lane outputs (current stays at the setpoint). */
-    std::vector<double> ccDodOut;
     std::vector<double> ccInputW;
 
-    /** CV lane inputs. */
+    /** CV lanes. */
     std::vector<double> cvDod;
-    std::vector<double> cvI0A;       ///< segment start current
     std::vector<double> cvSetpointA;
     std::vector<double> cvElapsedS;
-    /** CV lane outputs. */
-    std::vector<double> cvDodOut;
-    std::vector<double> cvElapsedOutS;
+    /** Segment start current before advance(), end current after. */
     std::vector<double> cvCurrentA;
     std::vector<double> cvInputW;
+    /** The CV phase's total length at the lane's setpoint. */
+    std::vector<double> cvTotalS;
 
     std::size_t ccLanes() const { return ccDod.size(); }
     std::size_t cvLanes() const { return cvDod.size(); }
-
-    void
-    clear()
-    {
-        ccDod.clear();
-        ccSetpointA.clear();
-        ccDodOut.clear();
-        ccInputW.clear();
-        cvDod.clear();
-        cvI0A.clear();
-        cvSetpointA.clear();
-        cvElapsedS.clear();
-        cvDodOut.clear();
-        cvElapsedOutS.clear();
-        cvCurrentA.clear();
-        cvInputW.clear();
-    }
 };
 
 /** Batched CC-CV advance for one calibration (all racks share it). */
@@ -109,21 +89,25 @@ class BatchChargeKernel
   public:
     explicit BatchChargeKernel(const BbuParams &params);
 
-    /** Advance every staged lane by @p dt under the resolved mode. */
+    /**
+     * Advance every lane of @p lanes by @p dt in place, under the
+     * resolved mode. Each lane's step must be interior to its CC or CV
+     * segment (CcCvKernel::ccStepInterior / cvStepInterior).
+     */
     void
-    advance(BatchChargeStage &stage, double dt) const
+    advance(ChargeLaneColumns &lanes, double dt) const
     {
-        advanceWithMode(stage, dt, activeSimdMode());
+        advanceWithMode(lanes, dt, activeSimdMode());
     }
 
     /** Advance with an explicit mode (the parity test's hook). */
-    void advanceWithMode(BatchChargeStage &stage, double dt,
+    void advanceWithMode(ChargeLaneColumns &lanes, double dt,
                          SimdMode mode) const;
 
   private:
-    void ccLanesScalar(BatchChargeStage &stage, double dt,
+    void ccLanesScalar(ChargeLaneColumns &lanes, double dt,
                        std::size_t begin) const;
-    void cvLanesScalar(BatchChargeStage &stage, double dt, double factor,
+    void cvLanesScalar(ChargeLaneColumns &lanes, double dt, double factor,
                        std::size_t begin) const;
 
     /** Derived constants, bit-equal to BbuModel's (same expressions). */

@@ -19,8 +19,7 @@ namespace dcbatt::battery::internal {
 
 std::size_t
 ccLanesAvx2(const BatchChargeConsts &c, double dt, std::size_t n,
-            const double *dod, const double *setpoint, double *dod_out,
-            double *input_w)
+            double *dod, const double *setpoint, double *input_w)
 {
     const __m256d zero = _mm256_setzero_pd();
     const __m256d one = _mm256_set1_pd(1.0);
@@ -39,7 +38,7 @@ ccLanesAvx2(const BatchChargeConsts &c, double dt, std::size_t n,
             zero, _mm256_sub_pd(
                       d, _mm256_div_pd(_mm256_mul_pd(sp, dt_v),
                                        refill)));
-        _mm256_storeu_pd(dod_out + i, nd);
+        _mm256_storeu_pd(dod + i, nd);
         // clamp((1 - nd) / socSpan, 0, 1) as min(1, max(0, .)):
         // identical to std::clamp for the NaN-free operands here.
         __m256d t = _mm256_min_pd(
@@ -55,8 +54,8 @@ ccLanesAvx2(const BatchChargeConsts &c, double dt, std::size_t n,
 
 std::size_t
 cvLanesAvx2(const BatchChargeConsts &c, double dt, double factor,
-            std::size_t n, const double *dod, const double *i0,
-            const double *elapsed, double *dod_out, double *elapsed_out)
+            std::size_t n, double *dod, const double *current,
+            double *elapsed)
 {
     const __m256d zero = _mm256_setzero_pd();
     const __m256d dt_v = _mm256_set1_pd(dt);
@@ -65,7 +64,7 @@ cvLanesAvx2(const BatchChargeConsts &c, double dt, double factor,
     const __m256d factor_v = _mm256_set1_pd(factor);
     std::size_t i = 0;
     for (; i + 4 <= n; i += 4) {
-        __m256d cur0 = _mm256_loadu_pd(i0 + i);
+        __m256d cur0 = _mm256_loadu_pd(current + i);
         __m256d cur1 = _mm256_mul_pd(cur0, factor_v);
         // max(0, dod - (tau * (i0 - i1)) / refill)
         __m256d delivered =
@@ -73,8 +72,8 @@ cvLanesAvx2(const BatchChargeConsts &c, double dt, double factor,
         __m256d nd = _mm256_max_pd(
             zero, _mm256_sub_pd(_mm256_loadu_pd(dod + i),
                                 _mm256_div_pd(delivered, refill)));
-        _mm256_storeu_pd(dod_out + i, nd);
-        _mm256_storeu_pd(elapsed_out + i,
+        _mm256_storeu_pd(dod + i, nd);
+        _mm256_storeu_pd(elapsed + i,
                          _mm256_add_pd(_mm256_loadu_pd(elapsed + i),
                                        dt_v));
     }
@@ -90,16 +89,15 @@ namespace dcbatt::battery::internal {
 // Never dispatched to off x86-64 (cpuHasAvx2() is false); the symbols
 // exist so the dispatch code links unchanged.
 std::size_t
-ccLanesAvx2(const BatchChargeConsts &, double, std::size_t,
-            const double *, const double *, double *, double *)
+ccLanesAvx2(const BatchChargeConsts &, double, std::size_t, double *,
+            const double *, double *)
 {
     return 0;
 }
 
 std::size_t
 cvLanesAvx2(const BatchChargeConsts &, double, double, std::size_t,
-            const double *, const double *, const double *, double *,
-            double *)
+            double *, const double *, double *)
 {
     return 0;
 }

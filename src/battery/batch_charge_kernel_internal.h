@@ -29,20 +29,19 @@ struct BatchChargeConsts
 bool cpuHasAvx2();
 
 /**
- * Vector bodies of the CC / CV lane updates. Each processes the
- * leading multiple-of-4 lanes and returns how many it handled; the
- * caller finishes the tail (and, for CV, the per-lane transcendental
- * part) with the scalar code. Expressions mirror the scalar lanes
- * operation for operation — no FMA — so results are bit-identical.
+ * Vector bodies of the CC / CV lane updates, in place over the lane
+ * columns. Each processes the leading multiple-of-4 lanes and returns
+ * how many it handled; the caller finishes the tail (and, for CV, the
+ * per-lane transcendental part) with the scalar code. Expressions
+ * mirror the scalar lanes operation for operation — no FMA — so
+ * results are bit-identical.
  */
 std::size_t ccLanesAvx2(const BatchChargeConsts &c, double dt,
-                        std::size_t n, const double *dod,
-                        const double *setpoint, double *dod_out,
-                        double *input_w);
+                        std::size_t n, double *dod,
+                        const double *setpoint, double *input_w);
 std::size_t cvLanesAvx2(const BatchChargeConsts &c, double dt,
-                        double factor, std::size_t n, const double *dod,
-                        const double *i0, const double *elapsed,
-                        double *dod_out, double *elapsed_out);
+                        double factor, std::size_t n, double *dod,
+                        const double *current, double *elapsed);
 
 } // namespace dcbatt::battery::internal
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "battery/batch_charge_kernel.h"
 #include "util/check.h"
 
 namespace dcbatt::battery {

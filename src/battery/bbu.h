@@ -33,28 +33,12 @@
 #ifndef DCBATT_BATTERY_BBU_H_
 #define DCBATT_BATTERY_BBU_H_
 
-#include <cstddef>
-
-#include "battery/batch_charge_kernel.h"
 #include "battery/bbu_params.h"
 #include "battery/cc_cv_kernel.h"
 #include "util/check.h"
 #include "util/units.h"
 
 namespace dcbatt::battery {
-
-/**
- * Which batch lane (if any) a pack's next step can run on — see
- * batch_charge_kernel.h. None means the step has a discrete event
- * inside it (phase handover, completion, pause, ...) and must take
- * the ordinary scalar path.
- */
-enum class BatchLaneKind
-{
-    None,
-    Cc,
-    Cv,
-};
 
 /** Battery states of Fig. 8(a). */
 enum class BbuState
@@ -144,27 +128,6 @@ class BbuModel
     void step(util::Seconds dt);
 
     /**
-     * Batched stepping, part 1: if the next step(dt) would be one
-     * strictly interior CC or CV segment (no handover, no completion,
-     * not paused), push this pack's lane inputs onto @p stage and
-     * report which lane set; otherwise stage nothing and return None.
-     * Non-const only because the CV check warms the same
-     * totalCvMemo() slot the scalar step would.
-     */
-    BatchLaneKind tryExportBatchLane(double dt,
-                                     BatchChargeStage &stage);
-
-    /**
-     * Batched stepping, part 2: adopt lane @p lane of @p stage's
-     * outputs, leaving the pack in exactly the state step(dt) would
-     * have produced (BatchChargeKernel mirrors stepAnalytic() +
-     * refreshDerived() bit for bit). Only valid right after a
-     * tryExportBatchLane() that returned @p kind for this pack.
-     */
-    void applyBatchLane(BatchLaneKind kind, std::size_t lane,
-                        const BatchChargeStage &stage);
-
-    /**
      * Snapshot of the fields that determine a pack's dynamic
      * evolution. Two packs with bit-equal ChargeStates (and the same
      * calibration) stepped by the same dt stay bit-equal — the
@@ -225,6 +188,13 @@ class BbuModel
     void forceDod(double dod);
 
   private:
+    /**
+     * A resident lane (charge_lanes.h) reads a lockstep
+     * representative's state at admission and writes the advanced
+     * continuous state back after every lane step.
+     */
+    friend class ChargeLanes;
+
     /** Remaining charge deficit in coulombs. */
     util::Coulombs deficit() const { return params_.refillCharge * dod_; }
 
@@ -276,9 +246,7 @@ class BbuModel
     double cvAdvanceFactor_ = 1.0;
 };
 
-// The batch-lane protocol runs once per rack per physics step; the
-// definitions live here so Topology's staging loop inlines them
-// (the build has no LTO to do it across translation units).
+// Inline: a lane's admission reads it once per rack per charging step.
 
 inline double
 BbuModel::totalCvMemo()
@@ -288,72 +256,6 @@ BbuModel::totalCvMemo()
         totalCvCache_ = kernel_.totalCvSeconds(totalCvKey_);
     }
     return totalCvCache_;
-}
-
-inline BatchLaneKind
-BbuModel::tryExportBatchLane(double dt, BatchChargeStage &stage)
-{
-    // Mirrors the gates of step(): anything that makes step() a no-op
-    // stays scalar.
-    if (state_ != BbuState::Charging || paused_ || dt <= 0.0)
-        return BatchLaneKind::None;
-    DCBATT_ASSERT(setpoint_ >= params_.minCurrent
-                      && setpoint_ <= params_.maxCurrent,
-                  "charging setpoint %g A outside hardware range "
-                  "[%g, %g]",
-                  setpoint_.value(), params_.minCurrent.value(),
-                  params_.maxCurrent.value());
-    if (!inCv_) {
-        // stepAnalytic() would first run maybeEnterCv(), then advance
-        // min(dt, handover). Batch only the case where the whole step
-        // stays inside the CC segment (handover >= dt keeps
-        // min(dt, handover) == dt).
-        if (kernel_.shouldEnterCv(dod_, setpoint_.value()))
-            return BatchLaneKind::None;
-        double handover_s =
-            kernel_.ccHandoverSeconds(dod_, setpoint_.value());
-        if (dt > handover_s)
-            return BatchLaneKind::None;
-        stage.ccDod.push_back(dod_);
-        stage.ccSetpointA.push_back(setpoint_.value());
-        return BatchLaneKind::Cc;
-    }
-    // CV segment: eligible only when the step neither overruns the
-    // remaining CV time (min(dt, left) must be dt) nor trips the
-    // completion check — both tested with the scalar path's own
-    // floating-point expressions.
-    double total_cv = totalCvMemo();
-    double left = total_cv - cvElapsed_.value();
-    if (dt > left)
-        return BatchLaneKind::None;
-    if (cvElapsed_.value() + dt >= total_cv - 1e-9)
-        return BatchLaneKind::None;
-    stage.cvDod.push_back(dod_);
-    stage.cvI0A.push_back(cachedCurrentA_);
-    stage.cvSetpointA.push_back(setpoint_.value());
-    stage.cvElapsedS.push_back(cvElapsed_.value());
-    return BatchLaneKind::Cv;
-}
-
-inline void
-BbuModel::applyBatchLane(BatchLaneKind kind, std::size_t lane,
-                         const BatchChargeStage &stage)
-{
-    if (kind == BatchLaneKind::Cc) {
-        dod_ = stage.ccDodOut[lane];
-        // refreshDerived() on an interior CC point: current is the
-        // setpoint, input power was computed in the lane.
-        cachedCurrentA_ = setpoint_.value();
-        cachedInputW_ = stage.ccInputW[lane];
-        return;
-    }
-    DCBATT_ASSERT(kind == BatchLaneKind::Cv,
-                  "applyBatchLane with kind %d",
-                  static_cast<int>(kind));
-    dod_ = stage.cvDodOut[lane];
-    cvElapsed_ = util::Seconds(stage.cvElapsedOutS[lane]);
-    cachedCurrentA_ = stage.cvCurrentA[lane];
-    cachedInputW_ = stage.cvInputW[lane];
 }
 
 } // namespace dcbatt::battery

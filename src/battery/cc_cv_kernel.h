@@ -94,6 +94,31 @@ class CcCvKernel
         return to_handover / setpoint_a;
     }
 
+    /**
+     * Whether a CC step of @p dt_seconds stays strictly inside the CC
+     * segment: no handover due at its start, none inside it (so the
+     * stepped model's min(dt, handover) is dt).
+     */
+    bool
+    ccStepInterior(double dod, double setpoint_a, double dt_seconds) const
+    {
+        return !shouldEnterCv(dod, setpoint_a)
+            && !(dt_seconds > ccHandoverSeconds(dod, setpoint_a));
+    }
+
+    /**
+     * Whether a CV step of @p dt_seconds, @p elapsed_seconds into a CV
+     * phase lasting @p total_cv_seconds, neither overruns the CV time
+     * left nor trips the stepped model's completion check.
+     */
+    static bool
+    cvStepInterior(double total_cv_seconds, double elapsed_seconds,
+                   double dt_seconds)
+    {
+        return !(dt_seconds > total_cv_seconds - elapsed_seconds)
+            && !(elapsed_seconds + dt_seconds >= total_cv_seconds - 1e-9);
+    }
+
     /** CV-phase current decay over @p seconds. */
     double
     cvDecayFactor(double seconds) const

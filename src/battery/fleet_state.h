@@ -10,9 +10,9 @@
  * rack, rack id == row index, and the sampling loop runs over them.
  *
  * Two kinds of column live here (DESIGN.md §16):
- *  - storage: `itDemandW` and `capW` are the racks' demand and cap
- *    themselves. power::Rack reads and writes its own row, so these
- *    are always current.
+ *  - storage: `itDemandW`, `capW` and `powerTouched` are the racks'
+ *    demand, cap and touched flag themselves. power::Rack reads and
+ *    writes its own row, so these are always current.
  *  - snapshots: every other column holds exactly the value the object
  *    walk would produce at the post-step state. power::Topology::
  *    stepRacks() rewrites a row whenever its rack was touched or not
@@ -36,6 +36,8 @@ struct FleetState
     std::vector<double> itDemandW;
     /** Storage: Rack::capAmount() in watts. */
     std::vector<double> capW;
+    /** Storage: Rack::powerTouched(). */
+    std::vector<std::uint8_t> powerTouched;
     /** Rack::itLoad() in watts (demand minus cap, floored at 0). */
     std::vector<double> itLoadW;
     /** Rack::rechargePower() in watts (0 while input power is off). */
@@ -60,6 +62,7 @@ struct FleetState
     {
         itDemandW.assign(racks, 0.0);
         capW.assign(racks, 0.0);
+        powerTouched.assign(racks, 1);
         itLoadW.assign(racks, 0.0);
         rechargeW.assign(racks, 0.0);
         inputOn.assign(racks, 1);

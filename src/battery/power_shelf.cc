@@ -51,6 +51,7 @@ PowerShelf::materializeTwins() const
 {
     if (!lockstep_)
         return;
+    evictLane();
     lockstep_ = false;
     ++stepStats_.materializations;
     auto &self = const_cast<PowerShelf &>(*this);
@@ -61,6 +62,18 @@ PowerShelf::materializeTwins() const
             continue;
         self.bbus_[idx].adoptStateFrom(rep);
     }
+}
+
+const BbuModel &
+PowerShelf::representative() const
+{
+    if (lockstep_)
+        return bbus_[repIdx_];
+    for (size_t i = 0; i < bbus_.size(); ++i) {
+        if (healthy_[i])
+            return bbus_[i];
+    }
+    return bbus_.front();
 }
 
 const std::vector<int> &
@@ -117,6 +130,7 @@ PowerShelf::step(Seconds dt, Watts it_load)
         // BBU is a no-op walk — skip it and keep the aggregates valid.
         if (tryQuiescentStep(dt))
             return it_load;
+        evictLane();
         if (lockstep_) {
             ++stepStats_.lockstepSteps;
             // Every healthy pack is a bit-equal twin of the

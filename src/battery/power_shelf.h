@@ -19,12 +19,14 @@
 #define DCBATT_BATTERY_POWER_SHELF_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "battery/bbu.h"
+#include "battery/charge_lanes.h"
 #include "battery/charger_policy.h"
 #include "util/check.h"
 #include "util/units.h"
@@ -83,28 +85,6 @@ class PowerShelf
         ++stepStats_.quiescentSteps;
         return true;
     }
-
-    /**
-     * Batched stepping, part 1 (see batch_charge_kernel.h): when this
-     * step would be a lockstep integration of the representative pack
-     * over one interior CC/CV segment, stage the representative's lane
-     * and return its kind; the caller must then complete the step with
-     * applyBatchLane() instead of step(). Returns None whenever the
-     * shelf would take any other path (input off, quiescent, not in
-     * lockstep, boundary inside dt), in which case nothing is staged
-     * and step() must run as usual.
-     */
-    BatchLaneKind tryExportBatchLane(util::Seconds dt,
-                                     BatchChargeStage &stage);  // inline below
-
-    /**
-     * Batched stepping, part 2: adopt the representative pack's lane
-     * outputs, with the same bookkeeping the lockstep branch of
-     * step() performs. Only valid right after a tryExportBatchLane()
-     * that returned @p kind.
-     */
-    void applyBatchLane(BatchLaneKind kind, std::size_t lane,
-                        const BatchChargeStage &stage);
 
     /**
      * Manual override: set all charging BBUs' CC setpoint (clamped to
@@ -227,6 +207,14 @@ class PowerShelf
     }
     int bbuCount() const { return static_cast<int>(bbus_.size()); }
 
+    /**
+     * The first healthy BBU (BBU 0 when none is healthy), read without
+     * leaving lockstep mode: in lockstep it is the representative that
+     * every healthy pack equals, so unlike bbu() this never
+     * materializes the twins or evicts the shelf's charge lane.
+     */
+    const BbuModel &representative() const;
+
     /** Force every healthy BBU to the same DOD (test/bench helper). */
     void forceUniformDod(double dod);
 
@@ -269,14 +257,39 @@ class PowerShelf
      * may have changed (override/hold/fail/repair/input transitions,
      * mutable BBU access). The power topology uses this to invalidate
      * its cached subtree sums; per-step charging progress is handled
-     * by Rack::step itself. At most one callback is supported.
+     * by Rack::step and the charge lanes themselves. At most one
+     * callback is supported.
      */
     void setDirtyCallback(std::function<void()> cb)
     {
         dirtyCallback_ = std::move(cb);
     }
 
+    /**
+     * Make this shelf row @p row of @p lanes. From then on every path
+     * of the shelf that changes pack state outside a lane step — the
+     * ones that fire the dirty callback, twin materialization, and
+     * step() itself — first evicts the shelf's resident lane
+     * (DESIGN.md §16).
+     */
+    void
+    attachLanes(ChargeLanes &lanes, std::size_t row)
+    {
+        lanes_ = &lanes;
+        laneRow_ = row;
+    }
+
   private:
+    /** The lane table admits, reads and writes back lockstep shelves. */
+    friend class ChargeLanes;
+
+    void
+    evictLane() const
+    {
+        if (lanes_)
+            lanes_->evict(laneRow_);
+    }
+
     int zoneOf(int index) const;
     const std::vector<int> &healthyInZone(int zone) const;
     util::Amperes effectiveCurrentFor(const BbuModel &bbu) const;
@@ -286,6 +299,7 @@ class PowerShelf
     markDirty()
     {
         aggValid_ = false;
+        evictLane();
         if (dirtyCallback_)
             dirtyCallback_();
     }
@@ -326,6 +340,8 @@ class PowerShelf
     bool held_ = false;
     bool inputOn_ = true;
     std::function<void()> dirtyCallback_;
+    ChargeLanes *lanes_ = nullptr;
+    std::size_t laneRow_ = 0;
 
     /**
      * Lockstep (twin) mode: every healthy pack's dynamic state is
@@ -356,58 +372,6 @@ class PowerShelf
     mutable StepStats stepStats_;
     const uint64_t *skippedSteps_ = nullptr;
 };
-
-// Defined here (not power_shelf.cc) so Topology::stepRacks()'s
-// once-per-rack-per-step staging loop inlines the whole batch-lane
-// protocol — the build has no LTO to do it across translation units.
-
-inline BatchLaneKind
-PowerShelf::tryExportBatchLane(util::Seconds dt, BatchChargeStage &stage)
-{
-    // Export only the one configuration step() handles in lockstep
-    // mode: input power on, something charging, every healthy pack a
-    // bit-equal twin of the representative. Everything else (quiescent
-    // shelves, twin-compare walks, discharge) stays on step().
-    if (dt.value() <= 0.0 || !inputOn_)
-        return BatchLaneKind::None;
-    ensureAggregates();
-    if (chargingN_ == 0 || !lockstep_)
-        return BatchLaneKind::None;
-    return bbus_[repIdx_].tryExportBatchLane(dt.value(), stage);
-}
-
-inline void
-PowerShelf::applyBatchLane(BatchLaneKind kind, std::size_t lane,
-                           const BatchChargeStage &stage)
-{
-    // The bookkeeping of step()'s lockstep branch, with the
-    // representative's integration replaced by the staged result.
-    ++stepStats_.lockstepSteps;
-    // tryExportBatchLane() refreshed the aggregates this step and
-    // nothing ran on this shelf in between.
-    DCBATT_ASSERT(aggValid_,
-                  "applyBatchLane without fresh aggregates");
-    bbus_[repIdx_].applyBatchLane(kind, lane, stage);
-    // An interior CC/CV step moves only the continuous quantities:
-    // the pack stays Charging, in the same phase, unpaused, at the
-    // same setpoint, so every counting aggregate (and the setpoint)
-    // is already correct. Fold the three continuous ones exactly as
-    // refreshAggregates() would — healthyTotal_ repeated additions
-    // of bit-equal values — instead of invalidating, which would
-    // re-run the branchy per-pack fold once per rack per step.
-    const BbuModel &rep = bbus_[repIdx_];
-    const double input_w = rep.inputPower().value();
-    const double rep_dod = rep.dod();
-    double recharge_w = 0.0;
-    double dod_sum = 0.0;
-    for (int k = 0; k < healthyTotal_; ++k) {
-        recharge_w += input_w;
-        dod_sum += rep_dod;
-    }
-    rechargeSumW_ = recharge_w;
-    dodSum_ = dod_sum;
-    maxDodCache_ = std::max(0.0, rep_dod);
-}
 
 } // namespace dcbatt::battery
 

@@ -44,15 +44,17 @@ namespace {
 
 /**
  * A TraceSet replayed from trace time @p t0: run time 0 reads the
- * sample in force at @p t0. Rows are gathered from the per-rack series
- * into one buffer.
+ * sample in force at @p t0. A row request outside the cached block
+ * transposes the next kBlock samples of every per-rack series into a
+ * row-major buffer, so a row is one contiguous read and each series is
+ * read a block at a time rather than one strided sample per row.
  */
 class TraceSetRows final : public trace::DemandRows
 {
   public:
     TraceSetRows(const trace::TraceSet &set, Seconds t0)
-        : set_(&set), t0_(t0),
-          row_(static_cast<size_t>(set.rackCount()))
+        : set_(&set), t0_(t0), racks_(static_cast<size_t>(set.rackCount())),
+          block_(racks_ * kBlock)
     {
     }
 
@@ -65,15 +67,38 @@ class TraceSetRows final : public trace::DemandRows
     const double *
     row(size_t index) override
     {
-        for (size_t i = 0; i < row_.size(); ++i)
-            row_[i] = set_->rack(static_cast<int>(i))[index];
-        return row_.data();
+        if (index < first_ || index >= first_ + rows_)
+            fill(index);
+        return &block_[(index - first_) * racks_];
     }
 
   private:
+    /** Samples per block: 316 racks x 32 samples is 79 KiB. */
+    static constexpr size_t kBlock = 32;
+
+    void
+    fill(size_t index)
+    {
+        DCBATT_REQUIRE(index < set_->sampleCount(),
+                       "sample %zu outside a %zu-sample trace", index,
+                       set_->sampleCount());
+        first_ = index;
+        rows_ = std::min(kBlock, set_->sampleCount() - index);
+        for (size_t i = 0; i < racks_; ++i) {
+            const double *series =
+                set_->rack(static_cast<int>(i)).values().data() + index;
+            for (size_t s = 0; s < rows_; ++s)
+                block_[s * racks_ + i] = series[s];
+        }
+    }
+
     const trace::TraceSet *set_;
     Seconds t0_;
-    std::vector<double> row_;
+    size_t racks_;
+    std::vector<double> block_;
+    /** The cached block holds samples [first_, first_ + rows_). */
+    size_t first_ = 0;
+    size_t rows_ = 0;
 };
 
 std::unique_ptr<dynamo::ChargingCoordinator>

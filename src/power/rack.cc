@@ -30,8 +30,10 @@ Rack::attach(battery::FleetState &fleet, PowerTree &tree, int32_t leaf,
                    name_.c_str(), id_);
     fleet.itDemandW[row] = *itDemandW_;
     fleet.capW[row] = *capW_;
+    fleet.powerTouched[row] = *powerTouched_;
     itDemandW_ = &fleet.itDemandW[row];
     capW_ = &fleet.capW[row];
+    powerTouched_ = &fleet.powerTouched[row];
     tree_ = &tree;
     leaf_ = leaf;
     fleetTouched_ = fleet_touched;
@@ -40,7 +42,7 @@ Rack::attach(battery::FleetState &fleet, PowerTree &tree, int32_t leaf,
 void
 Rack::markPowerDirty()
 {
-    powerTouched_ = true;
+    *powerTouched_ = 1;
     if (tree_) {
         tree_->invalidate(leaf_);
         *fleetTouched_ = true;

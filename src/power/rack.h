@@ -13,7 +13,6 @@
 #ifndef DCBATT_POWER_RACK_H_
 #define DCBATT_POWER_RACK_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -138,35 +137,8 @@ class Rack
      * Topology::applyDemandRow() does not set it either: that keeps
      * the rack's fleet row current itself.
      */
-    bool powerTouched() const { return powerTouched_; }
-    void clearPowerTouched() { powerTouched_ = false; }
-
-    /**
-     * Batched stepping, part 1: stage this rack's lockstep charge lane
-     * if the shelf's next step qualifies (see PowerShelf). A rack that
-     * stages a lane must complete the step with applyBatchLane()
-     * instead of step().
-     */
-    battery::BatchLaneKind
-    tryExportBatchLane(util::Seconds dt,
-                       battery::BatchChargeStage &stage)
-    {
-        return shelf_.tryExportBatchLane(dt, stage);
-    }
-
-    /**
-     * Batched stepping, part 2: adopt the lane outputs and perform
-     * step()'s bookkeeping for that path. Eligibility implies input
-     * power is on (no outage check) and charging was active (the
-     * cached power aggregates above this rack go stale).
-     */
-    void
-    applyBatchLane(battery::BatchLaneKind kind, std::size_t lane,
-                   const battery::BatchChargeStage &stage)
-    {
-        shelf_.applyBatchLane(kind, lane, stage);
-        markPowerDirty();
-    }
+    bool powerTouched() const { return *powerTouched_ != 0; }
+    void clearPowerTouched() { *powerTouched_ = 0; }
 
     /**
      * Whether the servers lost power at any point (batteries ran out
@@ -176,12 +148,13 @@ class Rack
     void clearOutageFlag() { sawOutage_ = false; }
 
     /**
-     * Move the rack's demand and cap into row id() of @p fleet's
-     * storage columns, and wire up the tree leaf @p leaf it feeds and
-     * the topology's "some rack was touched" flag; every mutation of
-     * the rack's power draw then invalidates the cached aggregates on
-     * the leaf-to-root path and raises the flag. A free-standing rack
-     * (tests) keeps its own storage and runs without either.
+     * Move the rack's demand, cap and touched flag into row id() of
+     * @p fleet's storage columns, and wire up the tree leaf @p leaf it
+     * feeds and the topology's "some rack was touched" flag; every
+     * mutation of the rack's power draw then invalidates the cached
+     * aggregates on the leaf-to-root path and raises the flag. A
+     * free-standing rack (tests) keeps its own storage and runs
+     * without either.
      */
     void attach(battery::FleetState &fleet, PowerTree &tree, int32_t leaf,
                 bool *fleet_touched);
@@ -203,15 +176,17 @@ class Rack
     int32_t leaf_ = -1;
     bool *fleetTouched_ = nullptr;
     /**
-     * Demand and cap in watts: the rack's row of the topology's
-     * storage columns once attached, the two fields below before.
+     * Demand and cap in watts and the touched flag: the rack's row of
+     * the topology's storage columns once attached, the fields below
+     * before.
      */
     double *itDemandW_ = &ownItDemandW_;
     double *capW_ = &ownCapW_;
+    uint8_t *powerTouched_ = &ownPowerTouched_;
     double ownItDemandW_ = 0.0;
     double ownCapW_ = 0.0;
+    uint8_t ownPowerTouched_ = 1;
     bool sawOutage_ = false;
-    bool powerTouched_ = true;
 };
 
 } // namespace dcbatt::power

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "sim/sim_time.h"
 #include "util/logging.h"
 
 namespace dcbatt::power {
@@ -117,6 +118,25 @@ requirePositive(const char *field, util::Quantity<Tag> q,
     }
 }
 
+/** Fatal when @p v is NaN. */
+void
+requireNumber(const char *field, double v)
+{
+    if (std::isnan(v))
+        util::fatal(util::strf("RegionSpec: %s is NaN", field));
+}
+
+/** Fatal when positive @p step rounds to less than one tick. */
+void
+requireWholeTick(const char *field, util::Seconds step)
+{
+    if (sim::toTicks(step) < 1) {
+        util::fatal(util::strf(
+            "RegionSpec: %s %g s is below the 1 us tick", field,
+            step.value()));
+    }
+}
+
 } // namespace
 
 void
@@ -128,9 +148,20 @@ validateRegionSpec(const RegionSpec &spec)
         util::fatal("RegionSpec: need at least one MSB and rack");
     if (spec.sbsPerMsb <= 0 || spec.racksPerRpp <= 0)
         util::fatal("RegionSpec: bad SB/RPP fan-out");
+    // Every comparison below is false for a NaN, so NaNs go first.
+    requireNumber("physicsStep", spec.physicsStep.value());
+    requireNumber("traceStep", spec.traceStep.value());
+    requireNumber("coordinationPeriod", spec.coordinationPeriod.value());
+    requireNumber("duration", spec.duration.value());
+    requireNumber("targetMeanDod", spec.targetMeanDod);
+    requireNumber("firstOutage", spec.firstOutage.value());
+    requireNumber("outageStagger", spec.outageStagger.value());
     if (spec.physicsStep.value() <= 0.0
         || spec.traceStep.value() <= 0.0)
         util::fatal("RegionSpec: nonpositive step");
+    // The event queue's periodic tasks run on a 1 us tick.
+    requireWholeTick("physicsStep", spec.physicsStep);
+    requireWholeTick("traceStep", spec.traceStep);
     if (spec.coordinationPeriod.value() < spec.physicsStep.value())
         util::fatal(
             "RegionSpec: coordination period below physics step");
@@ -143,6 +174,11 @@ validateRegionSpec(const RegionSpec &spec)
     if (spec.firstOutage.value() < 0.0
         || spec.outageStagger.value() < 0.0)
         util::fatal("RegionSpec: negative outage schedule");
+    requirePositive("msbLimit", spec.msbLimit);
+    if (spec.auditInterval) {
+        requirePositive("auditInterval", *spec.auditInterval);
+        requireWholeTick("auditInterval", *spec.auditInterval);
+    }
     if (spec.regionBudget)
         requirePositive("regionBudget", *spec.regionBudget);
     requirePositive("suiteLimit", spec.suiteLimit, true);

@@ -47,6 +47,30 @@ void
 PowerTree::invalidateAll()
 {
     std::fill(valid_.begin(), valid_.end(), 0);
+    allStale_ = true;
+}
+
+void
+PowerTree::refreshAll()
+{
+    // leafPower() of an untouched fleet, then the inner nodes in
+    // refresh()'s order and child order: the same doubles.
+    const battery::FleetState &fleet = *fleet_;
+    const size_t rows = leafOfRow_.size();
+    for (size_t r = 0; r < rows; ++r) {
+        powerW_[static_cast<size_t>(leafOfRow_[r])] = fleet.inputOn[r]
+            ? fleet.itLoadW[r] + fleet.rechargeW[r]
+            : 0.0;
+    }
+    for (int32_t node : innerBottomUp_) {
+        auto i = static_cast<size_t>(node);
+        double total = 0.0;
+        for (int32_t k = childBegin_[i]; k < childBegin_[i + 1]; ++k)
+            total += powerW_[static_cast<size_t>(
+                childIndex_[static_cast<size_t>(k)])];
+        powerW_[i] = total;
+    }
+    std::fill(valid_.begin(), valid_.end(), 1);
 }
 
 void
@@ -54,6 +78,12 @@ PowerTree::refresh()
 {
     if (valid_[0])
         return;
+    const bool all_stale = allStale_;
+    allStale_ = false;
+    if (all_stale && !*touched_) {
+        refreshAll();
+        return;
+    }
     // Reverse creation order visits children before their parents.
     for (size_t i = powerW_.size(); i-- > 0;) {
         if (valid_[i])
@@ -299,6 +329,8 @@ Topology::build(const TopologySpec &spec,
                    "root %s is not the first node", spec.rootName.c_str());
     topo.fleet_ = std::make_unique<battery::FleetState>();
     topo.fleet_->resize(topo.rackPtrs_.size());
+    topo.lanes_ = std::make_unique<battery::ChargeLanes>(
+        topo.rackPtrs_.size(), spec.bbuParams);
 
     // Lay the tree out flat, in creation order.
     PowerTree &tree = *topo.tree_;
@@ -307,6 +339,7 @@ Topology::build(const TopologySpec &spec,
     tree.valid_.assign(n, 0);
     tree.parent_.assign(n, -1);
     tree.row_.assign(n, -1);
+    tree.leafOfRow_.assign(topo.rackPtrs_.size(), -1);
     tree.childBegin_.reserve(n + 1);
     tree.racks_ = topo.rackPtrs_;
     tree.fleet_ = topo.fleet_.get();
@@ -324,14 +357,21 @@ Topology::build(const TopologySpec &spec,
         }
         if (Rack *rack = node->rack_) {
             tree.row_[i] = rack->id();
+            tree.leafOfRow_[static_cast<size_t>(rack->id())] =
+                node->index_;
             rack->attach(*topo.fleet_, tree, node->index_,
                          &topo.activity_->touched);
+            rack->shelf().attachLanes(*topo.lanes_,
+                                      static_cast<size_t>(rack->id()));
+        } else {
+            tree.innerBottomUp_.push_back(node->index_);
         }
         if (node->breaker())
             topo.breakers_.push_back({node->index_, node->breaker()});
     }
     tree.childBegin_.push_back(
         static_cast<int32_t>(tree.childIndex_.size()));
+    std::reverse(tree.innerBottomUp_.begin(), tree.innerBottomUp_.end());
     return topo;
 }
 
@@ -385,10 +425,24 @@ Topology::stepRacks(Seconds dt)
             foldStepTotals();
         return;
     }
-    // Phase 1: stage every rack whose step is a lockstep integration
-    // over one interior CC/CV segment; step the rest in place. Racks
-    // are independent within a step, so reordering the staged racks'
-    // integration after the stragglers' changes nothing.
+    // Phase 1: re-check every resident lane's gate for this dt; the
+    // failures are evicted and step through the objects below. With
+    // batching off (or a step of dt <= 0, which moves no lane) no lane
+    // stays resident.
+    battery::ChargeLanes &lanes = *lanes_;
+    const bool batching =
+        dt.value() > 0.0 && battery::batchChargingEnabled();
+    if (batching)
+        lanes.beginStep(dt.value());
+    else
+        lanes.evictAll();
+    // Phase 2: visit the racks in id order. A resident lane is the
+    // table's to step; a touch since the last step can only have been
+    // a demand or cap write (anything else evicts), which moves the
+    // row's IT load alone. Every other rack whose step is a lockstep
+    // integration over one interior CC/CV segment is admitted; the
+    // rest step in place. Racks are independent within a step, so
+    // stepping the lanes after the stragglers changes nothing.
     //
     // A quiescent rack (input on, nothing charging) is the common case
     // outside a charging event: Rack::step() would only bump the
@@ -396,47 +450,47 @@ Topology::stepRacks(Seconds dt)
     // unless something touched the rack since the row was refreshed.
     // Racks with input off always refresh: discharge steps change the
     // shelf without touching the rack.
-    batchStage_.clear();
-    batchLanes_.clear();
+    walkRows_.clear();
+    uint8_t *touched = fleet.powerTouched.data();
     bool active = false;
-    const bool batching = battery::batchChargingEnabled();
     for (size_t i = 0; i < rackPtrs_.size(); ++i) {
+        if (lanes.resident(i)) {
+            refreshedRows_.push_back(i);
+            if (touched[i]) {
+                fleet.itLoadW[i] = cappedItLoad(Watts(fleet.itDemandW[i]),
+                                                Watts(fleet.capW[i]))
+                                       .value();
+                touched[i] = 0;
+            }
+            continue;
+        }
         Rack *rack = rackPtrs_[i];
         if (rack->shelf().tryQuiescentStep(dt)) {
-            if (rack->powerTouched())
+            if (touched[i]) {
                 refreshedRows_.push_back(i);
+                walkRows_.push_back(i);
+            }
             continue;
         }
         active = true;
         refreshedRows_.push_back(i);
-        battery::BatchLaneKind kind = batching
-            ? rack->tryExportBatchLane(dt, batchStage_)
-            : battery::BatchLaneKind::None;
-        if (kind == battery::BatchLaneKind::None)
+        walkRows_.push_back(i);
+        if (!batching || !lanes.tryAdmit(rack->shelf(), i, dt.value()))
             rack->step(dt);
-        else
-            batchLanes_.push_back({rack, kind});
     }
-    // Phase 2: one dense sweep over all staged lanes, then write the
-    // results back in staging order (lane index = per-kind ordinal).
-    if (!batchLanes_.empty()) {
-        DCBATT_COUNT_N("battery.batch_lanes", batchLanes_.size());
-        if (!batchKernel_) {
-            batchKernel_ = std::make_unique<battery::BatchChargeKernel>(
-                rackPtrs_.front()->shelf().params());
-        }
-        batchKernel_->advance(batchStage_, dt.value());
-        size_t cc = 0;
-        size_t cv = 0;
-        for (const BatchLaneRef &lane : batchLanes_) {
-            size_t idx = lane.kind == battery::BatchLaneKind::Cc
-                ? cc++
-                : cv++;
-            lane.rack->applyBatchLane(lane.kind, idx, batchStage_);
-        }
+    // Phase 3: one sweep advances every lane in place and writes the
+    // packs, shelves and `rechargeW` back; the tree above them goes
+    // stale as a whole.
+    if (lanes.size() != 0) {
+        active = true;
+        DCBATT_COUNT_N("battery.batch_lanes", lanes.size());
+        lanes.finishStep(dt.value(), fleet);
+        tree_->invalidateAll();
     }
-    // Phase 3: refresh the stale fleet rows from the post-step state.
-    for (size_t i : refreshedRows_) {
+    // Phase 4: read the other refreshed rows back from the racks. A
+    // lane's row needs this only on the step it is admitted: its other
+    // columns do not move while it is resident.
+    for (size_t i : walkRows_) {
         Rack &r = *rackPtrs_[i];
         fleet.itLoadW[i] = r.itLoad().value();
         fleet.rechargeW[i] = r.rechargePower().value();

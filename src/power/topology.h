@@ -21,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "battery/batch_charge_kernel.h"
+#include "battery/charge_lanes.h"
 #include "battery/charger_policy.h"
 #include "battery/fleet_state.h"
 #include "power/breaker.h"
@@ -86,11 +86,17 @@ class PowerTree
      * Re-sum every stale node bottom-up over the indices, children in
      * child order, so each value is bit-identical to a cold recursive
      * recompute. A fresh root means a fresh tree: that costs one load.
+     * When every node is stale and no rack was touched, the leaves
+     * are written in one pass over the fleet rows and the inner nodes
+     * in one pass over the CSR, with no per-node flag tests.
      */
     void refresh();
 
   private:
     friend class Topology;
+
+    /** refresh() with every node stale and every fleet row current. */
+    void refreshAll();
 
     /**
      * A leaf's input power. When no rack was touched since the last
@@ -108,6 +114,12 @@ class PowerTree
     std::vector<int32_t> childIndex_;
     /** Fleet row of a leaf node, -1 for an inner node. */
     std::vector<int32_t> row_;
+    /** Leaf node of each fleet row (row_ inverted). */
+    std::vector<int32_t> leafOfRow_;
+    /** Inner nodes in reverse creation order: children first. */
+    std::vector<int32_t> innerBottomUp_;
+    /** Set by invalidateAll(), cleared by refresh(). */
+    bool allStale_ = true;
     /** Racks by row, for leaves read while some rack is touched. */
     std::vector<Rack *> racks_;
     const battery::FleetState *fleet_ = nullptr;
@@ -236,7 +248,10 @@ class Topology
      * when no row changed and no demand row was applied, the power
      * totals are kept too. When the topology is quiet() the step
      * visits no rack at all: it counts as one more quiescent step of
-     * every shelf, and re-folds the totals after a demand row.
+     * every shelf, and re-folds the totals after a demand row. A rack
+     * charging in lockstep inside one CC/CV segment is stepped as a
+     * resident charge lane (battery/charge_lanes.h, DESIGN.md §16)
+     * instead of through Rack::step(), with the same results.
      */
     void stepRacks(util::Seconds dt);
 
@@ -305,13 +320,6 @@ class Topology
     /** Fold stepTotals_ over every fleet row, in row order. */
     void foldStepTotals();
 
-    /** One rack staged for the batched lockstep charge sweep. */
-    struct BatchLaneRef
-    {
-        Rack *rack;
-        battery::BatchLaneKind kind;
-    };
-
     std::vector<std::unique_ptr<PowerNode>> nodes_;
     std::vector<std::unique_ptr<Rack>> racks_;
     std::vector<Rack *> rackPtrs_;
@@ -322,16 +330,15 @@ class Topology
     std::unique_ptr<battery::FleetState> fleet_;
     std::unique_ptr<PowerTree> tree_;
     /**
-     * Batched-charging scratch, reused across stepRacks() calls (the
-     * vectors keep their capacity). The kernel is built lazily on the
-     * first step — every rack shares one BbuParams by construction,
-     * so the first rack's calibration covers the fleet.
+     * The resident lockstep charge lanes (battery/charge_lanes.h), one
+     * table row per rack row; owned via pointer because every shelf
+     * points at it.
      */
-    std::unique_ptr<battery::BatchChargeKernel> batchKernel_;
-    battery::BatchChargeStage batchStage_;
-    std::vector<BatchLaneRef> batchLanes_;
+    std::unique_ptr<battery::ChargeLanes> lanes_;
     /** Rows the last stepRacks() refreshed (see refreshedRows()). */
     std::vector<size_t> refreshedRows_;
+    /** The refreshed rows read back through the rack accessors. */
+    std::vector<size_t> walkRows_;
     /**
      * Whole-step activity, shared with every rack and shelf (so owned
      * via pointer, like the rows): racks raise `touched`, shelves add

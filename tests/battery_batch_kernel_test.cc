@@ -1,21 +1,24 @@
 /**
  * @file
- * Bit-parity contract of the batched CC-CV lanes
- * (battery/batch_charge_kernel.h):
+ * Bit-parity contract of the resident charge lanes
+ * (battery/charge_lanes.h, battery/batch_charge_kernel.h):
  *
- *  1. export -> batch advance -> apply must leave a pack in exactly
- *     the state BbuModel::step() would have produced (every double
- *     bit-equal), across CC, CV, and the boundary steps that fall
- *     back to the scalar path;
+ *  1. a rack stepped as a resident lane must leave its representative
+ *     pack in exactly the state BbuModel::step() would have produced
+ *     (every double bit-equal), across CC, CV, and the boundary steps
+ *     that evict the lane to the object path;
  *  2. the AVX2 lanes must be bit-identical to the scalar lanes;
  *  3. a Topology stepped with batching on and off must produce
- *     byte-identical fleet rows.
+ *     byte-identical fleet rows, totals, tree nodes, packs and shelf
+ *     step counters, through every mutation that evicts a lane.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdlib>
+#include <cstring>
 #include <vector>
 
 #include "battery/batch_charge_kernel.h"
@@ -30,6 +33,7 @@ namespace {
 
 using util::Amperes;
 using util::Seconds;
+using util::Watts;
 
 /** a and b must agree on every dynamic field, bit for bit. */
 void
@@ -54,77 +58,104 @@ expectBitEqual(const BbuModel &a, const BbuModel &b, int where)
         << "step " << where;
 }
 
-TEST(BatchLane, ExportApplyMatchesScalarStepBitExact)
+/** A one-rack topology whose shelf charges from @p dod at @p sp. */
+power::Topology
+chargingRack(double dod, double sp)
+{
+    power::TopologySpec spec;
+    spec.rootKind = power::NodeKind::Rpp;
+    spec.rootName = "rpp0";
+    spec.racksPerRpp = 1;
+    power::Topology topo =
+        power::Topology::build(spec, makeVariableCharger());
+    PowerShelf &shelf = topo.rack(0).shelf();
+    topo.rack(0).setItDemand(util::kilowatts(8.0));
+    shelf.loseInputPower();
+    shelf.forceUniformDod(dod);
+    shelf.setOverride(Amperes(sp));
+    shelf.restoreInputPower();
+    return topo;
+}
+
+uint64_t
+lanesCounted()
+{
+    return obs::counter("battery.batch_lanes").value();
+}
+
+TEST(BatchLane, ResidentLaneMatchesScalarStepBitExact)
 {
     BbuParams params;
-    BatchChargeKernel kernel(params);
     int cc_lanes = 0;
     int cv_lanes = 0;
-    int scalar_steps = 0;
+    int object_steps = 0;
     for (double dod : {0.95, 0.6, 0.3, 0.15}) {
         for (double sp : {1.0, 2.5, 5.0}) {
             for (double dt : {1.0, 4.0, 37.5}) {
+                power::Topology topo = chargingRack(dod, sp);
+                const PowerShelf &shelf = topo.rack(0).shelf();
                 BbuModel scalar(params);
-                BbuModel batched(params);
                 scalar.forceDod(dod);
-                batched.forceDod(dod);
                 scalar.startCharging(Amperes(sp));
-                batched.startCharging(Amperes(sp));
-                BatchChargeStage stage;
-                for (int i = 0; i < 100000 && scalar.charging();
-                     ++i) {
+                for (int i = 0; i < 100000 && scalar.charging(); ++i) {
+                    const bool cv = scalar.inCvPhase();
+                    const uint64_t before = lanesCounted();
                     scalar.step(Seconds(dt));
-                    stage.clear();
-                    BatchLaneKind kind =
-                        batched.tryExportBatchLane(dt, stage);
-                    if (kind == BatchLaneKind::None) {
-                        ++scalar_steps;
-                        batched.step(Seconds(dt));
-                    } else {
-                        kind == BatchLaneKind::Cc ? ++cc_lanes
-                                                  : ++cv_lanes;
-                        kernel.advanceWithMode(stage, dt,
-                                               SimdMode::Scalar);
-                        batched.applyBatchLane(kind, 0, stage);
-                    }
-                    expectBitEqual(scalar, batched, i);
+                    topo.stepRacks(Seconds(dt));
+                    if (lanesCounted() == before)
+                        ++object_steps;
+                    else
+                        cv ? ++cv_lanes : ++cc_lanes;
+                    expectBitEqual(scalar, shelf.representative(), i);
                 }
                 EXPECT_TRUE(scalar.fullyCharged());
-                EXPECT_TRUE(batched.fullyCharged());
+                EXPECT_TRUE(shelf.fullyCharged());
             }
         }
     }
     // Every path must actually have been exercised.
     EXPECT_GT(cc_lanes, 100);
     EXPECT_GT(cv_lanes, 100);
-    EXPECT_GT(scalar_steps, 10);
+    EXPECT_GT(object_steps, 10);
 }
 
-TEST(BatchLane, IneligibleConfigurationsStayScalar)
+TEST(BatchLane, IneligibleConfigurationsStayOnObjectPath)
 {
-    BbuParams params;
-    BatchChargeStage stage;
+    // Each topology's next step must run through PowerShelf::step().
+    auto expect_no_lane = [](power::Topology &topo, double dt,
+                             const char *what) {
+        const uint64_t before = lanesCounted();
+        topo.stepRacks(Seconds(dt));
+        EXPECT_EQ(lanesCounted(), before) << what;
+    };
 
-    BbuModel idle(params);
-    EXPECT_EQ(idle.tryExportBatchLane(4.0, stage),
-              BatchLaneKind::None);
+    power::Topology idle = chargingRack(0.0, 5.0);
+    expect_no_lane(idle, 4.0, "fully charged");
 
-    BbuModel paused(params);
-    paused.forceDod(0.8);
-    paused.startCharging(Amperes(5.0));
-    paused.setPaused(true);
-    EXPECT_EQ(paused.tryExportBatchLane(4.0, stage),
-              BatchLaneKind::None);
+    // Restoring power leaves the packs materialized: the first step
+    // is a twin-compare walk, the second a lane.
+    power::Topology fresh = chargingRack(0.8, 5.0);
+    expect_no_lane(fresh, 4.0, "first step after restore");
+    const uint64_t before = lanesCounted();
+    fresh.stepRacks(Seconds(4.0));
+    EXPECT_EQ(lanesCounted(), before + 1) << "lockstep interior step";
 
-    // A step that crosses the CC->CV handover must not stage.
-    BbuModel near_handover(params);
-    near_handover.forceDod(0.8);
-    near_handover.startCharging(Amperes(5.0));
-    EXPECT_EQ(near_handover.tryExportBatchLane(1e9, stage),
-              BatchLaneKind::None);
+    power::Topology held = chargingRack(0.8, 5.0);
+    held.stepRacks(Seconds(4.0));
+    held.rack(0).shelf().holdCharging();
+    expect_no_lane(held, 4.0, "held");
 
-    EXPECT_EQ(stage.ccLanes(), 0u);
-    EXPECT_EQ(stage.cvLanes(), 0u);
+    // A step that crosses the CC->CV handover must not run as a lane.
+    power::Topology near_handover = chargingRack(0.8, 5.0);
+    near_handover.stepRacks(Seconds(4.0));
+    expect_no_lane(near_handover, 1e5, "handover inside dt");
+
+    // Packs that are not twins step one by one.
+    power::Topology split = chargingRack(0.8, 5.0);
+    split.stepRacks(Seconds(4.0));
+    split.rack(0).shelf().bbu(3).setSetpoint(Amperes(2.0));
+    expect_no_lane(split, 4.0, "packs not in lockstep");
+    expect_no_lane(split, 4.0, "packs still not in lockstep");
 }
 
 TEST(BatchKernel, Avx2LanesMatchScalarBitExact)
@@ -137,46 +168,39 @@ TEST(BatchKernel, Avx2LanesMatchScalarBitExact)
     // Odd lane count: the last three CC / CV lanes take the scalar
     // tail inside the AVX2 mode, which must splice seamlessly.
     constexpr size_t kLanes = 1003;
-    BatchChargeStage scalar_stage;
+    ChargeLaneColumns scalar_lanes;
     for (size_t i = 0; i < kLanes; ++i) {
-        scalar_stage.ccDod.push_back(rng.uniform(0.25, 1.0));
-        scalar_stage.ccSetpointA.push_back(rng.uniform(1.0, 5.0));
-        scalar_stage.cvDod.push_back(rng.uniform(0.0, 0.2));
-        scalar_stage.cvI0A.push_back(rng.uniform(0.4, 5.0));
-        scalar_stage.cvSetpointA.push_back(rng.uniform(1.0, 5.0));
-        scalar_stage.cvElapsedS.push_back(rng.uniform(0.0, 900.0));
+        scalar_lanes.ccDod.push_back(rng.uniform(0.25, 1.0));
+        scalar_lanes.ccSetpointA.push_back(rng.uniform(1.0, 5.0));
+        scalar_lanes.ccInputW.push_back(0.0);
+        scalar_lanes.cvDod.push_back(rng.uniform(0.0, 0.2));
+        scalar_lanes.cvCurrentA.push_back(rng.uniform(0.4, 5.0));
+        scalar_lanes.cvSetpointA.push_back(rng.uniform(1.0, 5.0));
+        scalar_lanes.cvElapsedS.push_back(rng.uniform(0.0, 900.0));
+        scalar_lanes.cvInputW.push_back(0.0);
+        scalar_lanes.cvTotalS.push_back(1e9);
     }
-    BatchChargeStage avx_stage = scalar_stage;
-    for (double dt : {1.0, 4.0, 37.5}) {
-        kernel.advanceWithMode(scalar_stage, dt, SimdMode::Scalar);
-        kernel.advanceWithMode(avx_stage, dt, SimdMode::Avx2);
-        for (size_t i = 0; i < kLanes; ++i) {
-            ASSERT_EQ(
-                std::bit_cast<uint64_t>(scalar_stage.ccDodOut[i]),
-                std::bit_cast<uint64_t>(avx_stage.ccDodOut[i]))
-                << i;
-            ASSERT_EQ(
-                std::bit_cast<uint64_t>(scalar_stage.ccInputW[i]),
-                std::bit_cast<uint64_t>(avx_stage.ccInputW[i]))
-                << i;
-            ASSERT_EQ(
-                std::bit_cast<uint64_t>(scalar_stage.cvDodOut[i]),
-                std::bit_cast<uint64_t>(avx_stage.cvDodOut[i]))
-                << i;
-            ASSERT_EQ(std::bit_cast<uint64_t>(
-                          scalar_stage.cvElapsedOutS[i]),
-                      std::bit_cast<uint64_t>(
-                          avx_stage.cvElapsedOutS[i]))
-                << i;
-            ASSERT_EQ(
-                std::bit_cast<uint64_t>(scalar_stage.cvCurrentA[i]),
-                std::bit_cast<uint64_t>(avx_stage.cvCurrentA[i]))
-                << i;
-            ASSERT_EQ(
-                std::bit_cast<uint64_t>(scalar_stage.cvInputW[i]),
-                std::bit_cast<uint64_t>(avx_stage.cvInputW[i]))
-                << i;
+    ChargeLaneColumns avx_lanes = scalar_lanes;
+    auto same = [](const std::vector<double> &a,
+                   const std::vector<double> &b, const char *column) {
+        for (size_t i = 0; i < a.size(); ++i) {
+            ASSERT_EQ(std::bit_cast<uint64_t>(a[i]),
+                      std::bit_cast<uint64_t>(b[i]))
+                << column << " lane " << i;
         }
+    };
+    // Several steps in place: each one starts from the last's output.
+    for (double dt : {1.0, 4.0, 37.5}) {
+        kernel.advanceWithMode(scalar_lanes, dt, SimdMode::Scalar);
+        kernel.advanceWithMode(avx_lanes, dt, SimdMode::Avx2);
+        same(scalar_lanes.ccDod, avx_lanes.ccDod, "ccDod");
+        same(scalar_lanes.ccInputW, avx_lanes.ccInputW, "ccInputW");
+        same(scalar_lanes.cvDod, avx_lanes.cvDod, "cvDod");
+        same(scalar_lanes.cvElapsedS, avx_lanes.cvElapsedS,
+             "cvElapsedS");
+        same(scalar_lanes.cvCurrentA, avx_lanes.cvCurrentA,
+             "cvCurrentA");
+        same(scalar_lanes.cvInputW, avx_lanes.cvInputW, "cvInputW");
     }
 }
 
@@ -235,12 +259,222 @@ TEST(TopologyBatch, FleetRowsMatchScalarWalkByteExact)
     ASSERT_EQ(setenv("DCBATT_BATCH", "on", 1), 0);
     std::vector<uint64_t> batched_series = runRechargeSeries();
     unsetenv("DCBATT_BATCH");
-    // The batched run must actually have staged lanes (the comparison
+    // The batched run must actually have run lanes (the comparison
     // would pass vacuously if everything fell back to the walk).
     EXPECT_GT(lanes.value(), lanes_before + 1000);
     ASSERT_EQ(scalar_series.size(), batched_series.size());
     for (size_t i = 0; i < scalar_series.size(); ++i)
         ASSERT_EQ(scalar_series[i], batched_series[i]) << i;
+}
+
+// ---------------------------------------------------------------------
+// Lane residency. One topology steps with resident charge lanes, a
+// twin through the object walk (DCBATT_BATCH=off), both through a
+// charging event that evicts lanes every way the contract names: caps
+// and uncaps (which must not evict), Dynamo-style set-current
+// overrides and their release, holds and resumes, a pack failure and
+// its repair, an invariant-auditor style pack read (twin
+// materialization) and a second open transition mid-charge. After
+// every step the two must agree bit for bit on every fleet column,
+// the step totals, every tree node, each representative pack and
+// each shelf's step counters.
+// ---------------------------------------------------------------------
+
+template <typename T>
+bool
+sameColumn(const std::vector<T> &a, const std::vector<T> &b)
+{
+    return a.size() == b.size()
+        && std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+bool
+sameBits(double a, double b)
+{
+    return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+void
+expectResidencyExact(power::Topology &lanes, power::Topology &walk,
+                     int step)
+{
+    const FleetState &a = lanes.fleet();
+    const FleetState &b = walk.fleet();
+    ASSERT_TRUE(sameColumn(a.itDemandW, b.itDemandW)) << "step " << step;
+    ASSERT_TRUE(sameColumn(a.capW, b.capW)) << "step " << step;
+    ASSERT_TRUE(sameColumn(a.powerTouched, b.powerTouched))
+        << "step " << step;
+    ASSERT_TRUE(sameColumn(a.itLoadW, b.itLoadW)) << "step " << step;
+    ASSERT_TRUE(sameColumn(a.rechargeW, b.rechargeW)) << "step " << step;
+    ASSERT_TRUE(sameColumn(a.inputOn, b.inputOn)) << "step " << step;
+    ASSERT_TRUE(sameColumn(a.held, b.held)) << "step " << step;
+    ASSERT_TRUE(sameColumn(a.fullyCharged, b.fullyCharged))
+        << "step " << step;
+    ASSERT_TRUE(sameColumn(a.chargingBbus, b.chargingBbus))
+        << "step " << step;
+    ASSERT_TRUE(sameColumn(a.cvBbus, b.cvBbus)) << "step " << step;
+    ASSERT_EQ(lanes.refreshedRows(), walk.refreshedRows())
+        << "step " << step;
+    const power::Topology::StepPowerTotals &ta = lanes.stepPowerTotals();
+    const power::Topology::StepPowerTotals &tb = walk.stepPowerTotals();
+    ASSERT_TRUE(sameBits(ta.itW, tb.itW)) << "step " << step;
+    ASSERT_TRUE(sameBits(ta.rechargeW, tb.rechargeW)) << "step " << step;
+    ASSERT_TRUE(sameBits(ta.capW, tb.capW)) << "step " << step;
+    for (power::NodeKind kind :
+         {power::NodeKind::Msb, power::NodeKind::Sb, power::NodeKind::Rpp,
+          power::NodeKind::RackNode}) {
+        std::vector<power::PowerNode *> na = lanes.nodesOfKind(kind);
+        std::vector<power::PowerNode *> nb = walk.nodesOfKind(kind);
+        ASSERT_EQ(na.size(), nb.size());
+        for (size_t k = 0; k < na.size(); ++k) {
+            ASSERT_TRUE(sameBits(na[k]->inputPower().value(),
+                                 nb[k]->inputPower().value()))
+                << na[k]->name() << " step " << step;
+        }
+    }
+    for (size_t i = 0; i < lanes.racks().size(); ++i) {
+        const PowerShelf &sa = lanes.racks()[i]->shelf();
+        const PowerShelf &sb = walk.racks()[i]->shelf();
+        const BbuModel &pa = sa.representative();
+        const BbuModel &pb = sb.representative();
+        ASSERT_TRUE(pa.matches(pb.chargeState()))
+            << "rack " << i << " step " << step;
+        ASSERT_TRUE(sameBits(pa.chargingCurrent().value(),
+                             pb.chargingCurrent().value()))
+            << "rack " << i << " step " << step;
+        ASSERT_TRUE(sameBits(pa.inputPower().value(),
+                             pb.inputPower().value()))
+            << "rack " << i << " step " << step;
+        const PowerShelf::StepStats ca = sa.stepStats();
+        const PowerShelf::StepStats cb = sb.stepStats();
+        ASSERT_EQ(ca.quiescentSteps, cb.quiescentSteps) << "rack " << i;
+        ASSERT_EQ(ca.lockstepSteps, cb.lockstepSteps) << "rack " << i;
+        ASSERT_EQ(ca.fullSteps, cb.fullSteps) << "rack " << i;
+        ASSERT_EQ(ca.materializations, cb.materializations)
+            << "rack " << i;
+    }
+}
+
+TEST(TopologyBatch, ResidentLanesMatchObjectWalkBitExact)
+{
+    power::TopologySpec spec;
+    spec.rootKind = power::NodeKind::Msb;
+    spec.sbsPerMsb = 2;
+    spec.rppsPerSb = 2;
+    spec.racksPerRpp = 6;
+    power::Topology lanes =
+        power::Topology::build(spec, makeVariableCharger());
+    power::Topology walk =
+        power::Topology::build(spec, makeVariableCharger());
+    const int n = static_cast<int>(lanes.racks().size());
+    std::vector<power::PowerNode *> rpps =
+        lanes.nodesOfKind(power::NodeKind::Rpp);
+    std::vector<power::PowerNode *> walk_rpps =
+        walk.nodesOfKind(power::NodeKind::Rpp);
+    auto both = [&](int id, auto &&mutate) {
+        mutate(lanes.rack(id));
+        mutate(walk.rack(id));
+    };
+    util::Rng rng(1910);
+    std::vector<double> row(static_cast<size_t>(n));
+    for (double &w : row)
+        w = rng.uniform(4000.0, 11000.0);
+    lanes.applyDemandRow(row.data());
+    walk.applyDemandRow(row.data());
+
+    int step = 0;
+    uint64_t lane_steps = 0;
+    auto step_both = [&](double dt) {
+        ASSERT_EQ(setenv("DCBATT_BATCH", "off", 1), 0);
+        walk.stepRacks(Seconds(dt));
+        walk.observeBreakers(Seconds(dt));
+        unsetenv("DCBATT_BATCH");
+        const uint64_t before = lanesCounted();
+        lanes.stepRacks(Seconds(dt));
+        lanes.observeBreakers(Seconds(dt));
+        lane_steps += lanesCounted() - before;
+        expectResidencyExact(lanes, walk, step);
+        ++step;
+    };
+
+    // Discharge the whole MSB for a while; unequal demands leave
+    // unequal DODs, so the lanes sit at different points of CC and CV.
+    power::Topology::startOpenTransition(lanes.root());
+    power::Topology::startOpenTransition(walk.root());
+    for (int k = 0; k < 120; ++k)
+        step_both(1.0);
+    power::Topology::endOpenTransition(lanes.root());
+    power::Topology::endOpenTransition(walk.root());
+
+    int overrides = 0;
+    int holds = 0;
+    for (int m = 0; m < 20000; ++m) {
+        const auto id = static_cast<int>(rng.uniform(0.0, 1.0) * n);
+        const double roll = rng.uniform(0.0, 1.0);
+        if (roll < 0.03) {
+            Watts cap(rng.uniform(0.0, 3000.0));
+            both(id, [cap](power::Rack &r) { r.setCapAmount(cap); });
+        } else if (roll < 0.05) {
+            both(id, [](power::Rack &r) { r.uncap(); });
+        } else if (roll < 0.07) {
+            Amperes current(rng.uniform(1.0, 5.0));
+            both(id, [current](power::Rack &r) {
+                r.shelf().setOverride(current);
+            });
+            ++overrides;
+        } else if (roll < 0.08) {
+            both(id, [](power::Rack &r) { r.shelf().clearOverride(); });
+        } else if (roll < 0.085 && m < 4000) {
+            both(id, [](power::Rack &r) { r.shelf().holdCharging(); });
+            ++holds;
+        } else if (roll < 0.095) {
+            both(id, [](power::Rack &r) { r.shelf().resumeCharging(); });
+        } else if (roll < 0.1) {
+            // The invariant auditor's per-pack read.
+            (void)lanes.rack(id).shelf().bbu(4).dod();
+            (void)walk.rack(id).shelf().bbu(4).dod();
+        } else if (roll < 0.12) {
+            Watts demand(rng.uniform(4000.0, 11000.0));
+            both(id, [demand](power::Rack &r) { r.setItDemand(demand); });
+        }
+        if (m % 3 == 0) {
+            row[static_cast<size_t>(id)] = rng.uniform(4000.0, 11000.0);
+            lanes.applyDemandRow(row.data());
+            walk.applyDemandRow(row.data());
+        }
+        if (m == 300)
+            both(5, [](power::Rack &r) { r.shelf().failBbu(2); });
+        if (m == 900)
+            both(5, [](power::Rack &r) { r.shelf().repairBbu(2); });
+        if (m == 600) {
+            power::Topology::startOpenTransition(*rpps[1]);
+            power::Topology::startOpenTransition(*walk_rpps[1]);
+        }
+        if (m == 640) {
+            power::Topology::endOpenTransition(*rpps[1]);
+            power::Topology::endOpenTransition(*walk_rpps[1]);
+        }
+        step_both(m % 50 == 49 ? 7.5 : 1.0);
+        if (HasFatalFailure())
+            return;
+        const bool charging = std::any_of(
+            lanes.racks().begin(), lanes.racks().end(),
+            [](const power::Rack *r) { return r->shelf().anyCharging(); });
+        if (m > 1000 && !charging)
+            break;
+        // Release every hold late on, so the event completes.
+        if (m == 5000) {
+            for (int i = 0; i < n; ++i)
+                both(i, [](power::Rack &r) { r.shelf().resumeCharging(); });
+        }
+    }
+    // The walk must have exercised what it claims to: lanes resident
+    // over many steps, and every kind of eviction.
+    EXPECT_GT(lane_steps, 20000u);
+    EXPECT_GT(overrides, 50);
+    EXPECT_GT(holds, 10);
+    for (const power::Rack *r : lanes.racks())
+        EXPECT_TRUE(r->shelf().fullyCharged()) << r->name();
 }
 
 } // namespace

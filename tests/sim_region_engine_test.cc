@@ -16,8 +16,10 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/charging_event_sim.h"
@@ -369,6 +371,82 @@ TEST(RegionEngineDeathTest, OutageAfterRunEndRejectedBeforeShards)
     EXPECT_EXIT(runRegion(spec, {}), ::testing::ExitedWithCode(1),
                 "RegionSpec: MSB 7 open transition \\[2400, [0-9]+\\]s "
                 "ends outside the 2400 s run");
+}
+
+TEST(RegionEngineDeathTest, NanFieldsRejectedByName)
+{
+    // Every `<= 0` and `<` test is false for a NaN, so each would pass
+    // validation and poison the run.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const std::pair<const char *, void (*)(power::RegionSpec &, double)>
+        fields[] = {
+            {"physicsStep",
+             [](power::RegionSpec &s, double v) {
+                 s.physicsStep = util::Seconds(v);
+             }},
+            {"traceStep",
+             [](power::RegionSpec &s, double v) {
+                 s.traceStep = util::Seconds(v);
+             }},
+            {"coordinationPeriod",
+             [](power::RegionSpec &s, double v) {
+                 s.coordinationPeriod = util::Seconds(v);
+             }},
+            {"duration",
+             [](power::RegionSpec &s, double v) {
+                 s.duration = util::Seconds(v);
+             }},
+            {"targetMeanDod",
+             [](power::RegionSpec &s, double v) { s.targetMeanDod = v; }},
+            {"firstOutage",
+             [](power::RegionSpec &s, double v) {
+                 s.firstOutage = util::Seconds(v);
+             }},
+            {"outageStagger",
+             [](power::RegionSpec &s, double v) {
+                 s.outageStagger = util::Seconds(v);
+             }},
+        };
+    for (const auto &[field, set] : fields) {
+        power::RegionSpec spec = smallSpec();
+        set(spec, nan);
+        EXPECT_EXIT(power::validateRegionSpec(spec),
+                    ::testing::ExitedWithCode(1),
+                    std::string("RegionSpec: ") + field + " is NaN")
+            << field;
+    }
+}
+
+TEST(RegionEngineDeathTest, NonPositiveMsbLimitRejected)
+{
+    for (double kw : {0.0, -320.0}) {
+        power::RegionSpec spec = smallSpec();
+        spec.msbLimit = util::kilowatts(kw);
+        EXPECT_EXIT(power::validateRegionSpec(spec),
+                    ::testing::ExitedWithCode(1),
+                    "RegionSpec: msbLimit must be positive");
+    }
+}
+
+TEST(RegionEngineDeathTest, SubTickStepsAndAuditRejectedByName)
+{
+    // A positive step under one 1 us tick rounds to a zero period,
+    // which the event queue's periodic task would reject mid-run.
+    power::RegionSpec physics = smallSpec();
+    physics.physicsStep = util::Seconds(1e-7);
+    EXPECT_EXIT(power::validateRegionSpec(physics),
+                ::testing::ExitedWithCode(1),
+                "RegionSpec: physicsStep .* below the 1 us tick");
+    power::RegionSpec trace = smallSpec();
+    trace.traceStep = util::Seconds(4e-7);
+    EXPECT_EXIT(power::validateRegionSpec(trace),
+                ::testing::ExitedWithCode(1),
+                "RegionSpec: traceStep .* below the 1 us tick");
+    power::RegionSpec audit = smallSpec();
+    audit.auditInterval = util::Seconds(0.0);
+    EXPECT_EXIT(power::validateRegionSpec(audit),
+                ::testing::ExitedWithCode(1),
+                "RegionSpec: auditInterval must be positive");
 }
 
 /**

@@ -100,8 +100,6 @@ parseArgs(int argc, char **argv, CliOptions &options)
     flags.addSwitch("--verbose", &options.verbose,
                     "debug logging on stderr");
     flags.parse(argc, argv);
-    if (spec.auditInterval && spec.auditInterval->value() <= 0.0)
-        util::fatal("--audit-seconds must be positive");
 }
 
 } // namespace
