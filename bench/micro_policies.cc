@@ -11,6 +11,8 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "battery/bbu.h"
@@ -534,6 +536,56 @@ BM_RegionBudgetSplit(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_RegionBudgetSplit)->Arg(50);
+
+/** region_surge's shape: 48 MSB shards per coordination tick. */
+constexpr size_t kShards = 48;
+
+void
+BM_ParallelForDispatch(benchmark::State &state)
+{
+    // The fork-join's own cost: post the 48 shards to 4 lanes (3
+    // workers plus the caller), drain empty bodies, join.
+    util::ThreadPool pool(3);
+    const std::function<void(size_t)> body = [](size_t) {};
+    for (auto _ : state)
+        pool.parallelFor(kShards, body);
+    state.SetItemsProcessed(state.iterations() * kShards);
+}
+BENCHMARK(BM_ParallelForDispatch)->UseRealTime();
+
+void
+BM_ParallelForShards(benchmark::State &state)
+{
+    // Shard affinity: 48 shards, each with its own 64 KiB slab, one
+    // pass over every slab per iteration, in process CPU time. Arg is
+    // the lane count; 1 walks the slabs in a plain loop. With home
+    // blocks a lane's 12 slabs (768 KiB) stay in its core's cache
+    // from call to call; shards dealt out in arrival order move
+    // between cores and refetch their slabs.
+    const auto lanes = static_cast<unsigned>(state.range(0));
+    constexpr size_t kSlabDoubles = 64 * 1024 / sizeof(double);
+    std::vector<std::vector<double>> slabs(
+        kShards, std::vector<double>(kSlabDoubles, 1.0));
+    const std::function<void(size_t)> walk = [&slabs](size_t shard) {
+        for (double &x : slabs[shard])
+            x = x * 0.999999 + 1e-6;
+    };
+    std::unique_ptr<util::ThreadPool> pool;
+    if (lanes > 1)
+        pool = std::make_unique<util::ThreadPool>(lanes - 1);
+    for (auto _ : state) {
+        if (pool) {
+            pool->parallelFor(kShards, walk);
+        } else {
+            for (size_t shard = 0; shard < kShards; ++shard)
+                walk(shard);
+        }
+        benchmark::ClobberMemory();
+    }
+    benchmark::DoNotOptimize(slabs.front().data());
+    state.SetBytesProcessed(state.iterations() * kShards * 64 * 1024);
+}
+BENCHMARK(BM_ParallelForShards)->Arg(1)->Arg(4)->MeasureProcessCPUTime();
 
 } // namespace
 

@@ -53,13 +53,21 @@ class MsbShard
           run_(runConfig(spec, index), queue_, source_,
                [this](Seconds) { observeStep(); })
     {
+        for (const power::Rack *rack : run_.topology().racks())
+            priorityRow_.push_back(static_cast<uint8_t>(
+                power::priorityIndex(rack->priority())));
+        report_ = msbBudgetReport(spec, index, run_.topology(),
+                                  priorityRow_);
     }
 
     /** The run's step callback holds this shard's address. */
     MsbShard(const MsbShard &) = delete;
     MsbShard &operator=(const MsbShard &) = delete;
 
-    /** Run this shard's queue through @p until. */
+    /**
+     * Run this shard's queue through @p until, then fold its budget
+     * report while the fleet columns are still in this lane's cache.
+     */
     void
     runUntil(Tick until)
     {
@@ -69,33 +77,15 @@ class MsbShard
         if (journal_)
             scope.emplace(name_);
         queue_.runUntil(until);
+        report_ = msbBudgetReport(*spec_, index_, run_.topology(),
+                                  priorityRow_);
     }
 
-    /** Budget-splitter input; called between chunks only. */
-    core::MsbBudgetReport
-    report() const
-    {
-        core::MsbBudgetReport r;
-        r.msbIndex = index_;
-        r.suite = power::suiteOfMsb(*spec_, index_);
-        r.building = power::buildingOfMsb(*spec_, index_);
-        r.breakerLimitW = spec_->msbLimit.value();
-        // IT demand, not measured draw: during an open transition the
-        // grid sees nothing, but the grant must already cover the
-        // load for the restore instant.
-        double per_rack_charge_w =
-            battery::rackWattsPerAmpere(spec_->bbuParams).value()
-            * spec_->bbuParams.maxCurrent.value();
-        for (const power::Rack *rack : run_.topology().racks()) {
-            r.itW += rack->itLoad().value();
-            if (!rack->shelf().fullyCharged()) {
-                r.demandW[static_cast<size_t>(
-                    power::priorityIndex(rack->priority()))] +=
-                    per_rack_charge_w;
-            }
-        }
-        return r;
-    }
+    /**
+     * Budget-splitter input at the end of the last chunk (at
+     * construction before the first); nothing runs between the two.
+     */
+    const core::MsbBudgetReport &report() const { return report_; }
 
     /** Impose this tick's budget ceiling; called between chunks. */
     void
@@ -208,6 +198,9 @@ class MsbShard
     EventQueue queue_;
     trace::StreamingTraceSource source_;
     core::MsbRun run_;
+    /** power::priorityIndex of each rack row (fixed for the run). */
+    std::vector<uint8_t> priorityRow_;
+    core::MsbBudgetReport report_;
 
     double peakW_ = 0.0;
     int overloadSteps_ = 0;
@@ -245,6 +238,34 @@ msbTraceSpec(const RegionSpec &spec, int msb)
     streaming.windowSamples = spec.windowSamples;
     streaming.maxResidentWindows = spec.maxResidentWindows;
     return streaming;
+}
+
+core::MsbBudgetReport
+msbBudgetReport(const RegionSpec &spec, int msb,
+                const power::Topology &topology,
+                const std::vector<uint8_t> &priorityRow)
+{
+    core::MsbBudgetReport r;
+    r.msbIndex = msb;
+    r.suite = power::suiteOfMsb(spec, msb);
+    r.building = power::buildingOfMsb(spec, msb);
+    r.breakerLimitW = spec.msbLimit.value();
+    // IT demand, not measured draw: during an open transition the
+    // grid sees nothing, but the grant must already cover the load
+    // for the restore instant.
+    const double per_rack_charge_w =
+        battery::rackWattsPerAmpere(spec.bbuParams).value()
+        * spec.bbuParams.maxCurrent.value();
+    const battery::FleetState &fleet = topology.fleet();
+    const size_t n = fleet.size();
+    for (size_t i = 0; i < n; ++i) {
+        r.itW += power::cappedItLoad(Watts(fleet.itDemandW[i]),
+                                     Watts(fleet.capW[i]))
+                     .value();
+        if (!fleet.fullyCharged[i])
+            r.demandW[priorityRow[i]] += per_rack_charge_w;
+    }
+    return r;
 }
 
 RegionResult
@@ -369,16 +390,25 @@ runRegion(const RegionSpec &spec, const RegionRunOptions &options)
     for (int i = 0; i < n_msbs; ++i)
         shards.push_back(std::make_unique<MsbShard>(spec, i));
 
-    util::ThreadPool pool(std::max(options.threads, 1u));
+    // options.threads counts lanes, the calling thread included.
+    std::optional<util::ThreadPool> pool;
+    if (options.threads > 1)
+        pool.emplace(options.threads - 1);
     for (Tick t = 0; t < horizon; t += cadence) {
         coordinate(t);
         Tick chunk_end = std::min(t + cadence, horizon);
         // runUntil is inclusive: events AT the boundary tick must wait
         // for the next split, so every tick's physics sees that tick's
         // grants (region_engine.h, "Chunk boundary").
-        pool.parallelFor(static_cast<size_t>(n_msbs), [&](size_t shard) {
+        auto run_chunk = [&](size_t shard) {
             shards[shard]->runUntil(chunk_end - 1);
-        });
+        };
+        if (pool) {
+            pool->parallelFor(static_cast<size_t>(n_msbs), run_chunk);
+        } else {
+            for (size_t shard = 0; shard < shards.size(); ++shard)
+                run_chunk(shard);
+        }
     }
 
     // --- fold outcomes (shard-index order, driving thread) ----------

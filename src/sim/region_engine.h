@@ -18,10 +18,11 @@
  *    derived from --threads. Shard i's trace seed is substream i of
  *    the region seed.
  *  - Every shard queue advances in lockstep chunks of one coordination
- *    period on a util::ThreadPool; all cross-shard reads (budget
- *    reports, rollups) happen between chunks, on the driving thread,
- *    in shard-index order. Results are therefore bit-identical at any
- *    --threads.
+ *    period, each shard on its home lane of a util::ThreadPool
+ *    fork-join (the same thread every chunk, DESIGN.md §9); all
+ *    cross-shard reads (budget reports, rollups) happen between
+ *    chunks, on the driving thread, in shard-index order. Results are
+ *    therefore bit-identical at any --threads.
  *  - Chunk boundary: the split for tick t runs before any shard
  *    physics at tick t. A chunk therefore runs each queue through
  *    (t + cadence - 1), leaving the boundary tick's events for after
@@ -41,6 +42,7 @@
 #include <vector>
 
 #include "core/msb_run.h"
+#include "core/region_budget.h"
 #include "power/region_spec.h"
 #include "trace/streaming_trace_source.h"
 #include "util/time_series.h"
@@ -50,7 +52,10 @@ namespace dcbatt::sim {
 /** Execution knobs (never simulation semantics). */
 struct RegionRunOptions
 {
-    /** Worker threads (>= 1). */
+    /**
+     * Lanes (>= 1): threads stepping shards, the calling thread
+     * included. N lanes start N - 1 workers; 1 starts none.
+     */
     unsigned threads = 1;
 };
 
@@ -123,6 +128,19 @@ struct RegionResult
 /** The streaming trace MSB @p msb of @p spec replays. */
 trace::StreamingTraceSpec msbTraceSpec(const power::RegionSpec &spec,
                                        int msb);
+
+/**
+ * MSB @p msb's budget-splitter input, read from @p topology's fleet
+ * columns: IT load is cappedItLoad() of the demand and cap storage,
+ * and each rack whose `fullyCharged` snapshot is clear asks for a full
+ * charge in class @p priorityRow[i] (power::priorityIndex of rack i's
+ * priority). Folded in row order, so it equals the walk over
+ * Topology::racks() bit for bit from one physics step to the next.
+ */
+core::MsbBudgetReport msbBudgetReport(const power::RegionSpec &spec,
+                                      int msb,
+                                      const power::Topology &topology,
+                                      const std::vector<uint8_t> &priorityRow);
 
 /**
  * Run the region described by @p spec for its full duration.

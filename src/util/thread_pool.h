@@ -16,8 +16,15 @@
  *  - The pool is reusable: submit/parallelFor may be called any
  *    number of times, including after a task has thrown.
  *
- * parallelFor() has the calling thread participate in draining the
- * index range, so it completes even when every worker is busy; it
+ * parallelFor() is an affine fork-join (DESIGN.md §9). The calling
+ * thread is lane 0 and worker w is lane w + 1; the index range is cut
+ * into one contiguous home block per lane, so repeated calls over the
+ * same range run each index on the same thread. A lane drains its own
+ * block from the front, then steals from the other blocks' backs in a
+ * fixed rotation. A block reaches its worker through a per-worker fork
+ * slot that the worker checks before the submit() queue; the caller
+ * takes back any slot no worker has claimed once the range is
+ * drained, so the call completes even when every worker is busy. It
  * still must not be called from inside a task of the same pool that
  * the outer call waits on through submit() futures (the usual nested
  * fork-join deadlock).
@@ -27,6 +34,7 @@
 #define DCBATT_UTIL_THREAD_POOL_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
@@ -103,21 +111,35 @@ class ThreadPool
 
     /**
      * Run fn(0), ..., fn(n-1) across the workers plus the calling
-     * thread; returns once every index has run (indices after a
-     * thrown exception may be skipped). Rethrows the first exception.
+     * thread, one home block per lane; returns once every index has
+     * run (indices after a thrown exception may be skipped) and no
+     * worker touches the call any more. Rethrows the first exception.
      * Iterations must be independent: they run in unspecified order
      * and concurrently, so determinism is the caller's job (write to
-     * disjoint slots, reduce in index order afterwards).
+     * disjoint slots, reduce in index order afterwards). @p n must
+     * fit in 32 bits.
      */
     void parallelFor(size_t n, const std::function<void(size_t)> &fn);
 
   private:
+    /** One parallelFor call; lives on the caller's stack. */
+    struct ForkJoin;
+
     void enqueue(std::function<void()> job);
-    void workerLoop();
+    void workerLoop(size_t w);
+    /** Run lane @p lane of @p call, recording its first exception. */
+    void runLane(ForkJoin &call, size_t lane);
 
     Mutex mutex_;
-    CondVar cv_;
+    /** Worker w sleeps on wake_[w], so a fork wakes only its lanes. */
+    std::unique_ptr<CondVar[]> wake_;
+    /** Signalled when a claimed fork's last worker lane returns. */
+    CondVar joined_;
     std::deque<std::function<void()>> queue_ DCBATT_GUARDED_BY(mutex_);
+    /** Per worker: a posted parallelFor call it has not claimed yet. */
+    std::vector<ForkJoin *> forks_ DCBATT_GUARDED_BY(mutex_);
+    /** Per worker: asleep on wake_[w] and not yet signalled. */
+    std::vector<uint8_t> asleep_ DCBATT_GUARDED_BY(mutex_);
     /** Written only by the constructor; joined by the destructor. */
     std::vector<std::thread> workers_;  // detlint: allow(raw-thread) -- the pool's own workers
     bool stopping_ DCBATT_GUARDED_BY(mutex_) = false;

@@ -2,8 +2,9 @@
  * @file
  * Region engine determinism: a pinned fingerprint of two region runs,
  * the threads differential, the event journal's order across thread
- * counts, and a one-MSB region against the paper path
- * (core::runChargingEvent) on the same trace.
+ * counts, the columnar budget report against the rack walk, and a
+ * one-MSB region against the paper path (core::runChargingEvent) on
+ * the same trace.
  *
  * The contract (region_engine.h) is bit-identical results — exact
  * double equality, not tolerance — for any --threads. The threads
@@ -17,14 +18,20 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "battery/charger_policy.h"
 #include "core/charging_event_sim.h"
+#include "core/msb_run.h"
+#include "core/priority_aware_coordinator.h"
+#include "core/region_budget.h"
 #include "obs/event_log.h"
 #include "power/region_spec.h"
+#include "sim/event_queue.h"
 #include "sim/region_engine.h"
 #include "trace/streaming_trace_source.h"
 #include "util/units.h"
@@ -203,6 +210,155 @@ TEST(RegionEngine, TightBudgetStillDeterministic)
     // anything.
     double budget_mw = 0.6 * spec.msbLimit.value() * spec.msbs / 1e6;
     EXPECT_LE(a.grantMw.maxValue(), budget_mw + 1e-6);
+}
+
+/** The budget report as a walk over the rack objects (the reference). */
+core::MsbBudgetReport
+objectWalkReport(const power::RegionSpec &spec, int msb,
+                 const power::Topology &topology)
+{
+    core::MsbBudgetReport r;
+    r.msbIndex = msb;
+    r.suite = power::suiteOfMsb(spec, msb);
+    r.building = power::buildingOfMsb(spec, msb);
+    r.breakerLimitW = spec.msbLimit.value();
+    double per_rack_charge_w =
+        battery::rackWattsPerAmpere(spec.bbuParams).value()
+        * spec.bbuParams.maxCurrent.value();
+    for (const power::Rack *rack : topology.racks()) {
+        r.itW += rack->itLoad().value();
+        if (!rack->shelf().fullyCharged()) {
+            r.demandW[static_cast<size_t>(
+                power::priorityIndex(rack->priority()))] +=
+                per_rack_charge_w;
+        }
+    }
+    return r;
+}
+
+TEST(RegionEngine, ColumnarReportMatchesObjectWalk)
+{
+    // A surge-shaped region: every open transition at once, a 3 s
+    // coordination cadence, and a budget 1% above the IT envelope, so
+    // recharge binds. The even MSBs postpone charging before capping
+    // servers and the odd ones cap, so the run holds, caps and resumes
+    // racks. At every coordination tick each MSB's columnar report
+    // must equal the rack walk bit for bit. The first pass uses the
+    // region's 1 s physics step and 3 s Dynamo tick; the second a 2 s
+    // step and a 1.3 s tick, which leave caps, holds and restores
+    // between a chunk's last physics step and the report, where the
+    // fleet's snapshot columns lag the racks.
+    const std::pair<double, double> cadences[] = {{1.0, 3.0},
+                                                  {2.0, 1.3}};
+    for (const auto &[physics_s, control_s] : cadences) {
+        power::RegionSpec spec = smallSpec();
+        spec.msbs = 4;
+        spec.suitesPerBuilding = 2;
+        spec.duration = util::minutes(30.0);
+        spec.physicsStep = util::Seconds(physics_s);
+        spec.coordinationPeriod = util::Seconds(3.0);
+        spec.outageStagger = util::Seconds(0.0);
+        spec.targetMeanDod = 0.5;
+        spec.regionBudget = util::Watts(
+            1.01 * spec.msbs
+            * (spec.msbAggregateMean - spec.msbAggregateAmplitude * 0.5)
+                  .value());
+        power::validateRegionSpec(spec);
+
+        struct Shard
+        {
+            sim::EventQueue queue;
+            std::unique_ptr<trace::StreamingTraceSource> source;
+            std::unique_ptr<core::MsbRun> run;
+            std::vector<uint8_t> priorityRow;
+        };
+        std::vector<std::unique_ptr<Shard>> shards;
+        for (int i = 0; i < spec.msbs; ++i) {
+            auto shard = std::make_unique<Shard>();
+            shard->source = std::make_unique<trace::StreamingTraceSource>(
+                msbTraceSpec(spec, i));
+            core::MsbRunConfig config;
+            config.topology = power::msbTopologySpec(spec, i);
+            config.charger = battery::makeVariableCharger(spec.bbuParams);
+            core::PriorityAwareOptions options;
+            options.allowPostponement = i % 2 == 0;
+            config.coordinator =
+                std::make_unique<core::PriorityAwareCoordinator>(
+                    core::SlaCurrentCalculator(
+                        battery::ChargeTimeModel(spec.bbuParams),
+                        core::SlaTable::paperDefault()),
+                    options);
+            config.controller.tickPeriod = util::Seconds(control_s);
+            config.physicsStep = spec.physicsStep;
+            config.otStart = power::msbOutageStart(spec, i);
+            config.otLength = power::msbOutageLength(spec);
+            shard->run = std::make_unique<core::MsbRun>(
+                std::move(config), shard->queue, *shard->source,
+                [](util::Seconds) {});
+            for (const power::Rack *rack : shard->run->topology().racks())
+                shard->priorityRow.push_back(static_cast<uint8_t>(
+                    power::priorityIndex(rack->priority())));
+            shards.push_back(std::move(shard));
+        }
+
+        core::RegionBudgetConfig budget;
+        budget.regionBudgetW = power::effectiveRegionBudget(spec).value();
+        std::vector<core::MsbBudgetReport> reports(shards.size());
+        int ticks_capped = 0, ticks_held = 0, ticks_off = 0,
+            ticks_charging = 0;
+        const Tick horizon = toTicks(spec.duration);
+        const Tick cadence = toTicks(spec.coordinationPeriod);
+        for (Tick t = 0; t < horizon; t += cadence) {
+            bool capped = false, held = false, off = false,
+                 charging = false;
+            for (size_t i = 0; i < shards.size(); ++i) {
+                const power::Topology &topo = shards[i]->run->topology();
+                const int msb = static_cast<int>(i);
+                reports[i] = msbBudgetReport(spec, msb, topo,
+                                             shards[i]->priorityRow);
+                core::MsbBudgetReport walk =
+                    objectWalkReport(spec, msb, topo);
+                ASSERT_EQ(reports[i].itW, walk.itW)
+                    << "physics " << physics_s << " s, tick " << t
+                    << ", msb " << i;
+                for (size_t c = 0; c < 3; ++c)
+                    ASSERT_EQ(reports[i].demandW[c], walk.demandW[c])
+                        << "physics " << physics_s << " s, tick " << t
+                        << ", msb " << i << ", class " << c;
+                EXPECT_EQ(reports[i].msbIndex, walk.msbIndex);
+                EXPECT_EQ(reports[i].suite, walk.suite);
+                EXPECT_EQ(reports[i].building, walk.building);
+                EXPECT_EQ(reports[i].breakerLimitW, walk.breakerLimitW);
+                for (const power::Rack *rack : topo.racks()) {
+                    capped |= rack->capAmount().value() > 0.0;
+                    held |= rack->shelf().chargingHeld();
+                    off |= !rack->inputPowerOn();
+                    charging |= !rack->shelf().fullyCharged();
+                }
+            }
+            ticks_capped += capped;
+            ticks_held += held;
+            ticks_off += off;
+            ticks_charging += charging;
+            core::RegionBudgetOutcome outcome =
+                core::splitRegionBudget(budget, reports);
+            for (size_t i = 0; i < shards.size(); ++i) {
+                shards[i]->run->plane().rootController().setLimitCeiling(
+                    util::Watts(outcome.grantW[i]));
+            }
+            Tick chunk_end = std::min(t + cadence, horizon);
+            for (auto &shard : shards)
+                shard->queue.runUntil(chunk_end - 1);
+        }
+        // The comparison only means something if the run went through
+        // every state the report reads.
+        EXPECT_GT(ticks_off, 0) << "physics " << physics_s << " s";
+        EXPECT_GT(ticks_charging, 0) << "physics " << physics_s << " s";
+        EXPECT_GT(ticks_held, 0) << "physics " << physics_s << " s";
+        EXPECT_GT(ticks_capped, 0) << "physics " << physics_s << " s";
+        for (auto &shard : shards)
+            shard->run->finish();
+    }
 }
 
 /**

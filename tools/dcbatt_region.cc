@@ -85,8 +85,9 @@ parseArgs(int argc, char **argv, CliOptions &options)
                     "explicit open-transition length");
     flags.addInt("--seed", &spec.seed, "region seed (default 42)");
     flags.addInt("--threads", &options.threads,
-                 "worker threads (execution knob only;\n"
-                 "artifacts are identical) (default 1)",
+                 "lanes: threads stepping shards, this one\n"
+                 "included, so N starts N-1 workers (execution\n"
+                 "knob only; artifacts are identical) (default 1)",
                  1, INT_MAX);
     flags.addInt("--window-samples", &spec.windowSamples,
                  "streaming-trace window size (default 1200)");
@@ -118,7 +119,7 @@ main(int argc, char **argv)
     run.threads = options.threads;
     // Execution knobs are stderr-only: stdout must be byte-identical
     // across --threads (the CI smoke diff).
-    std::fprintf(stderr, "dcbatt_region: %u thread(s)\n",
+    std::fprintf(stderr, "dcbatt_region: %u lane(s)\n",
                  options.threads);
 
     sim::RegionResult result = sim::runRegion(spec, run);
