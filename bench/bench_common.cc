@@ -88,8 +88,8 @@ parseBenchArgs(int argc, char **argv, unsigned *threads,
     cli::Flags flags;
     if (threads != nullptr) {
         flags.addInt("--threads", threads,
-                     "worker threads (default: hardware concurrency);\n"
-                     "output is identical at any value",
+                     "lanes: threads doing the work (default: hardware\n"
+                     "concurrency); output is identical at any value",
                      0, INT_MAX);
     }
     if (add_flags)
@@ -101,7 +101,7 @@ parseBenchArgs(int argc, char **argv, unsigned *threads,
     if (threads != nullptr) {
         if (*threads == 0)
             *threads = util::ThreadPool::hardwareThreads();
-        std::fprintf(stderr, "[bench] worker threads: %u\n", *threads);
+        std::fprintf(stderr, "[bench] lanes: %u\n", *threads);
     }
     return observability;
 }

@@ -59,10 +59,12 @@ void banner(const std::string &artifact, const std::string &summary);
 /**
  * Parse a bench's command line and arm the recorders it asks for: the
  * observability flags, the flags @p add_flags registers, and, for a
- * bench that builds a pool, `--threads N` into @p threads (0, the
- * default, resolves to the hardware concurrency; the count goes to
- * stderr, as stdout must not depend on it). Call finish() on the
- * result after the run.
+ * bench that builds a pool, `--threads N` into @p threads: the lanes
+ * doing the work (0, the default, resolves to the hardware
+ * concurrency; the count goes to stderr, as stdout must not depend on
+ * it). A SweepRunner bench gives its pool N workers, the caller only
+ * waiting; a parallelFor bench, whose caller works too, gives it
+ * N - 1. Call finish() on the result after the run.
  */
 cli::Observability parseBenchArgs(
     int argc, char **argv, unsigned *threads = nullptr,

@@ -6,14 +6,16 @@
  *
  * The horizon is split into --shards independent sub-histories (each
  * seeded by a counter-based substream of the seed), generated and
- * walked across the --threads worker pool. The shard count is part of
- * the experiment (it selects the sampled history); the thread count
- * is not — output is byte-identical at any thread count for the same
- * (seed, shards, years). `--shards 1` is the legacy serial timeline.
+ * walked on --threads lanes: this thread plus --threads - 1 workers,
+ * as in dcbatt_region. The shard count is part of the experiment (it
+ * selects the sampled history); the lane count is not — output is
+ * byte-identical at any lane count for the same (seed, shards,
+ * years). `--shards 1` is the legacy serial timeline.
  */
 
 #include <climits>
 #include <cstdio>
+#include <optional>
 
 #include "bench_common.h"
 #include "reliability/aor_simulator.h"
@@ -42,14 +44,18 @@ main(int argc, char **argv)
         });
     if (config.years <= 0.0)
         util::fatal("--years must be positive");
-    util::ThreadPool pool(threads);
+    // The simulator's parallelFor works on this thread too, so N
+    // lanes take N - 1 workers.
+    std::optional<util::ThreadPool> pool;
+    if (threads > 1)
+        pool.emplace(threads - 1);
 
     bench::banner("Fig. 9(a)",
                   "AOR of rack power vs battery charging time "
                   "(Monte Carlo)");
 
     reliability::AorSimulator sim(reliability::paperFailureData(),
-                                  config, &pool);
+                                  config, pool ? &*pool : nullptr);
     std::printf("simulated horizon: %.0f years in %d shards, %.2f "
                 "power-loss episodes/year\n\n",
                 config.years, config.shards,

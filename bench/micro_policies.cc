@@ -30,7 +30,9 @@
 #include "trace/streaming_trace_source.h"
 #include "trace/trace_cache.h"
 #include "trace/trace_generator.h"
+#include "trace/trace_row_kernel.h"
 #include "util/random.h"
+#include "util/simd.h"
 #include "util/thread_pool.h"
 
 namespace {
@@ -310,9 +312,9 @@ BENCHMARK(BM_TraceGeneration);
 void
 BM_StreamingTraceWindow(benchmark::State &state)
 {
-    // One full forward walk over the windows of an hour-long trace
-    // through the paging path (generation + eviction), the per-shard
-    // hot loop of the region engine.
+    // One full forward walk over every row of an hour-long trace
+    // through the paging path (rows filled on demand, windows opened
+    // and evicted), the per-shard hot loop of the region engine.
     trace::StreamingTraceSpec spec;
     spec.base.rackCount = 64;
     spec.base.duration = util::hours(1.0);
@@ -322,13 +324,55 @@ BM_StreamingTraceWindow(benchmark::State &state)
     for (auto _ : state) {
         trace::StreamingTraceSource source(spec);
         double sink = 0.0;
-        for (size_t w = 0; w < source.windowCount(); ++w)
-            sink += source.row(w * spec.windowSamples)[0];
+        for (size_t s = 0; s < source.sampleCount(); ++s)
+            sink += source.row(s)[0];
         benchmark::DoNotOptimize(sink);
     }
     state.SetItemsProcessed(state.iterations() * 64 * 1200);
 }
 BENCHMARK(BM_StreamingTraceWindow);
+
+/**
+ * One hour-long window of a region MSB's rows (300 racks, 1 200
+ * samples) through the shared row kernel and its normal stream, on
+ * the scalar passes (0) or the AVX2 ones (1). Both produce the same
+ * bits; the ratio is the vector passes' gain over a floor of libm
+ * log and cos calls.
+ */
+void
+BM_TraceRowKernel(benchmark::State &state)
+{
+    const util::SimdMode mode = state.range(0) == 1
+        ? util::SimdMode::Avx2
+        : util::SimdMode::Scalar;
+    if (mode == util::SimdMode::Avx2 && !util::cpuHasAvx2()) {
+        state.SkipWithError("CPU has no AVX2");
+        return;
+    }
+    constexpr size_t kRacks = 300;
+    constexpr size_t kSamples = 1200;
+    trace::TraceGenSpec spec;
+    spec.rackCount = static_cast<int>(kRacks);
+    spec.duration = util::hours(1.0);
+    spec.step = util::Seconds(3.0);
+    trace::TraceRowKernel kernel(spec);
+    util::Rng rng(spec.seed);
+    const std::vector<double> initial_ar =
+        kernel.drawRackParameters(spec, rng);
+    std::vector<double> row(kRacks);
+    for (auto _ : state) {
+        util::Mt64 engine(spec.seed + 1, mode);
+        util::StandardNormalStream noise(engine);
+        std::vector<double> ar = initial_ar;
+        for (size_t s = 0; s < kSamples; ++s)
+            kernel.synthesizeWithMode(s, noise, ar.data(), row.data(),
+                                      mode);
+        benchmark::DoNotOptimize(row.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * kRacks * kSamples);
+}
+BENCHMARK(BM_TraceRowKernel)->Arg(0)->Arg(1);
 
 /** A region MSB: 300 racks, 2 SBs, 16-rack RPPs, a 100/100/100 mix. */
 power::Topology

@@ -6,23 +6,8 @@
 #include <string_view>
 
 #include "battery/batch_charge_kernel_internal.h"
-#include "util/logging.h"
 
 namespace dcbatt::battery {
-
-namespace internal {
-
-bool
-cpuHasAvx2()
-{
-#if defined(__x86_64__) || defined(_M_X64)
-    return __builtin_cpu_supports("avx2");
-#else
-    return false;
-#endif
-}
-
-} // namespace internal
 
 bool
 batchChargingEnabled()
@@ -31,34 +16,6 @@ batchChargingEnabled()
     // differential tests flip the variable within one process.
     const char *env = std::getenv("DCBATT_BATCH");
     return !(env != nullptr && std::string_view(env) == "off");
-}
-
-SimdMode
-activeSimdMode()
-{
-    static const SimdMode mode = [] {
-        const char *env = std::getenv("DCBATT_SIMD");
-        std::string_view v = env != nullptr ? env : "auto";
-        if (v == "off" || v == "scalar")
-            return SimdMode::Scalar;
-#ifdef DCBATT_HAVE_AVX2_TU
-        bool has = internal::cpuHasAvx2();
-        if (v == "avx2" && !has) {
-            util::warn("DCBATT_SIMD=avx2 requested but this CPU lacks "
-                       "AVX2; using scalar lanes");
-            return SimdMode::Scalar;
-        }
-        if (v != "auto" && v != "avx2")
-            util::warn("unknown DCBATT_SIMD value; using auto");
-        return has ? SimdMode::Avx2 : SimdMode::Scalar;
-#else
-        if (v == "avx2")
-            util::warn("DCBATT_SIMD=avx2 requested but this build has "
-                       "no AVX2 lanes; using scalar");
-        return SimdMode::Scalar;
-#endif
-    }();
-    return mode;
 }
 
 BatchChargeKernel::BatchChargeKernel(const BbuParams &params)
@@ -129,7 +86,6 @@ BatchChargeKernel::advanceWithMode(ChargeLaneColumns &lanes, double dt,
 
     std::size_t cc_done = 0;
     std::size_t cv_done = 0;
-#ifdef DCBATT_HAVE_AVX2_TU
     if (mode == SimdMode::Avx2) {
         internal::BatchChargeConsts c{refillC_, effic_,      emptyV_,
                                       cvV_,     tauS_,       ocvSocSpan_,
@@ -141,9 +97,6 @@ BatchChargeKernel::advanceWithMode(ChargeLaneColumns &lanes, double dt,
             c, dt, factor, lanes.cvLanes(), lanes.cvDod.data(),
             lanes.cvCurrentA.data(), lanes.cvElapsedS.data());
     }
-#else
-    (void)mode;
-#endif
     ccLanesScalar(lanes, dt, cc_done);
     cvLanesScalar(lanes, dt, factor, cv_done);
 

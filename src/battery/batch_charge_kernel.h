@@ -26,10 +26,8 @@
  * Runtime switches (read from the environment):
  *  - DCBATT_BATCH=off      admit no lane at all (Topology falls back
  *                          to the per-rack step walk);
- *  - DCBATT_SIMD=off       force the scalar lanes;
- *  - DCBATT_SIMD=avx2      require the AVX2 lanes (scalar fallback
- *                          with a warning if the CPU lacks them);
- *  - DCBATT_SIMD=auto      (default) AVX2 when the CPU supports it.
+ *  - DCBATT_SIMD           the lanes' instruction set, shared with
+ *                          every other vector kernel (util/simd.h).
  */
 
 #ifndef DCBATT_BATTERY_BATCH_CHARGE_KERNEL_H_
@@ -39,18 +37,12 @@
 #include <vector>
 
 #include "battery/bbu_params.h"
+#include "util/simd.h"
 
 namespace dcbatt::battery {
 
-/** Which instruction set the batch lanes run on. */
-enum class SimdMode
-{
-    Scalar,
-    Avx2,
-};
-
-/** The resolved DCBATT_SIMD mode (env + CPU probe, cached). */
-SimdMode activeSimdMode();
+using util::activeSimdMode;
+using util::SimdMode;
 
 /** Whether Topology should admit charge lanes at all (DCBATT_BATCH). */
 bool batchChargingEnabled();

@@ -86,8 +86,8 @@ cvLanesAvx2(const BatchChargeConsts &c, double dt, double factor,
 
 namespace dcbatt::battery::internal {
 
-// Never dispatched to off x86-64 (cpuHasAvx2() is false); the symbols
-// exist so the dispatch code links unchanged.
+// Never dispatched to off x86-64 (util::activeSimdMode() is never
+// Avx2 there); the symbols exist so the dispatch code links unchanged.
 std::size_t
 ccLanesAvx2(const BatchChargeConsts &, double, std::size_t, double *,
             const double *, double *)

@@ -25,9 +25,6 @@ struct BatchChargeConsts
     double ocvVoltSpan;
 };
 
-/** Whether this CPU executes AVX2 (false off x86-64). */
-bool cpuHasAvx2();
-
 /**
  * Vector bodies of the CC / CV lane updates, in place over the lane
  * columns. Each processes the leading multiple-of-4 lanes and returns

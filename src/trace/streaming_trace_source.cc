@@ -32,32 +32,33 @@ StreamingTraceSource::StreamingTraceSource(StreamingTraceSpec spec)
     generated_.assign(windowCount_, 0);
 }
 
-std::unique_ptr<TraceWindow>
-StreamingTraceSource::generateWindow(size_t w)
+StreamingTraceSource::Slot *
+StreamingTraceSource::residentSlot(size_t w)
 {
-    const TraceGenSpec &base = spec_.base;
-    const size_t first = w * spec_.windowSamples;
-    const size_t count =
-        std::min(spec_.windowSamples, totalSamples_ - first);
-    const auto racks = static_cast<size_t>(base.rackCount);
+    for (const auto &slot : resident_) {
+        if (slot->index == w)
+            return slot.get();
+    }
+    return nullptr;
+}
 
+void
+StreamingTraceSource::startWindow(Slot &slot, size_t w)
+{
     DCBATT_ASSERT(w < checkpoints_.size(),
-                  "window %zu generated before its checkpoint", w);
-    // The carry-over AR(1) state is the only cross-window coupling;
-    // all noise inside the window comes from the window's own
-    // substream, so (spec, w) fully determine the bytes below.
-    std::vector<double> ar = checkpoints_[w];
-    util::Mt64 engine(util::Rng::substreamSeed(base.seed, w + 1));
-    util::StandardNormalStream noise(engine);
-
-    auto window = std::make_unique<TraceWindow>(
-        first, count, base.rackCount);
-    double *data = window->mutableData();
-    for (size_t s = 0; s < count; ++s)
-        kernel_.synthesize(first + s, noise, ar.data(), data + s * racks);
-
-    if (checkpoints_.size() == w + 1 && w + 1 < windowCount_)
-        checkpoints_.push_back(std::move(ar));
+                  "window %zu started before its checkpoint", w);
+    // All noise inside the window comes from its own substream and its
+    // AR(1) state starts at the checkpoint, so (spec, w) fully
+    // determine the rows.
+    slot.index = w;
+    slot.engine = util::Mt64(util::Rng::substreamSeed(spec_.base.seed, w + 1));
+    slot.noise = util::StandardNormalStream(slot.engine);
+    slot.ar = checkpoints_[w];
+    TraceWindow &window = slot.window;
+    window.firstSample_ = w * spec_.windowSamples;
+    window.samples_ =
+        std::min(spec_.windowSamples, totalSamples_ - window.firstSample_);
+    window.filled_ = 0;
 
     if (generated_[w]) {
         ++stats_.refetches;
@@ -66,27 +67,87 @@ StreamingTraceSource::generateWindow(size_t w)
     generated_[w] = 1;
     ++stats_.windowsGenerated;
     DCBATT_COUNT("trace.stream_windows_generated");
-    return window;
+}
+
+void
+StreamingTraceSource::fillRows(Slot &slot, size_t rows)
+{
+    TraceWindow &window = slot.window;
+    const auto racks = static_cast<size_t>(window.rackCount());
+    for (size_t r = window.filled_; r < rows; ++r) {
+        kernel_.synthesize(window.firstSample_ + r, slot.noise,
+                           slot.ar.data(), window.data_.get() + r * racks);
+    }
+    window.filled_ = std::max(window.filled_, rows);
+    // The carry-over AR(1) state is the only cross-window coupling;
+    // completing window w for the first time is what checkpoints the
+    // state entering w + 1.
+    if (window.filled_ == window.samples_
+        && checkpoints_.size() == slot.index + 1
+        && slot.index + 1 < windowCount_)
+        checkpoints_.push_back(slot.ar);
+}
+
+StreamingTraceSource::Slot &
+StreamingTraceSource::openWindow(size_t w)
+{
+    ensureCheckpoint(w);
+
+    // Evict first and recycle the evicted storage. A window evicted
+    // before its successor's checkpoint exists is completed first, so
+    // the checkpoints appear where whole-window generation made them.
+    std::unique_ptr<Slot> slot;
+    while (resident_.size() >= spec_.maxResidentWindows) {
+        slot = std::move(resident_.front());
+        resident_.erase(resident_.begin());
+        if (checkpoints_.size() == slot->index + 1
+            && slot->index + 1 < windowCount_)
+            fillRows(*slot, slot->window.sampleCount());
+        ++stats_.evictions;
+        DCBATT_COUNT("trace.stream_evictions");
+    }
+
+    if (!slot)
+        slot = std::make_unique<Slot>(spec_.base.rackCount,
+                                      spec_.windowSamples);
+    startWindow(*slot, w);
+
+    resident_.push_back(std::move(slot));
+    noteResidentBytes();
+    return *resident_.back();
 }
 
 void
 StreamingTraceSource::ensureCheckpoint(size_t w)
 {
-    // Checkpoints grow strictly left to right: generating window k is
-    // what produces checkpoint k+1. Windows generated here purely to
-    // advance the AR state are dropped (they are cheap relative to
-    // the simulation consuming them, and re-fetching later is the
-    // common case anyway).
-    while (checkpoints_.size() <= w)
-        generateWindow(checkpoints_.size() - 1);
+    // Checkpoints grow strictly left to right: completing window k is
+    // what produces checkpoint k+1. A resident window is completed in
+    // place; one that never was opened is synthesized here purely to
+    // advance the AR state and dropped (it counts as generated, as a
+    // dropped whole window always did).
+    while (checkpoints_.size() <= w) {
+        const size_t k = checkpoints_.size() - 1;
+        if (Slot *slot = residentSlot(k)) {
+            fillRows(*slot, slot->window.sampleCount());
+            continue;
+        }
+        Slot scratch(spec_.base.rackCount, 1);
+        startWindow(scratch, k);
+        const TraceWindow &window = scratch.window;
+        for (size_t s = 0; s < window.sampleCount(); ++s) {
+            kernel_.synthesize(window.firstSample() + s, scratch.noise,
+                               scratch.ar.data(), window.data_.get());
+        }
+        checkpoints_.push_back(std::move(scratch.ar));
+    }
 }
 
 size_t
 StreamingTraceSource::residentBytes() const
 {
     size_t bytes = 0;
-    for (const auto &window : resident_)
-        bytes += window->memoryBytes();
+    for (const auto &slot : resident_)
+        bytes += slot->window.memoryBytes();
     return bytes;
 }
 
@@ -110,21 +171,13 @@ StreamingTraceSource::windowFor(size_t sample_index)
                    "sample %zu outside trace of %zu samples",
                    sample_index, totalSamples_);
     const size_t w = windowIndexFor(sample_index);
-    for (const auto &window : resident_) {
-        if (window->firstSample() == w * spec_.windowSamples)
-            return *window;
-    }
-
-    ensureCheckpoint(w);
-    std::unique_ptr<TraceWindow> window = generateWindow(w);
-    while (resident_.size() >= spec_.maxResidentWindows) {
-        resident_.erase(resident_.begin());
-        ++stats_.evictions;
-        DCBATT_COUNT("trace.stream_evictions");
-    }
-    resident_.push_back(std::move(window));
-    noteResidentBytes();
-    return *resident_.back();
+    Slot *slot = residentSlot(w);
+    if (slot == nullptr)
+        slot = &openWindow(w);
+    const size_t row = sample_index - slot->window.firstSample() + 1;
+    if (slot->window.filledRows() < row)
+        fillRows(*slot, row);
+    return slot->window;
 }
 
 TraceSet

@@ -24,6 +24,17 @@
  *    TraceRowKernel (trace_row_kernel.h) and differ only in the
  *    engine they hand it.
  *
+ * Rows on demand: a resident window keeps its own engine, noise
+ * stream and AR(1) state, and windowFor(i) synthesizes its rows only
+ * up to sample i. A forward reader therefore builds about one row per
+ * row it reads, on its own thread, instead of a whole window at the
+ * first read past a window edge. The paging counters do not see the
+ * difference: a window counts as generated when its buffer is opened,
+ * windows are evicted at the same points, and a window whose
+ * successor's checkpoint does not exist yet is completed before its
+ * storage is reused, so every checkpoint appears exactly where whole-
+ * window generation would have made it.
+ *
  * Thread-safety: a source is confined to one shard/thread (the
  * region engine gives each MSB its own source). Concurrent use of a
  * single instance is not supported — unlike the immutable TraceSet,
@@ -41,6 +52,8 @@
 #include "trace/trace_generator.h"
 #include "trace/trace_row_kernel.h"
 #include "trace/trace_set.h"
+#include "util/check.h"
+#include "util/random.h"
 #include "util/units.h"
 
 namespace dcbatt::trace {
@@ -67,38 +80,53 @@ struct StreamingTraceSpec
  * One resident window of samples, sample-major: row s holds every
  * rack's power at absolute sample index firstSample() + s, which is
  * the access order of the physics loop (all racks at one instant).
+ * Rows are synthesized in order and on demand (see the file comment):
+ * only the first filledRows() are valid.
  */
 class TraceWindow
 {
   public:
-    TraceWindow(size_t first_sample, size_t samples, int racks)
-        : firstSample_(first_sample), samples_(samples), racks_(racks),
-          data_(samples * static_cast<size_t>(racks))
+    /** Storage for up to @p capacity_samples rows, none filled. */
+    TraceWindow(int racks, size_t capacity_samples)
+        : racks_(racks),
+          data_(std::make_unique_for_overwrite<double[]>(
+              capacity_samples * static_cast<size_t>(racks)))
     {
     }
 
     size_t firstSample() const { return firstSample_; }
     size_t sampleCount() const { return samples_; }
     int rackCount() const { return racks_; }
+    /** Rows synthesized so far, from the first. */
+    size_t filledRows() const { return filled_; }
 
     /** Row for absolute sample @p index: one value per rack. */
     const double *
     row(size_t index) const
     {
-        return data_.data()
+        DCBATT_ASSERT(index >= firstSample_
+                          && index - firstSample_ < filled_,
+                      "sample %zu not filled in window at %zu (%zu rows)",
+                      index, firstSample_, filled_);
+        return data_.get()
             + (index - firstSample_) * static_cast<size_t>(racks_);
     }
 
-    double *mutableData() { return data_.data(); }
-
-    /** Heap footprint of the sample storage. */
-    size_t memoryBytes() const { return data_.size() * sizeof(double); }
+    /** Bytes of the window's samples (sampleCount() rows). */
+    size_t
+    memoryBytes() const
+    {
+        return samples_ * static_cast<size_t>(racks_) * sizeof(double);
+    }
 
   private:
-    size_t firstSample_;
-    size_t samples_;
+    friend class StreamingTraceSource;
+
+    size_t firstSample_ = 0;
+    size_t samples_ = 0;
+    size_t filled_ = 0;
     int racks_;
-    std::vector<double> data_;
+    std::unique_ptr<double[]> data_;
 };
 
 /** Paging/generation counters (per source). */
@@ -128,11 +156,12 @@ class StreamingTraceSource final : public DemandRows
     size_t windowCount() const { return windowCount_; }
 
     /**
-     * The window containing absolute sample @p sample_index,
-     * generating (or re-generating) it if not resident. The returned
-     * pointer stays valid until maxResidentWindows further *distinct*
-     * windows have been fetched; the forward-walking physics loop
-     * holds at most one at a time.
+     * The window containing absolute sample @p sample_index, opening
+     * (or re-opening) it if not resident, with its rows filled at
+     * least through @p sample_index. The returned reference stays
+     * valid until maxResidentWindows further *distinct* windows have
+     * been fetched; the forward-walking physics loop holds at most one
+     * at a time.
      */
     const TraceWindow &windowFor(size_t sample_index);
 
@@ -175,8 +204,33 @@ class StreamingTraceSource final : public DemandRows
     TraceSet materialize();
 
   private:
-    /** Generate window @p w assuming checkpoints_[w] is populated. */
-    std::unique_ptr<TraceWindow> generateWindow(size_t w);
+    /** A resident window and the generator state of its next row. */
+    struct Slot
+    {
+        /** Storage only: startWindow() seeds it for a window. */
+        Slot(int racks, size_t capacity_samples)
+            : window(racks, capacity_samples), engine(0), noise(engine)
+        {
+        }
+
+        size_t index = 0;
+        TraceWindow window;
+        util::Mt64 engine;
+        util::StandardNormalStream noise;
+        std::vector<double> ar;
+    };
+
+    /** The resident slot of window @p w, or null. */
+    Slot *residentSlot(size_t w);
+    /** Open window @p w in a recycled (or new) slot, evicting first. */
+    Slot &openWindow(size_t w);
+    /**
+     * Point @p slot at window @p w with no row filled, and count one
+     * generation of @p w.
+     */
+    void startWindow(Slot &slot, size_t w);
+    /** Synthesize @p slot's rows up to (not including) row @p rows. */
+    void fillRows(Slot &slot, size_t rows);
     /** Ensure the AR-state checkpoint for window @p w exists. */
     void ensureCheckpoint(size_t w);
     void noteResidentBytes();
@@ -195,7 +249,7 @@ class StreamingTraceSource final : public DemandRows
     /** 1 once window w has ever been generated (refetch detection). */
     std::vector<uint8_t> generated_;
     /** Resident windows, oldest first (FIFO eviction). */
-    std::vector<std::unique_ptr<TraceWindow>> resident_;
+    std::vector<std::unique_ptr<Slot>> resident_;
     StreamingTraceStats stats_;
 };
 

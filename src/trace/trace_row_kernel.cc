@@ -5,6 +5,7 @@
 #include <numbers>
 
 #include "power/priority.h"
+#include "trace/trace_row_kernel_internal.h"
 #include "util/logging.h"
 
 namespace dcbatt::trace {
@@ -108,11 +109,13 @@ TraceRowKernel::drawRackParameters(const TraceGenSpec &spec,
 }
 
 void
-TraceRowKernel::synthesize(std::size_t sample,
-                           util::StandardNormalStream &noise, double *ar,
-                           double *row)
+TraceRowKernel::synthesizeWithMode(std::size_t sample,
+                                   util::StandardNormalStream &noise,
+                                   double *ar, double *row,
+                                   util::SimdMode mode)
 {
     const size_t racks = base_.size();
+    const bool avx2 = mode == util::SimdMode::Avx2;
 
     // 1. The row's draws in stream order: racks, then the aggregate.
     // A normal(0, sd) draw is z * sd + 0.0 for the standard draw z.
@@ -126,7 +129,10 @@ TraceRowKernel::synthesize(std::size_t sample,
     const double from_peak = t - peak_;
     double *diurnal = diurnal_.data();
     const double *phase_s = phaseS_.data();
-    for (size_t i = 0; i < racks; ++i)
+    for (size_t i = avx2 ? internal::diurnalArgsAvx2(from_peak, phase_s,
+                                                     racks, diurnal)
+                         : 0;
+         i < racks; ++i)
         diurnal[i] = kTwoPi * (from_peak - phase_s[i]) / kDay;
     for (size_t i = 0; i < racks; ++i)
         diurnal[i] = std::cos(diurnal[i]);
@@ -136,7 +142,13 @@ TraceRowKernel::synthesize(std::size_t sample,
     const double *amplitude = amplitude_.data();
     const double *rho = rho_.data();
     const double *sigma = innovationSigma_.data();
-    for (size_t i = 0; i < racks; ++i) {
+    const internal::ShapeArgs shape_args{
+        normal,  sigma,  rho,      amplitude, diurnal,
+        base,    weekly, rackMin_, rackMax_};
+    for (size_t i = avx2 ? internal::shapeRowAvx2(shape_args, racks, ar,
+                                                  row)
+                         : 0;
+         i < racks; ++i) {
         double innovation = normal[i] * sigma[i] + 0.0;
         ar[i] = rho[i] * ar[i] + innovation;
         double shape = 1.0 + amplitude[i] * weekly * diurnal[i] + ar[i];
@@ -155,7 +167,10 @@ TraceRowKernel::synthesize(std::size_t sample,
             * std::cos(kTwoPi * (from_peak - 0.0) / kDay)
         + (normal[racks] * aggregateSigma_ + 0.0);
     double scale = raw_sum > 0.0 ? target / raw_sum : 1.0;
-    for (size_t i = 0; i < racks; ++i)
+    for (size_t i = avx2 ? internal::calibrateRowAvx2(scale, rackMin_,
+                                                      rackMax_, racks, row)
+                         : 0;
+         i < racks; ++i)
         row[i] = std::clamp(row[i] * scale, rackMin_, rackMax_);
 }
 

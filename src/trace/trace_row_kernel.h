@@ -16,11 +16,10 @@
  *  1. every normal draw of the row, in the loop's stream order (racks,
  *     then the aggregate), from a util::StandardNormalStream, which
  *     yields exactly the fresh-std::normal_distribution draws;
- *  2. the diurnal cosine arguments, plain IEEE arithmetic the compiler
- *     may vectorize;
+ *  2. the diurnal cosine arguments, plain IEEE arithmetic;
  *  3. one libm std::cos per rack (the transcendental stays scalar:
  *     vector math libraries do not round like libm);
- *  4. AR update, shape and clamp, vectorizable again;
+ *  4. AR update, shape and clamp, plain arithmetic again;
  *  5. the raw column sum, strictly in rack order;
  *  6. calibration and the final clamp.
  * Pass 1 is the only one that touches the engine, so the libm calls of
@@ -28,6 +27,13 @@
  * constants the loop recomputed per sample, sigma * sqrt(1 - rho^2)
  * and the phase shift in seconds, are computed once with the same
  * expressions, so they are the same doubles.
+ *
+ * Under util::SimdMode::Avx2, passes 2, 4 and 6 run four racks per
+ * vector (trace_row_kernel_avx2.cc), as do the engine and the
+ * non-libm passes of the normal stream; passes 3 and 5 and the
+ * stream's log stay scalar. Each vector operation keeps the scalar
+ * operand order and std::clamp is compare-and-blend, so both modes
+ * produce the same bits (trace_test pins it).
  */
 
 #ifndef DCBATT_TRACE_TRACE_ROW_KERNEL_H_
@@ -62,10 +68,20 @@ class TraceRowKernel
     /**
      * Synthesize absolute sample @p sample into @p row (one value per
      * rack), advancing the per-rack AR(1) state @p ar and the noise
-     * stream.
+     * stream, under the resolved DCBATT_SIMD mode.
      */
-    void synthesize(std::size_t sample, util::StandardNormalStream &noise,
-                    double *ar, double *row);
+    void
+    synthesize(std::size_t sample, util::StandardNormalStream &noise,
+               double *ar, double *row)
+    {
+        synthesizeWithMode(sample, noise, ar, row,
+                           util::activeSimdMode());
+    }
+
+    /** Synthesize with an explicit mode (the parity test's hook). */
+    void synthesizeWithMode(std::size_t sample,
+                            util::StandardNormalStream &noise, double *ar,
+                            double *row, util::SimdMode mode);
 
   private:
     // Fleet-wide constants, copied from the spec.

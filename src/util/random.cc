@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "util/logging.h"
+#include "util/random_internal.h"
 
 namespace dcbatt::util {
 
@@ -61,14 +62,13 @@ drawTruncatedNormal(Engine &engine, double mean, double stddev,
 // ---------------------------------------------------------------------
 // MT19937-64 core (matches std::mt19937_64's parameters; the
 // CachedSeedEngine and Mt64 differential tests pin equality). Only the
-// seeding and twist live here — tempering is inline in the header.
+// seeding and twist live here — tempering is inline in the header, and
+// the AVX2 twist in random_avx2.cc.
 // ---------------------------------------------------------------------
 
-constexpr size_t kMtN = 312;
-constexpr size_t kMtM = 156;
-constexpr uint64_t kMtMatrixA = 0xB5026F5AA96619E9ULL;
-constexpr uint64_t kMtUpperMask = 0xFFFFFFFF80000000ULL;
-constexpr uint64_t kMtLowerMask = 0x7FFFFFFFULL;
+using internal::kMtM;
+using internal::kMtN;
+using internal::mtTwistWord;
 
 void
 mtSeedState(uint64_t seed, std::array<uint64_t, kMtN> &mt)
@@ -77,14 +77,6 @@ mtSeedState(uint64_t seed, std::array<uint64_t, kMtN> &mt)
     for (size_t i = 1; i < kMtN; ++i)
         mt[i] = 6364136223846793005ULL * (mt[i - 1] ^ (mt[i - 1] >> 62))
             + i;
-}
-
-/** One word of the twist, with the y & 1 select done by a mask. */
-inline uint64_t
-mtTwistWord(uint64_t word, uint64_t next, uint64_t far)
-{
-    uint64_t y = (word & kMtUpperMask) | (next & kMtLowerMask);
-    return far ^ (y >> 1) ^ ((0 - (y & 1)) & kMtMatrixA);
 }
 
 /**
@@ -102,6 +94,21 @@ mtTwistState(std::array<uint64_t, kMtN> &mt)
     for (; i < kMtN - 1; ++i)
         mt[i] = mtTwistWord(mt[i], mt[i + 1], mt[i + kMtM - kMtN]);
     mt[kMtN - 1] = mtTwistWord(mt[kMtN - 1], mt[0], mt[kMtM - 1]);
+}
+
+/** Twist @p mt in place and, if @p out is given, temper it there. */
+void
+mtTwist(std::array<uint64_t, kMtN> &mt, uint64_t *out, SimdMode mode)
+{
+    if (mode == SimdMode::Avx2) {
+        internal::mtTwistAvx2(mt.data(), out);
+        return;
+    }
+    mtTwistState(mt);
+    if (out != nullptr) {
+        for (size_t i = 0; i < kMtN; ++i)
+            out[i] = mt64Temper(mt[i]);
+    }
 }
 
 /**
@@ -124,7 +131,7 @@ canonical(uint64_t u)
 
 } // namespace
 
-Mt64::Mt64(uint64_t seed)
+Mt64::Mt64(uint64_t seed, SimdMode mode) : mode_(mode)
 {
     mtSeedState(seed, state_);
 }
@@ -132,9 +139,7 @@ Mt64::Mt64(uint64_t seed)
 void
 Mt64::refill()
 {
-    mtTwistState(state_);
-    for (size_t i = 0; i < kStateWords; ++i)
-        out_[i] = mt64Temper(state_[i]);
+    mtTwist(state_, out_.data(), mode_);
     idx_ = 0;
 }
 
@@ -156,9 +161,9 @@ void
 StandardNormalStream::draw(double *out, size_t n)
 {
     while (n > 0) {
-        if (next_ == ready_.size())
+        if (next_ == readyCount_)
             refill();
-        size_t take = std::min(n, ready_.size() - next_);
+        size_t take = std::min(n, readyCount_ - next_);
         std::copy_n(ready_.data() + next_, take, out);
         next_ += take;
         out += take;
@@ -169,35 +174,54 @@ StandardNormalStream::draw(double *out, size_t n)
 void
 StandardNormalStream::refill()
 {
-    // One run of polar attempts, in passes: the candidates (plain
-    // arithmetic, vectorizable), the accepted ones compacted in order
-    // without a branch, then log and the scale for those only.
-    constexpr size_t kPairs = 128;
-    std::array<uint64_t, 2 * kPairs> raw;
-    std::array<double, kPairs> y;
-    std::array<double, kPairs> r2;
+    std::array<uint64_t, 2 * kRunPairs> raw;
     engine_->fill(raw.data(), raw.size());
-    for (size_t k = 0; k < kPairs; ++k) {
+    readyCount_ = internal::polarNormals(raw.data(), kRunPairs,
+                                         ready_.data(), engine_->mode());
+    next_ = 0;
+}
+
+namespace internal {
+
+size_t
+polarNormals(const uint64_t *raw, size_t pairs, double *out,
+             SimdMode mode)
+{
+    // One run of polar attempts, in passes: the candidates (plain
+    // arithmetic), the accepted ones compacted in order without a
+    // branch (AVX2 lanes do both at once under that mode), then the
+    // scalar libm log and the scale for those only.
+    std::array<double, StandardNormalStream::kRunPairs> y;
+    std::array<double, StandardNormalStream::kRunPairs> r2;
+    const bool avx2 = mode == SimdMode::Avx2;
+    size_t accepted = 0;
+    const size_t done =
+        avx2 ? polarAcceptAvx2(raw, pairs, y.data(), r2.data(), &accepted)
+             : 0;
+    for (size_t k = done; k < pairs; ++k) {
         double x = 2.0 * canonical(raw[2 * k]) - 1.0;
         y[k] = 2.0 * canonical(raw[2 * k + 1]) - 1.0;
         r2[k] = x * x + y[k] * y[k];
     }
-    size_t accepted = 0;
-    for (size_t k = 0; k < kPairs; ++k) {
+    for (size_t k = done; k < pairs; ++k) {
         y[accepted] = y[k];
         r2[accepted] = r2[k];
         accepted += (r2[k] > 1.0 || r2[k] == 0.0) ? 0 : 1;
     }
-    ready_.resize(accepted);
-    next_ = 0;
     for (size_t k = 0; k < accepted; ++k)
-        ready_[k] = std::log(r2[k]);
-    for (size_t k = 0; k < accepted; ++k)
-        ready_[k] = y[k] * std::sqrt(-2 * ready_[k] / r2[k]);
+        out[k] = std::log(r2[k]);
+    for (size_t k = avx2 ? polarScaleAvx2(accepted, y.data(), r2.data(),
+                                          out)
+                         : 0;
+         k < accepted; ++k)
+        out[k] = y[k] * std::sqrt(-2 * out[k] / r2[k]);
+    return accepted;
 }
 
+} // namespace internal
+
 std::shared_ptr<const CachedSeedEngine::Block>
-CachedSeedEngine::blockForSeed(uint64_t seed)
+CachedSeedEngine::blockForSeed(uint64_t seed, SimdMode mode)
 {
     // Pure memoization of seed -> first output block. Thread-local so
     // pool workers never contend; shard results stay a function of the
@@ -213,9 +237,7 @@ CachedSeedEngine::blockForSeed(uint64_t seed)
         cache.clear(); // engines hold shared_ptrs; eviction is safe
     auto block = std::make_shared<Block>();
     mtSeedState(seed, block->state);
-    mtTwistState(block->state);
-    for (size_t i = 0; i < kStateWords; ++i)
-        block->out[i] = mt64Temper(block->state[i]);
+    mtTwist(block->state, block->out.data(), mode);
     cache.emplace(seed, block);
     return block;
 }
@@ -227,7 +249,7 @@ CachedSeedEngine::advanceBlock()
         mt_ = block_->state;
         materialized_ = true;
     }
-    mtTwistState(mt_);
+    mtTwist(mt_, nullptr, mode_);
     idx_ = 0;
 }
 

@@ -19,6 +19,8 @@
 #include <random>
 #include <vector>
 
+#include "util/simd.h"
+
 namespace dcbatt::util {
 
 /** MT19937-64 tempering transform (shared by the engines below). */
@@ -53,8 +55,10 @@ class CachedSeedEngine
     static constexpr result_type min() { return 0; }
     static constexpr result_type max() { return ~result_type{0}; }
 
-    explicit CachedSeedEngine(uint64_t seed)
-        : block_(blockForSeed(seed))
+    /** @p mode picks the twist's instruction set, never its output. */
+    explicit CachedSeedEngine(uint64_t seed,
+                              SimdMode mode = activeSimdMode())
+        : block_(blockForSeed(seed, mode)), mode_(mode)
     {
     }
 
@@ -77,12 +81,14 @@ class CachedSeedEngine
         std::array<uint64_t, kStateWords> state; // post-twist state
     };
 
-    static std::shared_ptr<const Block> blockForSeed(uint64_t seed);
+    static std::shared_ptr<const Block> blockForSeed(uint64_t seed,
+                                                     SimdMode mode);
 
     void advanceBlock();
 
     std::shared_ptr<const Block> block_;
     size_t idx_ = 0;
+    SimdMode mode_;
     bool materialized_ = false;
     std::array<uint64_t, kStateWords> mt_; // used once materialized_
 };
@@ -90,10 +96,10 @@ class CachedSeedEngine
 /**
  * MT19937-64 with block output: the exact sequence of
  * std::mt19937_64{seed} (pinned by a differential test), generated 312
- * outputs at a time by a branch-free twist and tempering pass. The
- * libstdc++ engine branches on a random bit per word, which costs a
- * mispredict on half the words; the block form also lets consumers
- * take runs of outputs at once (fill()).
+ * outputs at a time by a branch-free twist and tempering pass, four
+ * words per vector under AVX2. The libstdc++ engine branches on a
+ * random bit per word, which costs a mispredict on half the words; the
+ * block form also lets consumers take runs of outputs at once (fill()).
  */
 class Mt64
 {
@@ -102,7 +108,14 @@ class Mt64
     static constexpr result_type min() { return 0; }
     static constexpr result_type max() { return ~result_type{0}; }
 
-    explicit Mt64(uint64_t seed);
+    /**
+     * @p mode picks the instruction set of the block passes here and
+     * in a StandardNormalStream over this engine; it never changes
+     * the output.
+     */
+    explicit Mt64(uint64_t seed, SimdMode mode = activeSimdMode());
+
+    SimdMode mode() const { return mode_; }
 
     result_type
     operator()()
@@ -124,6 +137,7 @@ class Mt64
     std::array<uint64_t, kStateWords> state_;
     std::array<uint64_t, kStateWords> out_;
     size_t idx_ = kStateWords;
+    SimdMode mode_;
 };
 
 /**
@@ -139,11 +153,16 @@ class Mt64
  * evaluates a run of pairs at once, with no branch on acceptance, and
  * keeps the accepted values for later calls: it reads ahead of what it
  * has returned, so @p engine belongs to the stream from construction
- * on and must not be drawn from directly afterwards.
+ * on and must not be drawn from directly afterwards. The candidate
+ * and scale passes run on the engine's SimdMode; the libm log of each
+ * accepted attempt is scalar in both modes.
  */
 class StandardNormalStream
 {
   public:
+    /** Polar attempts evaluated per run. */
+    static constexpr size_t kRunPairs = 128;
+
     explicit StandardNormalStream(Mt64 &engine) : engine_(&engine) {}
 
     /** The next @p n draws, in stream order, into @p out. */
@@ -154,7 +173,9 @@ class StandardNormalStream
     void refill();
 
     Mt64 *engine_;
-    std::vector<double> ready_;
+    /** Accepted draws of the last run: ready_[next_, readyCount_). */
+    std::array<double, kRunPairs> ready_;
+    size_t readyCount_ = 0;
     size_t next_ = 0;
 };
 

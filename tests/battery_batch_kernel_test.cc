@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "battery/batch_charge_kernel.h"
-#include "battery/batch_charge_kernel_internal.h"
 #include "battery/bbu.h"
 #include "obs/metrics.h"
 #include "power/topology.h"
@@ -160,7 +159,7 @@ TEST(BatchLane, IneligibleConfigurationsStayOnObjectPath)
 
 TEST(BatchKernel, Avx2LanesMatchScalarBitExact)
 {
-    if (!internal::cpuHasAvx2())
+    if (!util::cpuHasAvx2())
         GTEST_SKIP() << "CPU has no AVX2";
     BbuParams params;
     BatchChargeKernel kernel(params);

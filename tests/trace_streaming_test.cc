@@ -10,10 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "trace/streaming_trace_source.h"
 #include "trace/trace_set.h"
+#include "util/check.h"
 #include "util/units.h"
 
 namespace dcbatt::trace {
@@ -144,6 +146,15 @@ TEST(StreamingTrace, WindowSizeDoesNotChangeTotals)
     }
 }
 
+/** Window @p w with every row filled (rows fill as they are read). */
+const TraceWindow &
+filledWindow(StreamingTraceSource &source, size_t w)
+{
+    size_t end = std::min((w + 1) * source.windowSamples(),
+                          source.sampleCount());
+    return source.windowFor(end - 1);
+}
+
 /** FNV-1a over the exact bytes of one window's samples. */
 uint64_t
 windowChecksum(const TraceWindow &window)
@@ -193,15 +204,63 @@ TEST(StreamingTrace, WindowBytesPinned)
                                 power::Priority::P2, power::Priority::P3};
         StreamingTraceSource source(spec);
         ASSERT_EQ(source.windowCount(), 7u);
-        const size_t w = spec.windowSamples;
-        EXPECT_EQ(windowChecksum(source.windowFor(0)), pin.first)
+        EXPECT_EQ(windowChecksum(filledWindow(source, 0)), pin.first)
             << "seed " << pin.seed;
-        EXPECT_EQ(windowChecksum(source.windowFor(3 * w)), pin.middle)
+        EXPECT_EQ(windowChecksum(filledWindow(source, 3)), pin.middle)
             << "seed " << pin.seed;
-        EXPECT_EQ(windowChecksum(source.windowFor(6 * w)), pin.last)
+        EXPECT_EQ(windowChecksum(filledWindow(source, 6)), pin.last)
             << "seed " << pin.seed;
     }
 }
+
+TEST(StreamingTrace, RowsFillOnDemand)
+{
+    StreamingTraceSource source(smallSpec());
+    const TraceWindow &first = source.windowFor(0);
+    EXPECT_EQ(first.filledRows(), 1u);
+    EXPECT_EQ(source.windowFor(17).filledRows(), 18u);
+    // Reading back inside the filled prefix synthesizes nothing.
+    EXPECT_EQ(source.windowFor(3).filledRows(), 18u);
+    // Crossing into window 1 completes window 0 (its AR state is window
+    // 1's checkpoint); window 1 then holds just the rows read.
+    const TraceWindow &second = source.windowFor(52);
+    EXPECT_EQ(first.filledRows(), 50u);
+    EXPECT_EQ(second.firstSample(), 50u);
+    EXPECT_EQ(second.filledRows(), 3u);
+    // A window counts as generated when it is opened, as before.
+    EXPECT_EQ(source.stats().windowsGenerated, 2u);
+}
+
+TEST(StreamingTrace, SeeksKeepWholeWindowCounts)
+{
+    // One resident window, read 5 -> 2 -> 6. Opening 5 synthesizes
+    // windows 0..4 only for their AR state; reopening 2 evicts 5
+    // half-read, which is completed first so checkpoint 6 exists; 6 is
+    // then opened without touching 5 again. These are the counts
+    // whole-window generation gave.
+    StreamingTraceSource source(smallSpec(50, 1));
+    StreamingTraceSource forward(smallSpec());
+    std::vector<double> reference = forwardWalk(forward);
+    for (size_t s : {5 * 50 + 10, 2 * 50 + 7, 6 * 50 + 49}) {
+        for (int r = 0; r < source.rackCount(); ++r) {
+            ASSERT_EQ(source.row(s)[r],
+                      reference[s * 8 + static_cast<size_t>(r)])
+                << "sample " << s;
+        }
+    }
+    EXPECT_EQ(source.stats().windowsGenerated, 8u);
+    EXPECT_EQ(source.stats().refetches, 1u);
+    EXPECT_EQ(source.stats().evictions, 2u);
+}
+
+#if DCBATT_CHECKS_ENABLED
+TEST(StreamingTraceDeathTest, UnfilledRowAsserts)
+{
+    StreamingTraceSource source(smallSpec());
+    const TraceWindow &window = source.windowFor(4);
+    EXPECT_DEATH(window.row(5), "not filled");
+}
+#endif
 
 TEST(StreamingTrace, AggregateTracksTarget)
 {

@@ -17,8 +17,10 @@
 
 #include "trace/streaming_trace_source.h"
 #include "trace/trace_generator.h"
+#include "trace/trace_row_kernel.h"
 #include "trace/trace_set.h"
 #include "util/random.h"
+#include "util/simd.h"
 
 namespace dcbatt::trace {
 namespace {
@@ -349,8 +351,10 @@ TEST(StreamingTrace, MatchesReferenceLoop)
     ReferenceFleet fleet = referenceFleet(spec.base, param_rng);
     for (size_t w = 0; w < source.windowCount(); ++w) {
         util::Rng rng(util::Rng::substreamSeed(spec.base.seed, w + 1));
-        const TraceWindow &window =
-            source.windowFor(w * spec.windowSamples);
+        // The window's last sample: windowFor fills rows through it.
+        const TraceWindow &window = source.windowFor(
+            std::min((w + 1) * spec.windowSamples, source.sampleCount())
+            - 1);
         for (size_t s = window.firstSample();
              s < window.firstSample() + window.sampleCount(); ++s) {
             std::vector<double> row =
@@ -359,6 +363,91 @@ TEST(StreamingTrace, MatchesReferenceLoop)
                 expectSameBits(window.row(s)[r],
                                row[static_cast<size_t>(r)], "stream", s,
                                r);
+        }
+    }
+}
+
+/**
+ * A spec whose rows hit both clamp bounds: P1 racks run past
+ * rackMaxPower, P3's noise drives racks below rackMinPower = 0, and
+ * P2 racks have a base of exactly +0.0, so a negative shape yields
+ * -0.0 — the tie std::clamp passes through and vmaxpd would not.
+ */
+TraceGenSpec
+clampingSpec(int racks)
+{
+    TraceGenSpec spec;
+    spec.rackCount = racks;
+    spec.duration = util::hours(2.0);
+    spec.step = Seconds(30.0);
+    spec.seed = 4242;
+    spec.rackMinPower = util::Watts(0.0);
+    spec.rackMaxPower = util::kilowatts(12.6);
+    spec.profiles[0].baseMean = util::kilowatts(12.0);
+    spec.profiles[0].baseSpread = util::kilowatts(1.0);
+    spec.profiles[0].diurnalAmplitude = 0.4;
+    spec.profiles[1].baseMean = util::Watts(0.0);
+    spec.profiles[1].baseSpread = util::Watts(0.0);
+    spec.profiles[1].noiseSigma = 2.0;
+    spec.profiles[2].baseMean = util::kilowatts(2.0);
+    spec.profiles[2].baseSpread = util::kilowatts(1.0);
+    spec.profiles[2].noiseSigma = 1.5;
+    // A target well above the raw column, so calibration scales up
+    // and the P1 racks stay pinned at the top.
+    spec.aggregateMean = util::kilowatts(12.0 * racks);
+    spec.aggregateAmplitude = util::kilowatts(0.5 * racks);
+    spec.priorities = {power::Priority::P1, power::Priority::P2,
+                       power::Priority::P3};
+    return spec;
+}
+
+TEST(TraceRowKernel, Avx2MatchesScalarBitExact)
+{
+    if (!util::cpuHasAvx2())
+        GTEST_SKIP() << "CPU has no AVX2";
+    using util::SimdMode;
+    for (int racks : {1, 3, 4, 5, 64, 300, 316}) {
+        const TraceGenSpec spec = clampingSpec(racks);
+        TraceRowKernel kernel[2] = {TraceRowKernel(spec),
+                                    TraceRowKernel(spec)};
+        const SimdMode modes[2] = {SimdMode::Scalar, SimdMode::Avx2};
+        std::vector<double> ar[2];
+        std::vector<util::Mt64> engine;
+        for (int m = 0; m < 2; ++m) {
+            util::Rng rng(spec.seed);
+            ar[m] = kernel[m].drawRackParameters(spec, rng);
+            engine.emplace_back(spec.seed + 1, modes[m]);
+        }
+        util::StandardNormalStream noise[2] = {
+            util::StandardNormalStream(engine[0]),
+            util::StandardNormalStream(engine[1])};
+        std::vector<double> row[2] = {std::vector<double>(ar[0].size()),
+                                      std::vector<double>(ar[0].size())};
+        size_t at_max = 0;
+        size_t at_zero = 0;
+        size_t at_minus_zero = 0;
+        const auto samples = static_cast<size_t>(spec.duration / spec.step);
+        for (size_t s = 0; s < samples; ++s) {
+            for (int m = 0; m < 2; ++m)
+                kernel[m].synthesizeWithMode(s, noise[m], ar[m].data(),
+                                             row[m].data(), modes[m]);
+            for (size_t r = 0; r < row[0].size(); ++r) {
+                ASSERT_EQ(std::bit_cast<uint64_t>(row[1][r]),
+                          std::bit_cast<uint64_t>(row[0][r]))
+                    << racks << " racks, sample " << s << " rack " << r;
+                ASSERT_EQ(std::bit_cast<uint64_t>(ar[1][r]),
+                          std::bit_cast<uint64_t>(ar[0][r]))
+                    << racks << " racks, sample " << s << " rack " << r;
+                at_max += row[0][r] == spec.rackMaxPower.value() ? 1 : 0;
+                if (row[0][r] == 0.0)
+                    ++(std::signbit(row[0][r]) ? at_minus_zero : at_zero);
+            }
+        }
+        // The profiles must really reach both bounds and the -0.0 tie.
+        if (racks >= 3) {
+            EXPECT_GT(at_max, 0u) << racks << " racks";
+            EXPECT_GT(at_zero, 0u) << racks << " racks";
+            EXPECT_GT(at_minus_zero, 0u) << racks << " racks";
         }
     }
 }

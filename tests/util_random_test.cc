@@ -10,6 +10,8 @@
 #include <bit>
 
 #include "util/random.h"
+#include "util/random_internal.h"
+#include "util/simd.h"
 #include "util/stats.h"
 
 namespace dcbatt::util {
@@ -246,6 +248,162 @@ TEST(StandardNormalStream, BitIdenticalToRngNormal)
                           std::bit_cast<uint64_t>(expected))
                     << "seed " << seed << " draw " << i;
                 ++i;
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// AVX2 against the scalar reference, bit for bit. The engine and the
+// polar passes take their SimdMode explicitly, so one process runs
+// both paths whatever DCBATT_SIMD says.
+// ---------------------------------------------------------------------
+
+TEST(Mt64, BothModesMatchStdMt19937_64AcrossBlocks)
+{
+    if (!cpuHasAvx2())
+        GTEST_SKIP() << "CPU has no AVX2";
+    constexpr size_t kBlocks = 1000;
+    for (SimdMode mode : {SimdMode::Scalar, SimdMode::Avx2}) {
+        for (uint64_t seed :
+             {0ULL, 1ULL, 0xdeadbeefULL, 20201017ULL, ~0ULL}) {
+            std::mt19937_64 reference(seed);
+            Mt64 engine(seed, mode);
+            std::vector<uint64_t> block(312);
+            for (size_t b = 0; b < kBlocks; ++b) {
+                engine.fill(block.data(), block.size());
+                for (size_t i = 0; i < block.size(); ++i)
+                    ASSERT_EQ(block[i], reference())
+                        << "seed " << seed << " block " << b << " word "
+                        << i;
+            }
+        }
+    }
+}
+
+TEST(CachedSeedEngine, BothModesMatchStdMt19937_64AcrossBlocks)
+{
+    if (!cpuHasAvx2())
+        GTEST_SKIP() << "CPU has no AVX2";
+    // Seeds no other test uses, so each mode computes its own cached
+    // first block.
+    const uint64_t seeds[2][3] = {{101, 0x5eed0001ULL, 987654321ULL},
+                                  {202, 0x5eed0002ULL, 123456789ULL}};
+    const SimdMode modes[2] = {SimdMode::Scalar, SimdMode::Avx2};
+    for (int m = 0; m < 2; ++m) {
+        for (uint64_t seed : seeds[m]) {
+            std::mt19937_64 reference(seed);
+            CachedSeedEngine engine(seed, modes[m]);
+            for (size_t i = 0; i < 312 * 1000; ++i)
+                ASSERT_EQ(engine(), reference())
+                    << "seed " << seed << " draw " << i;
+        }
+    }
+}
+
+/**
+ * Replays fixed raw words. Once they run out it serves the accepted
+ * pair (2^63, 0) forever and notes the overrun, so a fresh
+ * std::normal_distribution always terminates.
+ */
+struct ReplayEngine
+{
+    using result_type = uint64_t;
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type{0}; }
+
+    result_type
+    operator()()
+    {
+        if (pos < words.size())
+            return words[pos++];
+        overran = true;
+        return (pos++ - words.size()) % 2 == 0 ? 1ULL << 63 : 0;
+    }
+
+    std::vector<uint64_t> words;
+    size_t pos = 0;
+    bool overran = false;
+};
+
+TEST(StandardNormalStream, PolarRunMatchesFreshDistributionOnEdgeWords)
+{
+    if (!cpuHasAvx2())
+        GTEST_SKIP() << "CPU has no AVX2";
+    // Word 0 is canonical 0 (x = -1), UINT64_MAX is the largest
+    // canonical below 1, and 2^63 is exactly 0.5 (x = 0). The pairs
+    // cover r2 > 1 (rejected), r2 == 0 (rejected), r2 == 1 (accepted,
+    // log 0 gives a -0.0 draw) and the extremes accepted.
+    constexpr uint64_t kMax = ~0ULL;
+    constexpr uint64_t kHalf = 1ULL << 63;
+    const uint64_t edges[][2] = {
+        {0, 0},       {kHalf, kHalf}, {0, kHalf},    {kMax, kHalf},
+        {kMax, kMax}, {kHalf, kMax},  {0, kMax},     {kMax, 0},
+        {kHalf, 0},   {1, kHalf},     {kHalf - 1, kHalf + 1},
+    };
+    Mt64 filler(77);
+    for (size_t pairs : {size_t{1}, size_t{3}, size_t{4}, size_t{5},
+                         size_t{61}, StandardNormalStream::kRunPairs}) {
+        for (size_t offset = 0; offset < 8; ++offset) {
+            // Random pairs with the edge pairs spliced in from
+            // @p offset on, so they land in every vector lane.
+            std::vector<uint64_t> raw(2 * pairs);
+            filler.fill(raw.data(), raw.size());
+            for (size_t e = 0; e < std::size(edges); ++e) {
+                size_t k = offset + e;
+                if (k >= pairs)
+                    break;
+                raw[2 * k] = edges[e][0];
+                raw[2 * k + 1] = edges[e][1];
+            }
+
+            // Mean -0.0 adds nothing to any draw, -0.0 included, so
+            // the distribution returns the raw polar value.
+            ReplayEngine replay{raw};
+            std::vector<double> expected;
+            for (;;) {
+                double z = std::normal_distribution<double>(-0.0, 1.0)(
+                    replay);
+                if (replay.overran)
+                    break;
+                expected.push_back(z);
+            }
+
+            for (SimdMode mode : {SimdMode::Scalar, SimdMode::Avx2}) {
+                std::vector<double> got(pairs);
+                size_t n = internal::polarNormals(raw.data(), pairs,
+                                                  got.data(), mode);
+                ASSERT_EQ(n, expected.size())
+                    << "pairs " << pairs << " offset " << offset;
+                for (size_t i = 0; i < n; ++i)
+                    ASSERT_EQ(std::bit_cast<uint64_t>(got[i]),
+                              std::bit_cast<uint64_t>(expected[i]))
+                        << "pairs " << pairs << " offset " << offset
+                        << " draw " << i
+                        << (mode == SimdMode::Avx2 ? " avx2" : " scalar");
+            }
+        }
+    }
+}
+
+TEST(StandardNormalStream, BothModesMatchRngNormal)
+{
+    if (!cpuHasAvx2())
+        GTEST_SKIP() << "CPU has no AVX2";
+    for (SimdMode mode : {SimdMode::Scalar, SimdMode::Avx2}) {
+        for (uint64_t seed : {5ULL, 20201017ULL}) {
+            Rng rng(seed);
+            Mt64 engine(seed, mode);
+            StandardNormalStream stream(engine);
+            std::vector<double> z(301);
+            for (int run = 0; run < 200; ++run) {
+                stream.draw(z.data(), z.size());
+                for (double v : z) {
+                    double expected = rng.normal(0.0, 1.0);
+                    ASSERT_EQ(std::bit_cast<uint64_t>(v * 1.0 + 0.0),
+                              std::bit_cast<uint64_t>(expected))
+                        << "seed " << seed;
+                }
             }
         }
     }
