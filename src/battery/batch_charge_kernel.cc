@@ -6,16 +6,17 @@
 #include <string_view>
 
 #include "battery/batch_charge_kernel_internal.h"
+#include "battery/bbu.h"
 
 namespace dcbatt::battery {
 
 bool
 batchChargingEnabled()
 {
-    // Read per call (once per Topology::stepRacks, not per rack): the
-    // differential tests flip the variable within one process.
-    const char *env = std::getenv("DCBATT_BATCH");
-    return !(env != nullptr && std::string_view(env) == "off");
+    // Once per process, like util::activeSimdMode().
+    static const char *const env = std::getenv("DCBATT_BATCH");
+    static const bool off = env != nullptr && std::string_view(env) == "off";
+    return !off;
 }
 
 BatchChargeKernel::BatchChargeKernel(const BbuParams &params)
@@ -25,16 +26,11 @@ BatchChargeKernel::BatchChargeKernel(const BbuParams &params)
       cvV_(params.cvVoltage.value()),
       tauS_(params.cvTimeConstant.value())
 {
-    // The OCV line constants, with exactly the expressions the
-    // BbuModel constructor evaluates (cvCharge(originalCurrent) /
-    // refillCharge), so both sides hold bit-equal spans.
-    double ref_threshold = ((params.originalCurrent
-                             - params.cutoffCurrent)
-                            * params.cvTimeConstant)
-        / params.refillCharge;
-    ocvSocSpan_ = 1.0 - ref_threshold;
-    ocvVoltSpan_ = params.ccEndVoltage.value()
-        - params.emptyVoltage.value();
+    // The OCV line constants of a model of the same calibration, so
+    // both sides hold bit-equal spans.
+    const BbuModel model(params);
+    ocvSocSpan_ = model.ocvSocSpan_;
+    ocvVoltSpan_ = model.ocvVoltSpan_;
 }
 
 void

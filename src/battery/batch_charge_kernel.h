@@ -23,11 +23,9 @@
  * battery_batch_kernel_test pins both parities (batch vs. BbuModel
  * step, AVX2 vs. scalar).
  *
- * Runtime switches (read from the environment):
- *  - DCBATT_BATCH=off      admit no lane at all (Topology falls back
- *                          to the per-rack step walk);
- *  - DCBATT_SIMD           the lanes' instruction set, shared with
- *                          every other vector kernel (util/simd.h).
+ * Runtime switches, each read once per process: DCBATT_BATCH=off
+ * admits no lane (Topology walks every rack); DCBATT_SIMD picks the
+ * lanes' instruction set, shared with every vector kernel (util/simd.h).
  */
 
 #ifndef DCBATT_BATTERY_BATCH_CHARGE_KERNEL_H_
@@ -44,7 +42,7 @@ namespace dcbatt::battery {
 using util::activeSimdMode;
 using util::SimdMode;
 
-/** Whether Topology should admit charge lanes at all (DCBATT_BATCH). */
+/** Whether Topology admits charge lanes (DCBATT_BATCH, read once). */
 bool batchChargingEnabled();
 
 /**

@@ -189,11 +189,11 @@ class BbuModel
 
   private:
     /**
-     * A resident lane (charge_lanes.h) reads a lockstep
-     * representative's state at admission and writes the advanced
-     * continuous state back after every lane step.
+     * Resident lanes (charge_lanes.h) read and write a representative's
+     * state; the batch kernel reads the OCV line constants.
      */
     friend class ChargeLanes;
+    friend class BatchChargeKernel;
 
     /** Remaining charge deficit in coulombs. */
     util::Coulombs deficit() const { return params_.refillCharge * dod_; }

@@ -5,10 +5,10 @@
  * The CC-CV trajectory between control-plane interventions is closed
  * form: the CC phase is linear in state of charge, the CV phase is the
  * paper's exponential current decay. This kernel exposes that math as
- * a set of primitives — next state boundary (CC->CV handover, CV
- * cutoff / full charge), instantaneous current, and an analytic
- * advance that jumps the state by an arbitrary dt — so callers never
- * have to integrate second by second.
+ * a set of primitives — the CC->CV handover time, the CV duration,
+ * the current decay, and an analytic advance that jumps the state by
+ * an arbitrary dt — so callers never have to integrate second by
+ * second.
  *
  * BbuModel composes these primitives on its hot path (keeping its own
  * derived-value caches); tests and the charge-time cross-checks use
@@ -37,13 +37,6 @@ struct CcCvState
     bool inCv = false;
     /** Seconds spent in the CV phase so far. */
     double cvElapsedSeconds = 0.0;
-};
-
-/** Which state boundary nextBoundarySeconds() reported. */
-enum class CcCvBoundary
-{
-    CcToCv,      ///< CC phase ends (deficit equals the CV charge)
-    FullCharge,  ///< CV current reaches the cutoff; charging completes
 };
 
 /** Closed-form CC-CV charging math for one parameter set. */
@@ -139,26 +132,6 @@ class CcCvKernel
     {
         return std::max(
             0.0, dod - coulombs / params_.refillCharge.value());
-    }
-
-    /**
-     * Seconds until the next state boundary at a fixed setpoint:
-     * the CC->CV handover while in CC, the cutoff-current full-charge
-     * point while in CV. The state must describe an in-progress
-     * charge (CC implies the deficit exceeds the CV charge).
-     */
-    double
-    nextBoundarySeconds(const CcCvState &state, double setpoint_a,
-                        CcCvBoundary *which = nullptr) const
-    {
-        if (!state.inCv) {
-            if (which)
-                *which = CcCvBoundary::CcToCv;
-            return ccHandoverSeconds(state.dod, setpoint_a);
-        }
-        if (which)
-            *which = CcCvBoundary::FullCharge;
-        return totalCvSeconds(setpoint_a) - state.cvElapsedSeconds;
     }
 
     /**

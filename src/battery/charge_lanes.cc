@@ -1,6 +1,7 @@
 #include "battery/charge_lanes.h"
 
 #include <algorithm>
+#include <initializer_list>
 
 #include "battery/bbu.h"
 #include "battery/power_shelf.h"
@@ -8,88 +9,100 @@
 
 namespace dcbatt::battery {
 
-ChargeLanes::ChargeLanes(std::size_t rows, const BbuParams &params)
-    : kind_(rows, Kind::None), gates_(params), kernel_(params)
+ChargeLanes::ChargeLanes(FleetState &fleet, const BbuParams &params)
+    : fleet_(&fleet), kind_(fleet.size(), Kind::None),
+      slot_(fleet.size(), 0), gates_(params), kernel_(params)
 {
+}
+
+void
+ChargeLanes::materialize(std::size_t row)
+{
+    if (!resident(row))
+        return;
+    const std::size_t k = slot_[row];
+    Lane &lane = kind_[row] == Kind::Cc ? cc_[k] : cv_[k];
+    if (lane.syncedAt == steps_)
+        return;
+    ++materializations_;
+    lane.shelf->stepStats_.lockstepSteps += steps_ - lane.syncedAt;
+    lane.syncedAt = steps_;
+    // Interior steps move only these; a CC lane's current stays at the
+    // setpoint.
+    BbuModel &pack = lane.shelf->bbus_[lane.shelf->repIdx_];
+    if (kind_[row] == Kind::Cc) {
+        pack.dod_ = cols_.ccDod[k];
+        pack.cachedInputW_ = cols_.ccInputW[k];
+        return;
+    }
+    pack.dod_ = cols_.cvDod[k];
+    pack.cvElapsed_ = util::Seconds(cols_.cvElapsedS[k]);
+    pack.cachedCurrentA_ = cols_.cvCurrentA[k];
+    pack.cachedInputW_ = cols_.cvInputW[k];
+}
+
+void
+ChargeLanes::evict(std::size_t row)
+{
+    if (!resident(row))
+        return;
+    materialize(row);
+    // The continuous aggregates were the lane's: re-fold at next read.
+    at(row, cc_, cv_).shelf->aggValid_ = false;
+    // Swap-remove: a lane's place in its set is not observable.
+    auto remove = [this](std::vector<Lane> &lanes, std::size_t k,
+                         std::initializer_list<std::vector<double> *> cols) {
+        lanes[k] = lanes.back();
+        slot_[lanes[k].row] = static_cast<std::uint32_t>(k);
+        lanes.pop_back();
+        for (std::vector<double> *col : cols) {
+            (*col)[k] = col->back();
+            col->pop_back();
+        }
+    };
+    if (kind_[row] == Kind::Cc) {
+        remove(cc_, slot_[row],
+               {&cols_.ccDod, &cols_.ccSetpointA, &cols_.ccInputW});
+    } else {
+        remove(cv_, slot_[row],
+               {&cols_.cvDod, &cols_.cvSetpointA, &cols_.cvElapsedS,
+                &cols_.cvCurrentA, &cols_.cvInputW, &cols_.cvTotalS});
+    }
+    kind_[row] = Kind::None;
 }
 
 void
 ChargeLanes::evictAll()
 {
-    for (const Lane &lane : cc_)
-        kind_[lane.row] = Kind::None;
-    for (const Lane &lane : cv_)
-        kind_[lane.row] = Kind::None;
-    evicted_ = cc_.size() + cv_.size();
-    compact();
+    while (!cc_.empty())
+        evict(cc_.back().row);
+    while (!cv_.empty())
+        evict(cv_.back().row);
 }
 
 void
 ChargeLanes::beginStep(double dt)
 {
-    for (std::size_t k = 0; k < cc_.size(); ++k) {
-        if (!gates_.ccStepInterior(cols_.ccDod[k], cols_.ccSetpointA[k],
-                                   dt))
+    // An eviction moves the set's last lane into slot k: check it next.
+    for (std::size_t k = 0; k < cc_.size();) {
+        if (gates_.ccStepInterior(cols_.ccDod[k], cols_.ccSetpointA[k], dt))
+            ++k;
+        else
             evict(cc_[k].row);
     }
-    for (std::size_t k = 0; k < cv_.size(); ++k) {
-        if (!CcCvKernel::cvStepInterior(cols_.cvTotalS[k],
-                                        cols_.cvElapsedS[k], dt))
+    for (std::size_t k = 0; k < cv_.size();) {
+        if (CcCvKernel::cvStepInterior(cols_.cvTotalS[k],
+                                       cols_.cvElapsedS[k], dt))
+            ++k;
+        else
             evict(cv_[k].row);
     }
-    if (evicted_ != 0)
-        compact();
-}
-
-void
-ChargeLanes::compact()
-{
-    // Stable, so the surviving lanes keep their relative order.
-    std::size_t j = 0;
-    for (std::size_t k = 0; k < cc_.size(); ++k) {
-        if (kind_[cc_[k].row] != Kind::Cc)
-            continue;
-        cc_[j] = cc_[k];
-        cols_.ccDod[j] = cols_.ccDod[k];
-        cols_.ccSetpointA[j] = cols_.ccSetpointA[k];
-        cols_.ccInputW[j] = cols_.ccInputW[k];
-        ++j;
-    }
-    cc_.resize(j);
-    cols_.ccDod.resize(j);
-    cols_.ccSetpointA.resize(j);
-    cols_.ccInputW.resize(j);
-    j = 0;
-    for (std::size_t k = 0; k < cv_.size(); ++k) {
-        if (kind_[cv_[k].row] != Kind::Cv)
-            continue;
-        cv_[j] = cv_[k];
-        cols_.cvDod[j] = cols_.cvDod[k];
-        cols_.cvSetpointA[j] = cols_.cvSetpointA[k];
-        cols_.cvElapsedS[j] = cols_.cvElapsedS[k];
-        cols_.cvCurrentA[j] = cols_.cvCurrentA[k];
-        cols_.cvInputW[j] = cols_.cvInputW[k];
-        cols_.cvTotalS[j] = cols_.cvTotalS[k];
-        ++j;
-    }
-    cv_.resize(j);
-    cols_.cvDod.resize(j);
-    cols_.cvSetpointA.resize(j);
-    cols_.cvElapsedS.resize(j);
-    cols_.cvCurrentA.resize(j);
-    cols_.cvInputW.resize(j);
-    cols_.cvTotalS.resize(j);
-    evicted_ = 0;
 }
 
 bool
 ChargeLanes::tryAdmit(PowerShelf &shelf, std::size_t row, double dt)
 {
-    // A stale lane of this row would survive the next compaction next
-    // to its successor.
-    DCBATT_ASSERT(evicted_ == 0 && !resident(row),
-                  "admitting row %zu with %zu uncompacted evictions",
-                  row, evicted_);
+    DCBATT_ASSERT(!resident(row), "admitting resident row %zu", row);
     // PowerShelf::step()'s lockstep branch over BbuModel::step(): input
     // on, something charging, every healthy pack a twin of the
     // representative, which charges unpaused.
@@ -108,11 +121,12 @@ ChargeLanes::tryAdmit(PowerShelf &shelf, std::size_t row, double dt)
                   rep.setpoint_.value(), rep.params_.minCurrent.value(),
                   rep.params_.maxCurrent.value());
     const double sp = rep.setpoint_.value();
-    const Lane lane{&rep, &shelf, static_cast<std::uint32_t>(row),
-                    shelf.healthyTotal_};
+    const Lane lane{&shelf, static_cast<std::uint32_t>(row),
+                    shelf.healthyTotal_, steps_};
     if (!rep.inCv_) {
         if (!rep.kernel_.ccStepInterior(rep.dod_, sp, dt))
             return false;
+        slot_[row] = static_cast<std::uint32_t>(cc_.size());
         cc_.push_back(lane);
         cols_.ccDod.push_back(rep.dod_);
         cols_.ccSetpointA.push_back(sp);
@@ -124,6 +138,7 @@ ChargeLanes::tryAdmit(PowerShelf &shelf, std::size_t row, double dt)
     const double total_cv = rep.totalCvMemo();
     if (!CcCvKernel::cvStepInterior(total_cv, rep.cvElapsed_.value(), dt))
         return false;
+    slot_[row] = static_cast<std::uint32_t>(cv_.size());
     cv_.push_back(lane);
     cols_.cvDod.push_back(rep.dod_);
     cols_.cvSetpointA.push_back(sp);
@@ -136,52 +151,40 @@ ChargeLanes::tryAdmit(PowerShelf &shelf, std::size_t row, double dt)
 }
 
 void
-ChargeLanes::writeShelf(const Lane &lane, double input_w, double dod,
-                        FleetState &fleet)
-{
-    // An interior step moves only the continuous quantities: the pack
-    // stays Charging in the same phase, unpaused, at the same
-    // setpoint, so every counting aggregate (and the setpoint) is
-    // still correct. The three continuous ones take
-    // refreshAggregates()' lockstep fold: `healthy` repeated additions
-    // of bit-equal values, not a product.
-    PowerShelf &shelf = *lane.shelf;
-    ++shelf.stepStats_.lockstepSteps;
-    double recharge_w = 0.0;
-    double dod_sum = 0.0;
-    for (std::int32_t k = 0; k < lane.healthy; ++k) {
-        recharge_w += input_w;
-        dod_sum += dod;
-    }
-    shelf.rechargeSumW_ = recharge_w;
-    shelf.dodSum_ = dod_sum;
-    shelf.maxDodCache_ = std::max(0.0, dod);
-    // Rack::rechargePower(): input power is on for every lane.
-    fleet.rechargeW[lane.row] = recharge_w;
-}
-
-void
-ChargeLanes::finishStep(double dt, FleetState &fleet)
+ChargeLanes::finishStep(double dt)
 {
     if (size() == 0)
         return;
     kernel_.advance(cols_, dt);
-    for (std::size_t k = 0; k < cc_.size(); ++k) {
-        // refreshDerived() at an interior CC point: the current stays
-        // at the setpoint, the input power is the lane's.
-        BbuModel &pack = *cc_[k].pack;
-        pack.dod_ = cols_.ccDod[k];
-        pack.cachedInputW_ = cols_.ccInputW[k];
-        writeShelf(cc_[k], cols_.ccInputW[k], cols_.ccDod[k], fleet);
-    }
-    for (std::size_t k = 0; k < cv_.size(); ++k) {
-        BbuModel &pack = *cv_[k].pack;
-        pack.dod_ = cols_.cvDod[k];
-        pack.cvElapsed_ = util::Seconds(cols_.cvElapsedS[k]);
-        pack.cachedCurrentA_ = cols_.cvCurrentA[k];
-        pack.cachedInputW_ = cols_.cvInputW[k];
-        writeShelf(cv_[k], cols_.cvInputW[k], cols_.cvDod[k], fleet);
-    }
+    ++steps_;
+    // Rack::rechargePower() with input on: PowerShelf::lockstepSum()'s
+    // `healthy` repeated additions, not a product. Four lanes at a
+    // time, so that their addition chains overlap.
+    std::vector<double> &fleet_w = fleet_->rechargeW;
+    auto fold = [&fleet_w](const std::vector<Lane> &lanes,
+                           const std::vector<double> &input_w) {
+        for (std::size_t k = 0; k < lanes.size(); k += 4) {
+            const std::size_t w = std::min<std::size_t>(4, lanes.size() - k);
+            const std::int32_t h = lanes[k].healthy;
+            double sum[4] = {};
+            if (w == 4 && lanes[k + 1].healthy == h
+                && lanes[k + 2].healthy == h && lanes[k + 3].healthy == h) {
+                for (std::int32_t j = 0; j < h; ++j) {
+                    for (std::size_t l = 0; l < 4; ++l)
+                        sum[l] += input_w[k + l];
+                }
+            } else {
+                for (std::size_t l = 0; l < w; ++l) {
+                    for (std::int32_t j = 0; j < lanes[k + l].healthy; ++j)
+                        sum[l] += input_w[k + l];
+                }
+            }
+            for (std::size_t l = 0; l < w; ++l)
+                fleet_w[lanes[k + l].row] = sum[l];
+        }
+    };
+    fold(cc_, cols_.ccInputW);
+    fold(cv_, cols_.cvInputW);
 }
 
 } // namespace dcbatt::battery

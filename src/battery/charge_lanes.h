@@ -6,21 +6,22 @@
  * During a recharge most shelves are in lockstep mode (every healthy
  * pack a bit-equal twin of one representative) and most steps are
  * strictly interior to the representative's CC or CV segment. Such a
- * step changes only four continuous quantities of one pack and three
- * continuous aggregates of its shelf. A power::Topology admits each
- * such shelf to this table once; from then on the shelf's steps run
- * from the columns — gate re-check, BatchChargeKernel advance, one
- * write-back pass through direct pointers — without visiting the rack
- * or the shelf's step path.
+ * step changes only four continuous quantities of one pack. A
+ * power::Topology admits each such shelf to this table once; from then
+ * on its steps run from the columns (gate re-check, BatchChargeKernel
+ * advance, one pass folding input power into the fleet rows) without
+ * visiting the rack, the shelf or the pack.
  *
- * The packs stay the source of truth: the write-back leaves every pack
- * and shelf exactly as PowerShelf::step() would have, at every step
- * boundary. A lane leaves the table (eviction) when its gate fails —
- * a phase handover or completion falls inside dt — or when anything
- * else touches the shelf's pack state: every PowerShelf path that
- * fires its dirty callback, twin materialization, and
- * PowerShelf::step() itself call evict(). The shelf then steps through
- * the object path until it qualifies again.
+ * The lane owns a resident shelf's continuous state: the
+ * representative's DOD, CV elapsed time, current and input power, and
+ * the lockstep steps the shelf has not counted yet. The shelf answers
+ * rechargePower(), meanDod(), maxDod() and stepStats() from the lane;
+ * the pack is materialized from the columns only when it is read
+ * (PowerShelf::representative(), bbu()) and when the lane leaves the
+ * table. A lane is evicted when its gate fails (a phase handover or
+ * completion falls inside dt) or when anything else touches the
+ * shelf's pack state: every PowerShelf path that fires its dirty
+ * callback, twin materialization and PowerShelf::step() call evict().
  */
 
 #ifndef DCBATT_BATTERY_CHARGE_LANES_H_
@@ -37,43 +38,47 @@
 
 namespace dcbatt::battery {
 
-class BbuModel;
 class PowerShelf;
 
 /** The resident lane table of one fleet; row r is fleet row r. */
 class ChargeLanes
 {
   public:
-    /** A table for @p rows shelves, all calibrated by @p params. */
-    ChargeLanes(std::size_t rows, const BbuParams &params);
+    /** A table for the rows of @p fleet, all calibrated by @p params. */
+    ChargeLanes(FleetState &fleet, const BbuParams &params);
 
     /** Shelves point at the table; it never moves. */
     ChargeLanes(const ChargeLanes &) = delete;
     ChargeLanes &operator=(const ChargeLanes &) = delete;
 
     /** Whether row @p row has a resident lane. */
-    bool
-    resident(std::size_t row) const
-    {
-        return kind_[row] != Kind::None;
-    }
+    bool resident(std::size_t row) const { return kind_[row] != Kind::None; }
 
     /** Resident lanes, CC and CV. */
     std::size_t size() const { return cc_.size() + cv_.size(); }
 
-    /**
-     * Drop row @p row's lane, if it has one. The lane's columns go at
-     * the next beginStep(); until then the row is not resident.
-     */
-    void
-    evict(std::size_t row)
+    /** A resident row's representative DOD. */
+    double dod(std::size_t row) const
     {
-        Kind &kind = kind_[row];
-        if (kind != Kind::None) {
-            kind = Kind::None;
-            ++evicted_;
-        }
+        return at(row, cols_.ccDod, cols_.cvDod);
     }
+    /** A resident row's Rack::rechargePower() (W): finishStep()'s fold. */
+    double rechargeW(std::size_t row) const { return fleet_->rechargeW[row]; }
+
+    /** Lane steps of a resident row its shelf has not counted yet. */
+    std::uint64_t unsyncedSteps(std::size_t row) const
+    {
+        return steps_ - at(row, cc_, cv_).syncedAt;
+    }
+
+    /** Write a resident row's lane into its pack and step count. */
+    void materialize(std::size_t row);
+
+    /** Materializations that wrote a pack, since construction. */
+    std::uint64_t materializations() const { return materializations_; }
+
+    /** Materialize row @p row's lane, if it has one, and drop it. */
+    void evict(std::size_t row);
 
     /** Evict every lane (batching off, or a step with dt <= 0). */
     void evictAll();
@@ -81,9 +86,9 @@ class ChargeLanes
     /**
      * Start a step of @p dt: re-check every lane's interior-segment
      * gate from the columns, with the stepped model's own expressions
-     * (CcCvKernel::ccStepInterior / cvStepInterior), evict the lanes
-     * that fail, and drop every evicted lane's columns. The evicted
-     * shelves take the object path this step.
+     * (CcCvKernel::ccStepInterior / cvStepInterior), and evict the
+     * lanes that fail. The evicted shelves take the object path this
+     * step.
      */
     void beginStep(double dt);
 
@@ -98,12 +103,11 @@ class ChargeLanes
     bool tryAdmit(PowerShelf &shelf, std::size_t row, double dt);
 
     /**
-     * Advance every lane by @p dt and write the results back in one
-     * pass: the representative's continuous state, the shelf's three
-     * continuous aggregates (PowerShelf::refreshAggregates()'s fold)
-     * and lockstep step count, and `fleet.rechargeW` of the lane's row.
+     * Advance every lane by @p dt in the columns and write each lane's
+     * Rack::rechargePower() into `rechargeW` of its fleet row; nothing
+     * else.
      */
-    void finishStep(double dt, FleetState &fleet);
+    void finishStep(double dt);
 
   private:
     enum class Kind : std::uint8_t
@@ -113,31 +117,37 @@ class ChargeLanes
         Cv,
     };
 
-    /** A lane's non-arithmetic part, read by the write-back only. */
+    /** A lane's non-arithmetic part. */
     struct Lane
     {
-        BbuModel *pack;
         PowerShelf *shelf;
         std::uint32_t row;
         /** Healthy packs: the shelf's repeated-add fold count. */
         std::int32_t healthy;
+        /** steps_ when the pack and the shelf last matched the lane. */
+        std::uint64_t syncedAt;
     };
 
-    /** Drop the columns of every lane whose row was evicted. */
-    void compact();
+    /** Row @p row's entry of its set's @p cc or @p cv column. */
+    template <typename T>
+    const T &
+    at(std::size_t row, const std::vector<T> &cc,
+       const std::vector<T> &cv) const
+    {
+        return (kind_[row] == Kind::Cc ? cc : cv)[slot_[row]];
+    }
 
-    /** The shelf half of the write-back for one lane. */
-    static void writeShelf(const Lane &lane, double input_w, double dod,
-                           FleetState &fleet);
-
+    FleetState *fleet_;
     ChargeLaneColumns cols_;
     /** Lane k of a set is column k of that set. */
     std::vector<Lane> cc_;
     std::vector<Lane> cv_;
-    /** Per fleet row: which set holds its lane, if any. */
+    /** Per fleet row: which set holds its lane, if any, and where. */
     std::vector<Kind> kind_;
-    /** Rows evicted since the columns were last compacted. */
-    std::size_t evicted_ = 0;
+    std::vector<std::uint32_t> slot_;
+    /** finishStep() calls that advanced at least one lane. */
+    std::uint64_t steps_ = 0;
+    std::uint64_t materializations_ = 0;
     CcCvKernel gates_;
     BatchChargeKernel kernel_;
 };

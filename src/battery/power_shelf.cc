@@ -67,8 +67,11 @@ PowerShelf::materializeTwins() const
 const BbuModel &
 PowerShelf::representative() const
 {
-    if (lockstep_)
+    if (lockstep_) {
+        if (lanes_)
+            lanes_->materialize(laneRow_);
         return bbus_[repIdx_];
+    }
     for (size_t i = 0; i < bbus_.size(); ++i) {
         if (healthy_[i])
             return bbus_[i];
@@ -282,19 +285,12 @@ PowerShelf::refreshAggregates() const
     if (lockstep_) {
         // Every healthy pack bit-equals the representative. The
         // counting aggregates are healthyTotal_ copies of one
-        // predicate, evaluated once; the continuous sums keep the
-        // repeated-addition fold so they stay bit-equal to the
-        // per-pack walk (n additions of x, not n * x).
+        // predicate, evaluated once; the sums are lockstepSum()s.
         const BbuModel &rep = bbus_[repIdx_];
-        const double input_w = rep.inputPower().value();
         const double rep_dod = rep.dod();
-        double recharge_w = 0.0;
-        for (int k = 0; k < healthyTotal_; ++k) {
-            recharge_w += input_w;
-            dod_sum += rep_dod;
-        }
+        dod_sum = lockstepSum(rep_dod);
         healthy = healthyTotal_;
-        recharge = Watts(recharge_w);
+        recharge = Watts(lockstepSum(rep.inputPower().value()));
         if (healthyTotal_ > 0) {
             dod_max = std::max(dod_max, rep_dod);
             if (rep.charging()) {
@@ -372,10 +368,9 @@ PowerShelf::canCarryLoad() const
 void
 PowerShelf::failBbu(int index)
 {
-    DCBATT_REQUIRE(index >= 0 && index < bbuCount(),
-                   "BBU index %d outside [0, %d)", index, bbuCount());
+    const size_t idx = packAt(index);
     materializeTwins();
-    healthy_[static_cast<size_t>(index)] = false;
+    healthy_[idx] = false;
     rebuildZoneMembers();
     markDirty();
 }
@@ -383,10 +378,8 @@ PowerShelf::failBbu(int index)
 void
 PowerShelf::repairBbu(int index)
 {
-    DCBATT_REQUIRE(index >= 0 && index < bbuCount(),
-                   "BBU index %d outside [0, %d)", index, bbuCount());
+    const size_t idx = packAt(index);
     materializeTwins();
-    auto idx = static_cast<size_t>(index);
     healthy_[idx] = true;
     bbus_[idx].reset();
     rebuildZoneMembers();

@@ -111,6 +111,8 @@ class PowerShelf
     /** Aggregate wall power drawn by charging BBUs. */
     util::Watts rechargePower() const
     {
+        if (laneResident())
+            return util::Watts(lanes_->rechargeW(laneRow_));
         ensureAggregates();
         return util::Watts(rechargeSumW_);
     }
@@ -128,6 +130,8 @@ class PowerShelf
     /** Maximum DOD across BBUs (the controller's per-rack estimate). */
     double maxDod() const
     {
+        if (laneResident())
+            return std::max(0.0, lanes_->dod(laneRow_));
         ensureAggregates();
         return maxDodCache_;
     }
@@ -135,6 +139,8 @@ class PowerShelf
     /** Mean DOD across healthy BBUs. */
     double meanDod() const
     {
+        if (laneResident())
+            return lockstepSum(lanes_->dod(laneRow_)) / healthyN_;
         ensureAggregates();
         return healthyN_ ? dodSum_ / healthyN_ : 0.0;
     }
@@ -175,35 +181,24 @@ class PowerShelf
     void failBbu(int index);
     /** Repair a previously failed BBU (returns fully charged). */
     void repairBbu(int index);
-    bool
-    bbuHealthy(int index) const
-    {
-        DCBATT_REQUIRE(index >= 0 && index < bbuCount(),
-                       "BBU index %d outside [0, %d)", index,
-                       bbuCount());
-        return healthy_[static_cast<size_t>(index)];
-    }
+    bool bbuHealthy(int index) const { return healthy_[packAt(index)]; }
 
     const BbuModel &
     bbu(int index) const
     {
-        DCBATT_REQUIRE(index >= 0 && index < bbuCount(),
-                       "BBU index %d outside [0, %d)", index,
-                       bbuCount());
+        const size_t idx = packAt(index);
         materializeTwins();
-        return bbus_[static_cast<size_t>(index)];
+        return bbus_[idx];
     }
     BbuModel &
     bbu(int index)
     {
-        DCBATT_REQUIRE(index >= 0 && index < bbuCount(),
-                       "BBU index %d outside [0, %d)", index,
-                       bbuCount());
+        const size_t idx = packAt(index);
         materializeTwins();
         // The caller may mutate the BBU through this reference, so
         // conservatively report the shelf's aggregates as stale.
         markDirty();
-        return bbus_[static_cast<size_t>(index)];
+        return bbus_[idx];
     }
     int bbuCount() const { return static_cast<int>(bbus_.size()); }
 
@@ -211,7 +206,8 @@ class PowerShelf
      * The first healthy BBU (BBU 0 when none is healthy), read without
      * leaving lockstep mode: in lockstep it is the representative that
      * every healthy pack equals, so unlike bbu() this never
-     * materializes the twins or evicts the shelf's charge lane.
+     * materializes the twins or evicts the shelf's charge lane. A
+     * resident lane writes its state into the pack first.
      */
     const BbuModel &representative() const;
 
@@ -237,6 +233,8 @@ class PowerShelf
         StepStats stats = stepStats_;
         if (skippedSteps_)
             stats.quiescentSteps += *skippedSteps_;
+        if (laneResident())
+            stats.lockstepSteps += lanes_->unsyncedSteps(laneRow_);
         return stats;
     }
 
@@ -266,11 +264,9 @@ class PowerShelf
     }
 
     /**
-     * Make this shelf row @p row of @p lanes. From then on every path
-     * of the shelf that changes pack state outside a lane step — the
-     * ones that fire the dirty callback, twin materialization, and
-     * step() itself — first evicts the shelf's resident lane
-     * (DESIGN.md §16).
+     * Make this shelf row @p row of @p lanes, which own its state while
+     * it is resident; every path that changes pack state outside a lane
+     * step first evicts its lane (DESIGN.md §16).
      */
     void
     attachLanes(ChargeLanes &lanes, std::size_t row)
@@ -290,6 +286,27 @@ class PowerShelf
             lanes_->evict(laneRow_);
     }
 
+    bool laneResident() const { return lanes_ && lanes_->resident(laneRow_); }
+
+    /** Repeated addition over the healthy twins: the walk's sum. */
+    double
+    lockstepSum(double x) const
+    {
+        double sum = 0.0;
+        for (int k = 0; k < healthyTotal_; ++k)
+            sum += x;
+        return sum;
+    }
+
+    /** @p index as a pack index; a precondition that it is one. */
+    size_t
+    packAt(int index) const
+    {
+        DCBATT_REQUIRE(index >= 0 && index < bbuCount(),
+                       "BBU index %d outside [0, %d)", index,
+                       bbuCount());
+        return static_cast<size_t>(index);
+    }
     int zoneOf(int index) const;
     const std::vector<int> &healthyInZone(int zone) const;
     util::Amperes effectiveCurrentFor(const BbuModel &bbu) const;
@@ -298,8 +315,8 @@ class PowerShelf
     void
     markDirty()
     {
-        aggValid_ = false;
         evictLane();
+        aggValid_ = false;
         if (dirtyCallback_)
             dirtyCallback_();
     }

@@ -329,8 +329,8 @@ Topology::build(const TopologySpec &spec,
                    "root %s is not the first node", spec.rootName.c_str());
     topo.fleet_ = std::make_unique<battery::FleetState>();
     topo.fleet_->resize(topo.rackPtrs_.size());
-    topo.lanes_ = std::make_unique<battery::ChargeLanes>(
-        topo.rackPtrs_.size(), spec.bbuParams);
+    topo.lanes_ = std::make_unique<battery::ChargeLanes>(*topo.fleet_,
+                                                         spec.bbuParams);
 
     // Lay the tree out flat, in creation order.
     PowerTree &tree = *topo.tree_;
@@ -407,7 +407,7 @@ Topology::applyDemandRow(const double *row)
 }
 
 void
-Topology::stepRacks(Seconds dt)
+Topology::stepRacks(Seconds dt, bool batching)
 {
     battery::FleetState &fleet = *fleet_;
     DCBATT_ASSERT(fleet.size() == rackPtrs_.size(),
@@ -430,8 +430,7 @@ Topology::stepRacks(Seconds dt)
     // batching off (or a step of dt <= 0, which moves no lane) no lane
     // stays resident.
     battery::ChargeLanes &lanes = *lanes_;
-    const bool batching =
-        dt.value() > 0.0 && battery::batchChargingEnabled();
+    batching = batching && dt.value() > 0.0;
     if (batching)
         lanes.beginStep(dt.value());
     else
@@ -478,13 +477,13 @@ Topology::stepRacks(Seconds dt)
         if (!batching || !lanes.tryAdmit(rack->shelf(), i, dt.value()))
             rack->step(dt);
     }
-    // Phase 3: one sweep advances every lane in place and writes the
-    // packs, shelves and `rechargeW` back; the tree above them goes
-    // stale as a whole.
+    // Phase 3: one sweep advances every lane in its columns and writes
+    // `rechargeW` of its row (the lane owns the pack and shelf state);
+    // the tree above them goes stale as a whole.
     if (lanes.size() != 0) {
         active = true;
         DCBATT_COUNT_N("battery.batch_lanes", lanes.size());
-        lanes.finishStep(dt.value(), fleet);
+        lanes.finishStep(dt.value());
         tree_->invalidateAll();
     }
     // Phase 4: read the other refreshed rows back from the racks. A

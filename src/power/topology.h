@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "battery/batch_charge_kernel.h"
 #include "battery/charge_lanes.h"
 #include "battery/charger_policy.h"
 #include "battery/fleet_state.h"
@@ -253,7 +254,22 @@ class Topology
      * resident charge lane (battery/charge_lanes.h, DESIGN.md §16)
      * instead of through Rack::step(), with the same results.
      */
-    void stepRacks(util::Seconds dt);
+    void
+    stepRacks(util::Seconds dt)
+    {
+        stepRacks(dt, battery::batchChargingEnabled());
+    }
+
+    /**
+     * stepRacks() with lane batching explicit: with @p batching false
+     * no lane stays resident and every rack takes the object walk (the
+     * differential tests' hook; DCBATT_BATCH=off does the same for a
+     * whole process).
+     */
+    void stepRacks(util::Seconds dt, bool batching);
+
+    /** The resident charge lanes (battery/charge_lanes.h). */
+    const battery::ChargeLanes &chargeLanes() const { return *lanes_; }
 
     /**
      * Whether no rack was touched since the last stepRacks() and every

@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "core/global_coordinator.h"
 #include "core/local_coordinator.h"
 #include "core/priority_aware_coordinator.h"
+#include "util/random.h"
 
 namespace dcbatt::core {
 namespace {
@@ -301,6 +305,103 @@ TEST(PriorityAware, AblationIgnoreDodSortsByIdWithinPriority)
         pa.planInitial(racks, Watts(2.0 * kWpa + rack0_extra + 1.0));
     EXPECT_GT(commandFor(commands, 0), 2.0);
     EXPECT_DOUBLE_EQ(commandFor(commands, 1), 1.0);
+}
+
+/**
+ * The grant order as planInitial() emits it: one command per charging
+ * rack, in order (no postponement, so no holds).
+ */
+std::vector<int>
+plannedOrder(PriorityAwareCoordinator &pa,
+             const std::vector<RackChargeInfo> &racks)
+{
+    std::vector<int> ids;
+    for (const OverrideCommand &cmd : pa.planInitial(racks, kilowatts(40.0)))
+        ids.push_back(cmd.rackId);
+    return ids;
+}
+
+/** A test-local std::sort of the charging racks on Algorithm 1's key. */
+std::vector<int>
+sortedOrder(const std::vector<RackChargeInfo> &racks,
+            const PriorityAwareOptions &options)
+{
+    std::vector<const RackChargeInfo *> order;
+    for (const RackChargeInfo &info : racks) {
+        if (info.charging)
+            order.push_back(&info);
+    }
+    std::sort(order.begin(), order.end(),
+              [&options](const RackChargeInfo *a, const RackChargeInfo *b) {
+                  if (!options.ignorePriority && a->priority != b->priority)
+                      return power::priorityIndex(a->priority)
+                          < power::priorityIndex(b->priority);
+                  if (!options.ignoreDod && a->initialDod != b->initialDod)
+                      return a->initialDod < b->initialDod;
+                  return a->rackId < b->rackId;
+              });
+    std::vector<int> ids;
+    for (const RackChargeInfo *info : order)
+        ids.push_back(info->rackId);
+    return ids;
+}
+
+TEST(PriorityAware, CachedGrantOrderMatchesSortOfChargingRacks)
+{
+    util::Rng rng(2204);
+    for (int knobs = 0; knobs < 4; ++knobs) {
+        for (bool duplicates : {false, true}) {
+            PriorityAwareOptions options;
+            options.ignorePriority = (knobs & 1) != 0;
+            options.ignoreDod = (knobs & 2) != 0;
+            auto pa = makePa(options);
+            // A few DOD levels, so equal DODs fall to the id tie-break.
+            auto new_event = [&rng] {
+                std::vector<RackChargeInfo> racks;
+                for (int i = 0; i < 48; ++i) {
+                    auto p = static_cast<Priority>(
+                        static_cast<int>(rng.uniform(0.0, 3.0)));
+                    double dod =
+                        0.1 * std::floor(rng.uniform(1.0, 6.0));
+                    racks.push_back(rack(47 - i, p, dod));
+                }
+                return racks;
+            };
+            std::vector<RackChargeInfo> racks = new_event();
+            if (duplicates) {
+                // A rack id twice with the same key (a tie), and
+                // another twice with a different DOD (no tie).
+                racks.push_back(racks[5]);
+                racks.push_back(racks[9]);
+                racks.back().initialDod += 0.05;
+            }
+            uint64_t sorts = pa.grantOrderSorts();
+            for (int event = 0; event < 2; ++event) {
+                for (int tick = 0; tick < 25; ++tick) {
+                    for (RackChargeInfo &info : racks)
+                        info.charging = rng.uniform(0.0, 1.0) < 0.7;
+                    ASSERT_EQ(plannedOrder(pa, racks),
+                              sortedOrder(racks, options))
+                        << "knobs " << knobs << " event " << event
+                        << " tick " << tick;
+                    pa.onTick(racks, kilowatts(-5.0));
+                }
+                // Without a tie the order is sorted at most once per
+                // event, whatever the charging mask does: at the first,
+                // and at the second only if its new DODs are in the key.
+                if (!duplicates) {
+                    const bool resorts = event == 0 || !options.ignoreDod;
+                    EXPECT_EQ(pa.grantOrderSorts(), sorts + (resorts ? 1 : 0))
+                        << "knobs " << knobs << " event " << event;
+                }
+                sorts = pa.grantOrderSorts();
+                // The next event: the same racks with new DODs.
+                std::vector<RackChargeInfo> next = new_event();
+                for (size_t i = 0; i < next.size(); ++i)
+                    racks[i].initialDod = next[i].initialDod;
+            }
+        }
+    }
 }
 
 TEST(PriorityAware, NameAndManagement)

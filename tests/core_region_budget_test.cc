@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <limits>
 #include <vector>
 
 #include "core/region_budget.h"
+#include "util/random.h"
 
 namespace dcbatt::core {
 namespace {
@@ -162,6 +166,153 @@ TEST(RegionBudget, EmptyFleet)
     RegionBudgetOutcome out = splitRegionBudget(config, reports);
     EXPECT_TRUE(out.grantW.empty());
     EXPECT_NEAR(out.residualW, 500.0, 1e-6);
+    auditRegionBudget(config, reports, out);
+}
+
+// ---------------------------------------------------------------------
+// An independent oracle. The caps form a tree (region -> building ->
+// suite -> MSB breaker), so the grantable totals are the rank function
+// of a polymatroid: rank(d) = min(cap, sum of the children's ranks),
+// computed bottom-up, with an MSB leaf at min(breaker, demand). Filling
+// IT and then the classes one by one to a maximal vector grants each
+// prefix its rank, so class k's total must be
+// rank(IT + P1..Pk) - rank(IT + P1..Pk-1).
+// ---------------------------------------------------------------------
+
+/** One random tree instance (report.building is its suite's). */
+struct TreeInstance
+{
+    RegionBudgetConfig config;
+    std::vector<MsbBudgetReport> reports;
+};
+
+/** rank() of the per-MSB demands @p demand over @p inst's cap tree. */
+double
+treeRank(const TreeInstance &inst, const std::vector<double> &demand)
+{
+    const RegionBudgetConfig &c = inst.config;
+    const double inf = std::numeric_limits<double>::infinity();
+    auto cap = [inf](const std::vector<double> &caps, int i) {
+        return static_cast<size_t>(i) < caps.size()
+            ? caps[static_cast<size_t>(i)]
+            : inf;
+    };
+    int suites = 0;
+    int buildings = 0;
+    for (const MsbBudgetReport &r : inst.reports) {
+        suites = std::max(suites, r.suite + 1);
+        buildings = std::max(buildings, r.building + 1);
+    }
+    std::vector<double> suite(static_cast<size_t>(suites), 0.0);
+    std::vector<int> building_of(suite.size(), -1);
+    for (size_t i = 0; i < inst.reports.size(); ++i) {
+        const MsbBudgetReport &r = inst.reports[i];
+        suite[static_cast<size_t>(r.suite)] +=
+            std::min(std::max(demand[i], 0.0), r.breakerLimitW);
+        building_of[static_cast<size_t>(r.suite)] = r.building;
+    }
+    std::vector<double> building(static_cast<size_t>(buildings), 0.0);
+    for (size_t s = 0; s < suite.size(); ++s) {
+        if (building_of[s] >= 0) {
+            building[static_cast<size_t>(building_of[s])] +=
+                std::min(cap(c.suiteLimitW, static_cast<int>(s)),
+                         suite[s]);
+        }
+    }
+    double region = 0.0;
+    for (size_t b = 0; b < building.size(); ++b)
+        region += std::min(cap(c.buildingLimitW, static_cast<int>(b)),
+                           building[b]);
+    return std::min(c.regionBudgetW, region);
+}
+
+TreeInstance
+randomTree(util::Rng &rng)
+{
+    TreeInstance inst;
+    const int buildings = 1 + static_cast<int>(rng.uniform(0.0, 3.0));
+    const int suites = buildings
+        + static_cast<int>(rng.uniform(0.0, 9.0 - buildings + 1.0));
+    const int msbs = 1 + static_cast<int>(rng.uniform(0.0, 12.0));
+    // Caps from ample to binding; a missing entry means no cap.
+    for (int s = 0; s < suites; ++s)
+        inst.config.suiteLimitW.push_back(rng.uniform(0.6e6, 5.0e6));
+    if (rng.uniform(0.0, 1.0) < 0.2)
+        inst.config.suiteLimitW.pop_back();
+    for (int b = 0; b < buildings; ++b)
+        inst.config.buildingLimitW.push_back(rng.uniform(1.0e6, 9.0e6));
+    double total = 0.0;
+    for (int m = 0; m < msbs; ++m) {
+        // Suite s sits in building s % buildings: every building has
+        // one, and the suites form a tree.
+        const int s = static_cast<int>(rng.uniform(0.0, suites));
+        MsbBudgetReport r = report(
+            m, rng.uniform(0.2e6, 1.8e6), rng.uniform(0.0, 0.4e6),
+            rng.uniform(0.0, 0.4e6), rng.uniform(0.0, 0.4e6),
+            rng.uniform(0.8e6, 2.5e6), s, s % buildings);
+        if (rng.uniform(0.0, 1.0) < 0.15)
+            r.demandW[1] = 0.0;
+        total += r.itW + r.demandW[0] + r.demandW[1] + r.demandW[2];
+        inst.reports.push_back(r);
+    }
+    inst.config.regionBudgetW = total * rng.uniform(0.3, 1.3);
+    // Few proportional passes leave the most to the greedy mop-up.
+    inst.config.passes = rng.uniform(0.0, 1.0) < 0.5 ? 2 : 8;
+    return inst;
+}
+
+TEST(RegionBudget, ClassTotalsMatchPolymatroidRank)
+{
+    util::Rng rng(2205);
+    int binding = 0;
+    for (int trial = 0; trial < 20000; ++trial) {
+        const TreeInstance inst = randomTree(rng);
+        const RegionBudgetOutcome out =
+            splitRegionBudget(inst.config, inst.reports);
+        std::vector<double> prefix(inst.reports.size());
+        for (size_t i = 0; i < prefix.size(); ++i)
+            prefix[i] = inst.reports[i].itW;
+        double last = treeRank(inst, prefix);
+        ASSERT_NEAR(out.itGrantedW, last, 1e-8) << "trial " << trial;
+        for (size_t c = 0; c < 3; ++c) {
+            for (size_t i = 0; i < prefix.size(); ++i)
+                prefix[i] += inst.reports[i].demandW[c];
+            const double rank = treeRank(inst, prefix);
+            ASSERT_NEAR(out.classGrantedW[c], rank - last, 1e-8)
+                << "trial " << trial << " class " << c;
+            binding += out.classUnmetW[c] > 1.0 ? 1 : 0;
+            last = rank;
+        }
+        auditRegionBudget(inst.config, inst.reports, out);
+    }
+    // The instances must bind somewhere, or the ranks are just sums.
+    EXPECT_GT(binding, 5000);
+}
+
+TEST(RegionBudget, SameUnblockedChainSplitsInProportionToDemand)
+{
+    RegionBudgetConfig config;
+    // 1 MW of IT, then 900 kW of P1 against 600 kW left. MSBs 0 and 1
+    // share suite 0 with ample caps; MSB 2's suite binds at 500 kW.
+    config.regionBudgetW = 1.6e6;
+    config.suiteLimitW = {5.0e6, 0.4e6 + 0.1e6};
+    config.buildingLimitW = {9.0e6};
+    std::vector<MsbBudgetReport> reports = {
+        report(0, 0.3e6, 0.25e6, 0.0, 0.0, 2.5e6, 0, 0),
+        report(1, 0.3e6, 0.45e6, 0.0, 0.0, 2.5e6, 0, 0),
+        report(2, 0.4e6, 0.2e6, 0.0, 0.0, 2.5e6, 1, 0),
+    };
+    RegionBudgetOutcome out = splitRegionBudget(config, reports);
+    EXPECT_NEAR(out.itGrantedW, 1.0e6, 1e-6);
+    // MSB 2's chain holds 100 kW of its 200 kW; MSBs 0 and 1 split
+    // in proportion to their demand.
+    EXPECT_LE(out.classGrantW[0][2], 0.1e6 + 1e-6);
+    const double share0 = out.classGrantW[0][0] / 0.25e6;
+    const double share1 = out.classGrantW[0][1] / 0.45e6;
+    EXPECT_GT(share0, 0.0);
+    EXPECT_LT(share0, 1.0);
+    EXPECT_NEAR(share0, share1, 1e-12);
+    EXPECT_NEAR(out.classGrantedW[0], 0.6e6, 1e-6);
     auditRegionBudget(config, reports, out);
 }
 
