@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "battery/bbu.h"
@@ -101,6 +102,36 @@ BM_PriorityAwarePlan(benchmark::State &state)
 }
 BENCHMARK(BM_PriorityAwarePlan)->Arg(64)->Arg(316)->Arg(1024);
 
+/**
+ * An event's first plan: a fresh coordinator per iteration, built and
+ * torn down outside the timing, so every timed planInitial() sorts
+ * the grant order (BM_PriorityAwarePlan re-plans one fleet and reuses
+ * the kept order).
+ */
+void
+BM_PriorityAwareFirstPlan(benchmark::State &state)
+{
+    auto fleet = makeFleet(static_cast<int>(state.range(0)));
+    std::optional<core::PriorityAwareCoordinator> pa;
+    uint64_t sorts = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        pa.emplace(makePa());
+        state.ResumeTiming();
+        auto commands =
+            pa->planInitial(fleet, util::kilowatts(300.0));
+        benchmark::DoNotOptimize(commands);
+        state.PauseTiming();
+        sorts += pa->grantOrderSorts();
+        pa.reset();
+        state.ResumeTiming();
+    }
+    if (sorts != static_cast<uint64_t>(state.iterations()))
+        state.SkipWithError("a timed first plan did not sort");
+    state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_PriorityAwareFirstPlan)->Arg(316);
+
 void
 BM_PriorityAwareOverloadTick(benchmark::State &state)
 {
@@ -173,6 +204,43 @@ BM_EventQueueSchedule(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 64);
 }
 BENCHMARK(BM_EventQueueSchedule);
+
+/**
+ * One simulated hour of an MSB's event traffic: the 3 s control tick
+ * and the 1 s physics step, armed in MsbRun's order (control first,
+ * then physics at phase 0). With range(0) = K > 0, the first control
+ * tick also issues K actuation commands that land together 20 s
+ * later, one per rack, as the Dynamo's overrides do.
+ */
+void
+BM_EventQueueMsbTraffic(benchmark::State &state)
+{
+    const int burst = static_cast<int>(state.range(0));
+    const sim::Tick lag = sim::toTicks(util::Seconds(20.0));
+    uint64_t events = 0;
+    for (auto _ : state) {
+        sim::EventQueue queue;
+        bool issued = false;
+        sim::PeriodicTask control(
+            queue, sim::toTicks(util::Seconds(3.0)), [&](sim::Tick) {
+                ++events;
+                if (issued)
+                    return;
+                issued = true;
+                for (int i = 0; i < burst; ++i)
+                    queue.scheduleAfter(lag, [&events] { ++events; });
+            });
+        sim::PeriodicTask physics(queue,
+                                  sim::toTicks(util::Seconds(1.0)),
+                                  [&](sim::Tick) { ++events; });
+        control.start();
+        physics.start(0);
+        queue.runUntil(sim::toTicks(util::Seconds(3600.0)));
+    }
+    benchmark::DoNotOptimize(events);
+    state.SetItemsProcessed(static_cast<int64_t>(events));
+}
+BENCHMARK(BM_EventQueueMsbTraffic)->Arg(0)->Arg(300);
 
 /**
  * Serial Monte Carlo AOR: one timeline, generated and walked per

@@ -118,6 +118,16 @@ requirePositive(const char *field, util::Quantity<Tag> q,
     }
 }
 
+/** Fatal unless the count @p n is at least one. */
+void
+requireAtLeastOne(const char *field, int n)
+{
+    if (n < 1) {
+        util::fatal(util::strf(
+            "RegionSpec: %s must be at least 1, got %d", field, n));
+    }
+}
+
 /** Fatal when @p v is NaN. */
 void
 requireNumber(const char *field, double v)
@@ -142,12 +152,12 @@ requireWholeTick(const char *field, util::Seconds step)
 void
 validateRegionSpec(const RegionSpec &spec)
 {
-    if (spec.buildings <= 0 || spec.suitesPerBuilding <= 0)
-        util::fatal("RegionSpec: need at least one building/suite");
-    if (spec.msbs <= 0 || spec.racksPerMsb <= 0)
-        util::fatal("RegionSpec: need at least one MSB and rack");
-    if (spec.sbsPerMsb <= 0 || spec.racksPerRpp <= 0)
-        util::fatal("RegionSpec: bad SB/RPP fan-out");
+    requireAtLeastOne("buildings", spec.buildings);
+    requireAtLeastOne("suitesPerBuilding", spec.suitesPerBuilding);
+    requireAtLeastOne("msbs", spec.msbs);
+    requireAtLeastOne("racksPerMsb", spec.racksPerMsb);
+    requireAtLeastOne("sbsPerMsb", spec.sbsPerMsb);
+    requireAtLeastOne("racksPerRpp", spec.racksPerRpp);
     // Every comparison below is false for a NaN, so NaNs go first.
     requireNumber("physicsStep", spec.physicsStep.value());
     requireNumber("traceStep", spec.traceStep.value());

@@ -8,23 +8,22 @@
  * at scheduling time. Periodic activity (controller polling, physics
  * integration steps) is built on top via PeriodicTask.
  *
- * The pending set is a calendar queue (DESIGN.md §14): a power-of-two
- * ring of buckets, each one bucket-width of ticks wide, with the width
- * adapted to the observed inter-event gap at resize points. schedule()
- * is an O(1) append into the target bucket; dequeue scans forward from
- * now's bucket one window at a time and falls back to a direct
- * whole-table search after a fruitless revolution. Amortized O(1) per
- * event for the simulator's workloads (a handful of periodic streams).
- * The layout changes where entries are stored, never which entry is
- * next: events run in strict (when, seq) order, which a randomized
- * differential fuzz test pins against an independent ordered-map
- * queue in the test suite.
+ * The pending set is one binary min-heap (DESIGN.md §14) sized to the
+ * traffic an MSB schedules: a 3 s control tick, a 1 s physics step,
+ * and actuation commands landing a lag after they are issued. A
+ * dequeue sees three to five pending events on average, and the only
+ * large sets are actuation bursts of one command per rack. The heap
+ * holds small (when, id, slot) keys; callbacks wait in a slot vector,
+ * so sifting never moves a std::function. Ids rise with scheduling
+ * order, so (when, id) order is the FIFO tie-break and events run in
+ * exactly that order, which a randomized differential fuzz test pins
+ * against an independent ordered-map queue in the test suite.
  *
- * Cancellation is lazy: cancel() clears the event's pending flag and
- * the stored entry becomes residue that is dropped when it surfaces.
- * So that long-lived PeriodicTask churn stays memory-bounded, the
- * queue compacts its storage whenever cancelled residue outnumbers
- * live entries (over half the stored entries are dead).
+ * cancel() removes the event at once: a linear search finds its key,
+ * the last key takes its place and the heap is rebuilt. Cancels come
+ * from PeriodicTask teardown, a handful per run, so that costs less
+ * than any per-event bookkeeping would, and storage always equals the
+ * pending set.
  */
 
 #ifndef DCBATT_SIM_EVENT_QUEUE_H_
@@ -47,7 +46,7 @@ class EventQueue
   public:
     using Callback = std::function<void()>;
 
-    EventQueue();
+    EventQueue() = default;
 
     /** Current simulation time. */
     Tick now() const { return now_; }
@@ -68,18 +67,18 @@ class EventQueue
     bool cancel(EventId id);
 
     /** Whether any events remain pending. */
-    bool empty() const { return pendingCount_ == 0; }
+    bool empty() const { return heap_.empty(); }
 
     /** Number of pending (non-cancelled) events. */
-    size_t pendingCount() const { return pendingCount_; }
+    size_t pendingCount() const { return heap_.size(); }
 
     /**
-     * Entries physically stored, including cancelled residue awaiting
-     * compaction. Tests assert internalEntryCount() stays within a
-     * small factor of pendingCount() (the lazy-cancellation leak
-     * gate); it is never needed for scheduling decisions.
+     * Entries physically stored. Cancellation removes an entry at
+     * once, so this always equals pendingCount(); tests assert the
+     * bound (the cancellation leak gate). It is never needed for
+     * scheduling decisions.
      */
-    size_t internalEntryCount() const { return storedCount_; }
+    size_t internalEntryCount() const { return heap_.size(); }
 
     /**
      * Run all events scheduled at or before @p until, then advance the
@@ -96,79 +95,30 @@ class EventQueue
     size_t run();
 
   private:
-    struct Entry
+    /** Heap key; the callback waits in slots_[slot]. */
+    struct Key
     {
         Tick when;
-        uint64_t seq;  // FIFO tie-break for same-tick events
-        EventId id;
-        Callback callback;
+        EventId id;  // rises with scheduling order: the FIFO tie-break
+        size_t slot;
 
-        /** Strict (when, seq) event order. */
+        /** Strict (when, id) event order; the heap is a min-heap. */
         bool
-        operator>(const Entry &other) const
+        operator>(const Key &other) const
         {
             if (when != other.when)
                 return when > other.when;
-            return seq > other.seq;
+            return id > other.id;
         }
     };
 
     size_t execute(Tick until);
 
-    /** Locate the next live entry; false when none. Does not pop. */
-    bool findNext(size_t &bucket, size_t &slot);
-
-    // --- id flag window (pending/cancelled state per event id) ------
-    bool
-    idPending(EventId id) const
-    {
-        return id >= idBase_ && id - idBase_ < idFlags_.size()
-            && idFlags_[id - idBase_] != 0;
-    }
-    void
-    clearId(EventId id)
-    {
-        idFlags_[id - idBase_] = 0;
-    }
-    void compactIdWindow();
-
-    // --- storage maintenance ----------------------------------------
-    void maybeCompact();
-    void compactStorage();
-    void resizeCalendar(size_t buckets);
-    void placeEntry(Entry &&entry);
-
-    /**
-     * Bucket b stores entries whose (when >> widthShift_) ≡ b (mod
-     * bucket count). Buckets are unsorted; the dequeue scan takes the
-     * (when, seq) minimum within the bucket's current window.
-     */
-    std::vector<std::vector<Entry>> buckets_;
-    size_t bucketMask_ = 0;
-    int widthShift_ = 0;
-    bool widthSeeded_ = false;
-
-    /** Dequeue scan cursor (valid while cacheNow_ == now_). */
-    bool scanCacheValid_ = false;
-    Tick scanCacheNow_ = 0;
-    size_t scanBucket_ = 0;
-    Tick scanWindowEnd_ = 0;
-
-    /**
-     * Pending flags for ids in [idBase_, idBase_ + size): 1 while the
-     * event is scheduled-but-not-executed. Compacted alongside the
-     * entry storage so the window stays proportional to the pending
-     * count, not the total ids ever issued.
-     */
-    std::vector<uint8_t> idFlags_;
-    EventId idBase_ = 1;
-
-    size_t pendingCount_ = 0;
-    size_t storedCount_ = 0;      // live + cancelled residue
-    size_t cancelledResidue_ = 0; // stored entries already cancelled
+    std::vector<Key> heap_;
+    std::vector<Callback> slots_;  // callbacks, by Key::slot
+    std::vector<size_t> freeSlots_;
 
     Tick now_ = 0;
-    uint64_t nextSeq_ = 0;
     EventId nextId_ = 1;
 };
 

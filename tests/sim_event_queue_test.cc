@@ -189,17 +189,18 @@ TEST(PeriodicTaskDeathTest, RejectsNonpositivePeriod)
 }
 
 // ---------------------------------------------------------------------
-// Calendar-queue coverage: ordering, resizes, the direct-search
-// fallback and the lazy-cancellation leak gate.
+// Heap-queue coverage: ordering, same-tick bursts, far-future events
+// and the cancellation leak gate.
 // ---------------------------------------------------------------------
 
 /**
  * The queue has one backend. The suite keeps its parameterized form,
- * with that one instance, so its test names stay stable.
+ * with that one instance, so its test names stay stable: the instance
+ * keeps the name it had when the pending set was a calendar queue.
  */
 enum class Backend
 {
-    Calendar,
+    Heap,
 };
 
 class EventQueueBackendTest : public ::testing::TestWithParam<Backend>
@@ -207,7 +208,7 @@ class EventQueueBackendTest : public ::testing::TestWithParam<Backend>
 };
 
 INSTANTIATE_TEST_SUITE_P(Backends, EventQueueBackendTest,
-                         ::testing::Values(Backend::Calendar),
+                         ::testing::Values(Backend::Heap),
                          [](const auto &) { return "Calendar"; });
 
 TEST_P(EventQueueBackendTest, OrderAndFifoTieBreak)
@@ -225,8 +226,8 @@ TEST_P(EventQueueBackendTest, OrderAndFifoTieBreak)
 
 TEST_P(EventQueueBackendTest, MixedScaleGapsAndGrowth)
 {
-    // Dense same-tick bursts, sparse multi-second jumps, and enough
-    // population to force the calendar through grow + shrink resizes.
+    // Dense bursts, sparse multi-second jumps, and a population far
+    // past the few events an MSB usually has pending.
     EventQueue q;
     std::vector<Tick> fired;
     for (int burst = 0; burst < 8; ++burst) {
@@ -245,8 +246,8 @@ TEST_P(EventQueueBackendTest, MixedScaleGapsAndGrowth)
 
 TEST_P(EventQueueBackendTest, SparseFarFutureEvents)
 {
-    // First delay seeds a tiny bucket width; the far-future events
-    // then exercise the calendar's direct-search fallback.
+    // A one-tick delay next to events tens of seconds out: order must
+    // not depend on how the gaps are spread.
     EventQueue q;
     std::vector<Tick> fired;
     q.schedule(1, [&] { fired.push_back(q.now()); });
@@ -267,8 +268,7 @@ TEST_P(EventQueueBackendTest, CancellationResidueIsCompacted)
     EXPECT_EQ(q.internalEntryCount(), 1000u);
     for (int i = 0; i < 999; ++i) {
         EXPECT_TRUE(q.cancel(ids[static_cast<size_t>(i)]));
-        // Leak gate: dead entries never outnumber live ones beyond
-        // the small compaction floor.
+        // Leak gate: a cancelled entry leaves no residue behind.
         EXPECT_LE(q.internalEntryCount(),
                   2 * q.pendingCount() + 16);
     }
@@ -281,8 +281,8 @@ TEST_P(EventQueueBackendTest, CancellationResidueIsCompacted)
 
 TEST_P(EventQueueBackendTest, PeriodicRestartChurnStaysBounded)
 {
-    // Each start() cancels the previous pending event; without
-    // compaction this leaks one bucket entry per restart.
+    // Each start() cancels the previous pending event; an entry left
+    // behind by cancel() would leak one per restart.
     EventQueue q;
     PeriodicTask task(q, 10, [](Tick) {});
     for (int i = 0; i < 10'000; ++i)
@@ -293,16 +293,18 @@ TEST_P(EventQueueBackendTest, PeriodicRestartChurnStaysBounded)
 }
 
 // ---------------------------------------------------------------------
-// Differential fuzz: the calendar queue must execute the exact same
-// event sequence (ticks, labels, clock) as an independent reference
-// under interleaved schedule / scheduleAfter / cancel / runUntil
-// traffic, including callbacks that schedule more work.
+// Differential fuzz: the heap queue must execute the exact same event
+// sequence (ticks, labels, clock) and answer every cancel() the same
+// way as an independent reference under interleaved schedule /
+// scheduleAfter / cancel / runUntil traffic, including callbacks that
+// schedule more work or cancel other events, and same-tick actuation
+// bursts.
 // ---------------------------------------------------------------------
 
 /**
  * The reference: a std::map keyed by (when, seq) is the pending set,
  * so the next event is begin() and a cancel is an erase. It shares no
- * storage, id bookkeeping or compaction with EventQueue.
+ * storage, ordering or id bookkeeping with EventQueue.
  */
 class OrderedMapQueue
 {
@@ -380,6 +382,7 @@ class OrderedMapQueue
 struct FuzzTrace
 {
     std::vector<std::pair<Tick, int>> fired;
+    std::vector<bool> cancels;  // every cancel() result, in call order
     Tick finalNow = 0;
     size_t executed = 0;
     size_t leftPending = 0;
@@ -398,21 +401,33 @@ runFuzz(uint64_t seed)
         return (state >> 33) % bound;
     };
     int next_label = 0;
+    // Ids the ops and bursts scheduled, whether or not they have run;
+    // both queues number events alike, so a pick cancels the same
+    // event.
+    std::vector<EventId> outstanding;
+    auto cancel_pick = [&](size_t pick) {
+        trace.cancels.push_back(q.cancel(outstanding[pick]));
+        outstanding[pick] = outstanding.back();
+        outstanding.pop_back();
+    };
     std::function<EventQueue::Callback(int)> make_cb =
         [&](int label) -> EventQueue::Callback {
         return [&, label] {
             trace.fired.emplace_back(q.now(), label);
-            // A slice of callbacks schedules follow-up work, with the
-            // delay a pure function of the label so both queues see
-            // identical traffic.
-            if (label % 5 == 0 && next_label < 6000)
+            // A slice of callbacks schedules follow-up work, and
+            // another slice cancels an outstanding event (which may
+            // be pending at this very tick), each a pure function of
+            // the label so both queues see identical traffic.
+            if (label % 5 == 0 && next_label < 30000)
                 q.scheduleAfter((label % 47) + 1,
                                 make_cb(next_label++));
+            if (label % 7 == 3 && !outstanding.empty())
+                cancel_pick(static_cast<size_t>(label)
+                            % outstanding.size());
         };
     };
-    std::vector<EventId> outstanding;
     for (int op = 0; op < 2500; ++op) {
-        switch (rnd(5)) {
+        switch (rnd(6)) {
           case 0:
             outstanding.push_back(q.schedule(
                 q.now() + static_cast<Tick>(rnd(1000)),
@@ -425,20 +440,26 @@ runFuzz(uint64_t seed)
                                 make_cb(next_label++)));
             break;
           case 3:
-            if (!outstanding.empty()) {
-                size_t pick = rnd(outstanding.size());
-                q.cancel(outstanding[pick]);
-                outstanding[pick] = outstanding.back();
-                outstanding.pop_back();
-            }
+            if (!outstanding.empty())
+                cancel_pick(rnd(outstanding.size()));
             break;
           case 4:
             trace.executed +=
                 q.runUntil(q.now() + static_cast<Tick>(rnd(3000)));
             break;
+          case 5:
+            // Now and then an actuation burst: one command per rack
+            // of a 300-rack MSB, all landing on the same tick.
+            if (rnd(8) == 0) {
+                Tick at = q.now() + static_cast<Tick>(rnd(5000));
+                for (int i = 0; i < 300; ++i)
+                    outstanding.push_back(
+                        q.schedule(at, make_cb(next_label++)));
+            }
+            break;
         }
-        // The calendar queue's internal-size invariant must hold
-        // mid-churn too.
+        // The queue's internal-size invariant must hold mid-churn
+        // too.
         if constexpr (std::is_same_v<Queue, EventQueue>) {
             EXPECT_LE(q.internalEntryCount(),
                       2 * q.pendingCount() + 16);
@@ -453,16 +474,27 @@ runFuzz(uint64_t seed)
 TEST(EventQueueDifferential, CalendarMatchesOrderedMapReference)
 {
     for (uint64_t seed : {1ULL, 42ULL, 0xfeedULL, 987654321ULL}) {
-        FuzzTrace calendar = runFuzz<EventQueue>(seed);
+        FuzzTrace heap = runFuzz<EventQueue>(seed);
         FuzzTrace reference = runFuzz<OrderedMapQueue>(seed);
-        EXPECT_EQ(calendar.fired, reference.fired) << "seed " << seed;
-        EXPECT_EQ(calendar.finalNow, reference.finalNow)
+        EXPECT_EQ(heap.fired, reference.fired) << "seed " << seed;
+        EXPECT_EQ(heap.cancels, reference.cancels) << "seed " << seed;
+        EXPECT_EQ(heap.finalNow, reference.finalNow)
             << "seed " << seed;
-        EXPECT_EQ(calendar.executed, reference.executed)
+        EXPECT_EQ(heap.executed, reference.executed)
             << "seed " << seed;
-        EXPECT_EQ(calendar.leftPending, reference.leftPending)
+        EXPECT_EQ(heap.leftPending, reference.leftPending)
             << "seed " << seed;
-        EXPECT_FALSE(calendar.fired.empty()) << "fuzz did no work";
+        EXPECT_FALSE(heap.fired.empty()) << "fuzz did no work";
+        // Both outcomes of cancel() must be exercised: pending events
+        // and ones that already ran or were already cancelled.
+        EXPECT_NE(std::count(heap.cancels.begin(), heap.cancels.end(),
+                             true),
+                  0)
+            << "seed " << seed;
+        EXPECT_NE(std::count(heap.cancels.begin(), heap.cancels.end(),
+                             false),
+                  0)
+            << "seed " << seed;
     }
 }
 
