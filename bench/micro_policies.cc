@@ -498,8 +498,8 @@ BENCHMARK(BM_StepRacksQuiescent);
 
 /**
  * Bring every rack of @p topo back from an open transition at its own
- * DOD (0.5 to 0.9 in rack order) and take the first step, the one-off
- * pack-by-pack comparison that puts each shelf in lockstep.
+ * DOD (0.5 to 0.9 in rack order) and take the first step, which admits
+ * each shelf as a resident charge lane (its packs restart alike).
  */
 void
 rearmCharging(power::Topology &topo, util::Seconds dt)

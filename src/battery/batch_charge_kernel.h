@@ -2,11 +2,11 @@
  * @file
  * Struct-of-arrays batch advance for lockstep CC-CV charging.
  *
- * During a fleet-wide recharge, most racks are in lockstep mode: one
- * representative pack per shelf integrates and its twins ride along.
- * Those representatives all run the same closed-form CC-CV update with
- * the same dt and the same calibration — only their (dod, setpoint,
- * cvElapsed) state differs. This kernel hoists that update out of the
+ * During a fleet-wide recharge, the healthy packs of most shelves move
+ * in lockstep, so one state per shelf is integrated for all of them.
+ * Those states all run the same closed-form CC-CV update with the same
+ * dt and the same calibration — only their (dod, setpoint, cvElapsed)
+ * differs. This kernel hoists that update out of the
  * per-rack object walk into two dense lane sets (one CC, one CV), held
  * resident across steps by battery::ChargeLanes, so the arithmetic
  * runs over contiguous columns in place, auto-vectorized in the scalar
@@ -24,7 +24,8 @@
  * step, AVX2 vs. scalar).
  *
  * Runtime switches, each read once per process: DCBATT_BATCH=off
- * admits no lane (Topology walks every rack); DCBATT_SIMD picks the
+ * admits no lane (Topology steps every pack of every charging rack);
+ * DCBATT_SIMD picks the
  * lanes' instruction set, shared with every vector kernel (util/simd.h).
  */
 
@@ -47,10 +48,10 @@ bool batchChargingEnabled();
 
 /**
  * The continuous state of the resident charge lanes (see
- * battery/charge_lanes.h), one row per lockstep representative, in a
- * CC set and a CV set (their update expressions differ). Every vector
- * of a set has one entry per lane; BatchChargeKernel::advance() moves
- * the state forward in place.
+ * battery/charge_lanes.h), one row per lockstep shelf, in a CC set
+ * and a CV set (their update expressions differ). Every vector of a
+ * set has one entry per lane; BatchChargeKernel::advance() moves the
+ * state forward in place.
  */
 struct ChargeLaneColumns
 {

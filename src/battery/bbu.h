@@ -131,9 +131,8 @@ class BbuModel
      * Snapshot of the fields that determine a pack's dynamic
      * evolution. Two packs with bit-equal ChargeStates (and the same
      * calibration) stepped by the same dt stay bit-equal — the
-     * integrator is deterministic — which PowerShelf exploits to
-     * integrate one representative pack and copy the result across
-     * its twins.
+     * integrator is deterministic — which is what lets one charge lane
+     * (charge_lanes.h) step every healthy pack of a shelf at once.
      */
     struct ChargeState
     {
@@ -160,27 +159,6 @@ class BbuModel
             && cvElapsed_.value() == s.cvElapsedS;
     }
 
-    /**
-     * Copy @p other's dynamic state (including the derived caches and
-     * memo slots) into this pack. Only valid between packs sharing one
-     * calibration — PowerShelf's twin fast-forward.
-     */
-    void adoptStateFrom(const BbuModel &other)
-    {
-        state_ = other.state_;
-        dod_ = other.dod_;
-        setpoint_ = other.setpoint_;
-        inCv_ = other.inCv_;
-        paused_ = other.paused_;
-        cvElapsed_ = other.cvElapsed_;
-        cachedCurrentA_ = other.cachedCurrentA_;
-        cachedInputW_ = other.cachedInputW_;
-        totalCvKey_ = other.totalCvKey_;
-        totalCvCache_ = other.totalCvCache_;
-        cvAdvanceKey_ = other.cvAdvanceKey_;
-        cvAdvanceFactor_ = other.cvAdvanceFactor_;
-    }
-
     /** Reset to FullyCharged. */
     void reset();
 
@@ -189,8 +167,9 @@ class BbuModel
 
   private:
     /**
-     * Resident lanes (charge_lanes.h) read and write a representative's
-     * state; the batch kernel reads the OCV line constants.
+     * Resident lanes (charge_lanes.h) read a shelf's first healthy
+     * pack and write their state into every healthy pack; the batch
+     * kernel reads the OCV line constants.
      */
     friend class ChargeLanes;
     friend class BatchChargeKernel;

@@ -27,18 +27,24 @@ ChargeLanes::materialize(std::size_t row)
     ++materializations_;
     lane.shelf->stepStats_.lockstepSteps += steps_ - lane.syncedAt;
     lane.syncedAt = steps_;
-    // Interior steps move only these; a CC lane's current stays at the
-    // setpoint.
-    BbuModel &pack = lane.shelf->bbus_[lane.shelf->repIdx_];
-    if (kind_[row] == Kind::Cc) {
-        pack.dod_ = cols_.ccDod[k];
-        pack.cachedInputW_ = cols_.ccInputW[k];
-        return;
+    // Every healthy pack moved as the lane did. Interior steps move
+    // only these; a CC lane's current stays at the setpoint.
+    PowerShelf &shelf = *lane.shelf;
+    const bool cc = kind_[row] == Kind::Cc;
+    for (std::size_t i = 0; i < shelf.bbus_.size(); ++i) {
+        if (!shelf.healthy_[i])
+            continue;
+        BbuModel &pack = shelf.bbus_[i];
+        if (cc) {
+            pack.dod_ = cols_.ccDod[k];
+            pack.cachedInputW_ = cols_.ccInputW[k];
+            continue;
+        }
+        pack.dod_ = cols_.cvDod[k];
+        pack.cvElapsed_ = util::Seconds(cols_.cvElapsedS[k]);
+        pack.cachedCurrentA_ = cols_.cvCurrentA[k];
+        pack.cachedInputW_ = cols_.cvInputW[k];
     }
-    pack.dod_ = cols_.cvDod[k];
-    pack.cvElapsed_ = util::Seconds(cols_.cvElapsedS[k]);
-    pack.cachedCurrentA_ = cols_.cvCurrentA[k];
-    pack.cachedInputW_ = cols_.cvInputW[k];
 }
 
 void
@@ -103,17 +109,24 @@ bool
 ChargeLanes::tryAdmit(PowerShelf &shelf, std::size_t row, double dt)
 {
     DCBATT_ASSERT(!resident(row), "admitting resident row %zu", row);
-    // PowerShelf::step()'s lockstep branch over BbuModel::step(): input
-    // on, something charging, every healthy pack a twin of the
-    // representative, which charges unpaused.
+    // PowerShelf::step() with input on, over packs that move as one:
+    // the first healthy pack charges unpaused and every other healthy
+    // pack's state bit-equals it, so they all step alike.
     if (!shelf.inputOn_)
         return false;
-    shelf.ensureAggregates();
-    if (shelf.chargingN_ == 0 || !shelf.lockstep_)
+    const std::vector<bool> &healthy = shelf.healthy_;
+    const auto first = std::find(healthy.begin(), healthy.end(), true);
+    if (first == healthy.end())
         return false;
-    BbuModel &rep = shelf.bbus_[shelf.repIdx_];
+    std::size_t i = static_cast<std::size_t>(first - healthy.begin());
+    BbuModel &rep = shelf.bbus_[i];
     if (rep.state_ != BbuState::Charging || rep.paused_)
         return false;
+    const BbuModel::ChargeState state = rep.chargeState();
+    for (++i; i < healthy.size(); ++i) {
+        if (healthy[i] && !shelf.bbus_[i].matches(state))
+            return false;
+    }
     DCBATT_ASSERT(rep.setpoint_ >= rep.params_.minCurrent
                       && rep.setpoint_ <= rep.params_.maxCurrent,
                   "charging setpoint %g A outside hardware range "

@@ -3,25 +3,27 @@
  * Resident charge lanes: the lockstep CC-CV shelves of one fleet, held
  * as columns across physics steps (DESIGN.md §16).
  *
- * During a recharge most shelves are in lockstep mode (every healthy
- * pack a bit-equal twin of one representative) and most steps are
- * strictly interior to the representative's CC or CV segment. Such a
- * step changes only four continuous quantities of one pack. A
+ * During a recharge the healthy packs of most shelves move in lockstep
+ * (each bit-equals the shelf's first healthy pack) and most steps are
+ * strictly interior to one CC or CV segment. Such a step changes only
+ * four continuous quantities, the same in every pack. A
  * power::Topology admits each such shelf to this table once; from then
  * on its steps run from the columns (gate re-check, BatchChargeKernel
  * advance, one pass folding input power into the fleet rows) without
- * visiting the rack, the shelf or the pack.
+ * visiting the rack, the shelf or the packs. A lane is the only
+ * lockstep representation: a shelf that is not resident steps each
+ * healthy pack on its own.
  *
- * The lane owns a resident shelf's continuous state: the
- * representative's DOD, CV elapsed time, current and input power, and
- * the lockstep steps the shelf has not counted yet. The shelf answers
- * rechargePower(), meanDod(), maxDod() and stepStats() from the lane;
- * the pack is materialized from the columns only when it is read
- * (PowerShelf::representative(), bbu()) and when the lane leaves the
- * table. A lane is evicted when its gate fails (a phase handover or
- * completion falls inside dt) or when anything else touches the
- * shelf's pack state: every PowerShelf path that fires its dirty
- * callback, twin materialization and PowerShelf::step() call evict().
+ * The lane owns a resident shelf's continuous state: the packs' DOD,
+ * CV elapsed time, current and input power, and the lane steps the
+ * shelf has not counted yet. The shelf answers rechargePower(),
+ * meanDod(), maxDod() and stepStats() from the lane; the lane is
+ * written into every healthy pack when a pack is read (the const
+ * PowerShelf::bbu() and representative(), which leave it resident)
+ * and when it leaves the table. A lane is evicted when its gate fails
+ * (a phase handover or completion falls inside dt) or when anything
+ * else touches the shelf's pack state: every PowerShelf path that
+ * fires its dirty callback and PowerShelf::step() call evict().
  */
 
 #ifndef DCBATT_BATTERY_CHARGE_LANES_H_
@@ -71,7 +73,7 @@ class ChargeLanes
         return steps_ - at(row, cc_, cv_).syncedAt;
     }
 
-    /** Write a resident row's lane into its pack and step count. */
+    /** Write a resident row's lane into its healthy packs and step count. */
     void materialize(std::size_t row);
 
     /** Materializations that wrote a pack, since construction. */
@@ -94,9 +96,10 @@ class ChargeLanes
 
     /**
      * Admit @p shelf as row @p row when its next step of @p dt would
-     * be a lockstep integration of its representative over one
-     * interior CC or CV segment (input on, charging, twins, not
-     * paused). @returns whether it was admitted; if so, the row's step
+     * integrate every healthy pack alike over one interior CC or CV
+     * segment: input on, the first healthy pack charging unpaused and
+     * every other healthy pack matching its BbuModel::ChargeState.
+     * @returns whether it was admitted; if so, the row's step
      * is now the table's, not PowerShelf::step()'s. Only between
      * beginStep() and finishStep(), and only for @p dt > 0.
      */

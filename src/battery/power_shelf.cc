@@ -47,48 +47,6 @@ PowerShelf::rebuildZoneMembers()
 }
 
 void
-PowerShelf::materializeTwins() const
-{
-    if (!lockstep_)
-        return;
-    evictLane();
-    lockstep_ = false;
-    ++stepStats_.materializations;
-    auto &self = const_cast<PowerShelf &>(*this);
-    const BbuModel &rep = bbus_[repIdx_];
-    for (int i = 0; i < bbuCount(); ++i) {
-        auto idx = static_cast<size_t>(i);
-        if (idx == repIdx_ || !healthy_[idx])
-            continue;
-        self.bbus_[idx].adoptStateFrom(rep);
-    }
-}
-
-const BbuModel &
-PowerShelf::representative() const
-{
-    if (lockstep_) {
-        if (lanes_)
-            lanes_->materialize(laneRow_);
-        return bbus_[repIdx_];
-    }
-    for (size_t i = 0; i < bbus_.size(); ++i) {
-        if (healthy_[i])
-            return bbus_[i];
-    }
-    return bbus_.front();
-}
-
-const std::vector<int> &
-PowerShelf::healthyInZone(int zone) const
-{
-    DCBATT_REQUIRE(zone >= 0 && zone < params_.zonesPerRack,
-                   "zone %d outside [0, %d)", zone,
-                   params_.zonesPerRack);
-    return zoneMembers_[static_cast<size_t>(zone)];
-}
-
-void
 PowerShelf::loseInputPower()
 {
     inputOn_ = false;
@@ -109,7 +67,7 @@ PowerShelf::restoreInputPower()
     if (inputOn_)
         return;
     inputOn_ = true;
-    materializeTwins();
+    evictLane();
     for (int i = 0; i < bbuCount(); ++i) {
         auto idx = static_cast<size_t>(i);
         if (!healthy_[idx])
@@ -128,61 +86,21 @@ PowerShelf::step(Seconds dt, Watts it_load)
 {
     if (dt.value() <= 0.0)
         return inputOn_ ? it_load : Watts(0.0);
+    evictLane();
     if (inputOn_) {
         // Quiescent fast path: with nothing charging, stepping every
         // BBU is a no-op walk — skip it and keep the aggregates valid.
         if (tryQuiescentStep(dt))
             return it_load;
-        evictLane();
-        if (lockstep_) {
-            ++stepStats_.lockstepSteps;
-            // Every healthy pack is a bit-equal twin of the
-            // representative: integrating it advances them all (the
-            // replicas stay stale until materializeTwins()).
-            bbus_[repIdx_].step(dt);
-            aggValid_ = false;
-            return it_load;
-        }
-        // Twin fast-forward: a shelf's packs are built identically and
-        // in the common flow discharge and recharge in lockstep, so
-        // most steps integrate six bit-equal packs. Integrate one
-        // representative and copy its post-step state into every pack
-        // whose pre-step state matches bit-for-bit; the integrator is
-        // deterministic, so the copy equals re-integrating exactly.
-        // When the whole shelf moved as twins, enter lockstep mode and
-        // stop touching the replicas from the next step on.
         ++stepStats_.fullSteps;
-        bool have_rep = false;
-        bool all_twins = true;
-        size_t rep_idx = 0;
-        BbuModel::ChargeState pre{};
-        const BbuModel *post = nullptr;
         for (int i = 0; i < bbuCount(); ++i) {
             auto idx = static_cast<size_t>(i);
-            if (!healthy_[idx])
-                continue;
-            BbuModel &pack = bbus_[idx];
-            if (have_rep && pack.matches(pre)) {
-                pack.adoptStateFrom(*post);
-                continue;
-            }
-            if (have_rep)
-                all_twins = false;
-            else
-                rep_idx = idx;
-            pre = pack.chargeState();
-            pack.step(dt);
-            post = &pack;
-            have_rep = true;
-        }
-        if (have_rep && all_twins) {
-            lockstep_ = true;
-            repIdx_ = rep_idx;
+            if (healthy_[idx])
+                bbus_[idx].step(dt);
         }
         aggValid_ = false;
         return it_load;
     }
-    materializeTwins();
     // Input power off: each zone's healthy BBUs share half the rack
     // load. A zone whose batteries are empty drops its share (a rack
     // power outage for those servers). Two passes over the precomputed
@@ -229,7 +147,7 @@ PowerShelf::setOverride(Amperes current)
     Amperes clamped = util::clamp(current, params_.minCurrent,
                                   params_.maxCurrent);
     override_ = clamped;
-    materializeTwins();
+    evictLane();
     for (int i = 0; i < bbuCount(); ++i) {
         auto idx = static_cast<size_t>(i);
         if (healthy_[idx] && bbus_[idx].charging())
@@ -249,7 +167,7 @@ void
 PowerShelf::holdCharging()
 {
     held_ = true;
-    materializeTwins();
+    evictLane();
     for (int i = 0; i < bbuCount(); ++i) {
         auto idx = static_cast<size_t>(i);
         if (healthy_[idx] && bbus_[idx].charging())
@@ -262,7 +180,7 @@ void
 PowerShelf::resumeCharging()
 {
     held_ = false;
-    materializeTwins();
+    evictLane();
     for (int i = 0; i < bbuCount(); ++i) {
         auto idx = static_cast<size_t>(i);
         if (healthy_[idx] && bbus_[idx].charging())
@@ -282,49 +200,26 @@ PowerShelf::refreshAggregates() const
     Amperes setpoint(0.0);
     double dod_max = 0.0;
     double dod_sum = 0.0;
-    if (lockstep_) {
-        // Every healthy pack bit-equals the representative. The
-        // counting aggregates are healthyTotal_ copies of one
-        // predicate, evaluated once; the sums are lockstepSum()s.
-        const BbuModel &rep = bbus_[repIdx_];
-        const double rep_dod = rep.dod();
-        dod_sum = lockstepSum(rep_dod);
-        healthy = healthyTotal_;
-        recharge = Watts(lockstepSum(rep.inputPower().value()));
-        if (healthyTotal_ > 0) {
-            dod_max = std::max(dod_max, rep_dod);
-            if (rep.charging()) {
-                charging = healthyTotal_;
-                if (rep.inCvPhase())
-                    cv = healthyTotal_;
-                if (!rep.paused())
-                    setpoint = util::max(setpoint, rep.setpoint());
-            } else if (!rep.fullyCharged()) {
-                discharged = healthyTotal_;
-            }
-        }
-    } else {
-        for (int i = 0; i < bbuCount(); ++i) {
-            auto idx = static_cast<size_t>(i);
-            if (!healthy_[idx])
-                continue;
-            const BbuModel &bbu = bbus_[idx];
-            ++healthy;
-            recharge += bbu.inputPower();
-            dod_max = std::max(dod_max, bbu.dod());
-            dod_sum += bbu.dod();
-            if (bbu.charging()) {
-                ++charging;
-                if (bbu.inCvPhase())
-                    ++cv;
-                // Paused (postponed) packs draw nothing; reporting
-                // their stored setpoint would make the control plane
-                // believe relief is still in flight forever.
-                if (!bbu.paused())
-                    setpoint = util::max(setpoint, bbu.setpoint());
-            } else if (!bbu.fullyCharged()) {
-                ++discharged;
-            }
+    for (int i = 0; i < bbuCount(); ++i) {
+        auto idx = static_cast<size_t>(i);
+        if (!healthy_[idx])
+            continue;
+        const BbuModel &bbu = bbus_[idx];
+        ++healthy;
+        recharge += bbu.inputPower();
+        dod_max = std::max(dod_max, bbu.dod());
+        dod_sum += bbu.dod();
+        if (bbu.charging()) {
+            ++charging;
+            if (bbu.inCvPhase())
+                ++cv;
+            // Paused (postponed) packs draw nothing; reporting their
+            // stored setpoint would make the control plane believe
+            // relief is still in flight forever.
+            if (!bbu.paused())
+                setpoint = util::max(setpoint, bbu.setpoint());
+        } else if (!bbu.fullyCharged()) {
+            ++discharged;
         }
     }
     chargingN_ = charging;
@@ -346,12 +241,6 @@ PowerShelf::canCarryLoad() const
             zoneMembers_[static_cast<size_t>(zone)];
         if (members.empty())
             return false;
-        if (lockstep_) {
-            // Twins: one pack answers for the whole zone.
-            if (bbus_[repIdx_].fullyDischarged())
-                return false;
-            continue;
-        }
         bool zone_ok = false;
         for (int i : members) {
             if (!bbus_[static_cast<size_t>(i)].fullyDischarged()) {
@@ -369,7 +258,7 @@ void
 PowerShelf::failBbu(int index)
 {
     const size_t idx = packAt(index);
-    materializeTwins();
+    evictLane();
     healthy_[idx] = false;
     rebuildZoneMembers();
     markDirty();
@@ -379,7 +268,7 @@ void
 PowerShelf::repairBbu(int index)
 {
     const size_t idx = packAt(index);
-    materializeTwins();
+    evictLane();
     healthy_[idx] = true;
     bbus_[idx].reset();
     rebuildZoneMembers();
@@ -389,7 +278,7 @@ PowerShelf::repairBbu(int index)
 void
 PowerShelf::forceUniformDod(double dod)
 {
-    materializeTwins();
+    evictLane();
     for (int i = 0; i < bbuCount(); ++i) {
         auto idx = static_cast<size_t>(i);
         if (healthy_[idx])

@@ -13,6 +13,12 @@
  * aggregate recharge (wall) power and accepts a single override current
  * that is applied to every charging BBU, exactly like the deployed
  * hardware.
+ *
+ * A charging shelf steps each healthy pack with BbuModel::step(). The
+ * shelves whose packs move as one are stepped as resident charge lanes
+ * instead (battery/charge_lanes.h, DESIGN.md §16), which own their
+ * state while resident; every path that changes pack state outside a
+ * lane step evicts the lane first.
  */
 
 #ifndef DCBATT_BATTERY_POWER_SHELF_H_
@@ -183,33 +189,25 @@ class PowerShelf
     void repairBbu(int index);
     bool bbuHealthy(int index) const { return healthy_[packAt(index)]; }
 
+    /** BBU @p index; a resident lane writes its state in, and stays. */
     const BbuModel &
     bbu(int index) const
     {
         const size_t idx = packAt(index);
-        materializeTwins();
+        if (lanes_)
+            lanes_->materialize(laneRow_);
         return bbus_[idx];
     }
     BbuModel &
     bbu(int index)
     {
         const size_t idx = packAt(index);
-        materializeTwins();
         // The caller may mutate the BBU through this reference, so
-        // conservatively report the shelf's aggregates as stale.
+        // evict the lane and report the shelf's aggregates as stale.
         markDirty();
         return bbus_[idx];
     }
     int bbuCount() const { return static_cast<int>(bbus_.size()); }
-
-    /**
-     * The first healthy BBU (BBU 0 when none is healthy), read without
-     * leaving lockstep mode: in lockstep it is the representative that
-     * every healthy pack equals, so unlike bbu() this never
-     * materializes the twins or evicts the shelf's charge lane. A
-     * resident lane writes its state into the pack first.
-     */
-    const BbuModel &representative() const;
 
     /** Force every healthy BBU to the same DOD (test/bench helper). */
     void forceUniformDod(double dod);
@@ -223,9 +221,8 @@ class PowerShelf
     struct StepStats
     {
         uint64_t quiescentSteps = 0; ///< nothing charging, walk skipped
-        uint64_t lockstepSteps = 0;  ///< one representative integrated
-        uint64_t fullSteps = 0;      ///< twin-compare walk over packs
-        uint64_t materializations = 0; ///< lockstep exits (twin copies)
+        uint64_t lockstepSteps = 0;  ///< stepped as a resident lane
+        uint64_t fullSteps = 0;      ///< charging, each pack stepped
     };
     StepStats
     stepStats() const
@@ -288,7 +285,7 @@ class PowerShelf
 
     bool laneResident() const { return lanes_ && lanes_->resident(laneRow_); }
 
-    /** Repeated addition over the healthy twins: the walk's sum. */
+    /** Repeated addition over the healthy packs: the walk's sum. */
     double
     lockstepSum(double x) const
     {
@@ -308,7 +305,6 @@ class PowerShelf
         return static_cast<size_t>(index);
     }
     int zoneOf(int index) const;
-    const std::vector<int> &healthyInZone(int zone) const;
     util::Amperes effectiveCurrentFor(const BbuModel &bbu) const;
     void rebuildZoneMembers();
 
@@ -326,9 +322,6 @@ class PowerShelf
      * aggregate, with each field accumulated by exactly the expression
      * its per-read walk originally used (same BBU order, same
      * operations), so cached reads are bit-identical to cold walks.
-     * In lockstep mode the walk reads the representative pack's value
-     * the same number of times — repeated accumulation of bit-equal
-     * values is the same sum.
      */
     void refreshAggregates() const;
 
@@ -338,14 +331,6 @@ class PowerShelf
         if (!aggValid_)
             refreshAggregates();
     }
-
-    /**
-     * Leave lockstep mode by copying the representative pack's state
-     * into its stale replicas (see lockstep_). Logically const: the
-     * replicas already equal the representative by the lockstep
-     * invariant, this only makes the bytes agree.
-     */
-    void materializeTwins() const;
 
     BbuParams params_;
     std::shared_ptr<const ChargerPolicy> policy_;
@@ -360,17 +345,6 @@ class PowerShelf
     ChargeLanes *lanes_ = nullptr;
     std::size_t laneRow_ = 0;
 
-    /**
-     * Lockstep (twin) mode: every healthy pack's dynamic state is
-     * bit-equal, so step() integrates only the representative pack
-     * (first healthy index, repIdx_) and leaves the replicas stale.
-     * Any path that reads or mutates an individual pack materializes
-     * the replicas first; aggregate reads stay lockstep-aware instead.
-     * Entered when a full twin-compare pass over a charging step finds
-     * every pack bit-equal; left via materializeTwins().
-     */
-    mutable bool lockstep_ = false;
-    size_t repIdx_ = 0;
     /** Healthy pack count (maintained by rebuildZoneMembers). */
     int healthyTotal_ = 0;
 

@@ -380,14 +380,11 @@ runChargingEvent(const ChargingEventConfig &config,
         shelf.quiescentSteps += stats.quiescentSteps;
         shelf.lockstepSteps += stats.lockstepSteps;
         shelf.fullSteps += stats.fullSteps;
-        shelf.materializations += stats.materializations;
     }
     DCBATT_COUNT_N("battery.shelf_quiescent_steps",
                    shelf.quiescentSteps);
-    DCBATT_COUNT_N("battery.shelf_lockstep_steps", shelf.lockstepSteps);
+    DCBATT_COUNT_N("battery.shelf_lane_steps", shelf.lockstepSteps);
     DCBATT_COUNT_N("battery.shelf_full_steps", shelf.fullSteps);
-    DCBATT_COUNT_N("battery.twin_materializations",
-                   shelf.materializations);
     {
         static obs::Histogram &window_hist = obs::histogram(
             "core.event_window_s",

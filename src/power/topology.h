@@ -250,9 +250,10 @@ class Topology
      * totals are kept too. When the topology is quiet() the step
      * visits no rack at all: it counts as one more quiescent step of
      * every shelf, and re-folds the totals after a demand row. A rack
-     * charging in lockstep inside one CC/CV segment is stepped as a
-     * resident charge lane (battery/charge_lanes.h, DESIGN.md §16)
-     * instead of through Rack::step(), with the same results.
+     * whose healthy packs charge in lockstep inside one CC/CV segment
+     * is stepped as a resident charge lane (battery/charge_lanes.h,
+     * DESIGN.md §16) instead of through Rack::step(), which steps each
+     * pack, with the same results.
      */
     void
     stepRacks(util::Seconds dt)
@@ -262,7 +263,8 @@ class Topology
 
     /**
      * stepRacks() with lane batching explicit: with @p batching false
-     * no lane stays resident and every rack takes the object walk (the
+     * no lane stays resident and every charging rack steps each of its
+     * packs, the reference the lanes are checked against (the
      * differential tests' hook; DCBATT_BATCH=off does the same for a
      * whole process).
      */
@@ -346,8 +348,8 @@ class Topology
     std::unique_ptr<battery::FleetState> fleet_;
     std::unique_ptr<PowerTree> tree_;
     /**
-     * The resident lockstep charge lanes (battery/charge_lanes.h), one
-     * table row per rack row; owned via pointer because every shelf
+     * The resident charge lanes (battery/charge_lanes.h), one table
+     * row per rack row; owned via pointer because every shelf
      * points at it.
      */
     std::unique_ptr<battery::ChargeLanes> lanes_;

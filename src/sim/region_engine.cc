@@ -136,6 +136,9 @@ class MsbShard
         out.maxGrantMw = util::toMegawatts(Watts(grantMaxW_));
         out.itEnergyMwh = itWs_ / 3.6e9;
         out.rechargeEnergyMwh = rechargeWs_ / 3.6e9;
+        out.rackChargeDurations.reserve(run_.racks().size());
+        for (const core::RackOutcome &rack : run_.racks())
+            out.rackChargeDurations.push_back(rack.chargeDuration);
 
         const trace::StreamingTraceStats &ts = source_.stats();
         out.traceWindowsGenerated = ts.windowsGenerated;

@@ -38,6 +38,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -80,6 +81,12 @@ struct RegionMsbOutcome : core::MsbTally
 
     double itEnergyMwh = 0.0;
     double rechargeEnergyMwh = 0.0;
+
+    /**
+     * Each rack's time from charging start to fully charged, by rack
+     * id (unset: never), as core::RackOutcome::chargeDuration.
+     */
+    std::vector<std::optional<util::Seconds>> rackChargeDurations;
 
     uint64_t traceWindowsGenerated = 0;
     uint64_t traceRefetches = 0;

@@ -1,6 +1,7 @@
 #include "trace/trace_set.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 
 #include "util/csv.h"
@@ -106,26 +107,46 @@ TraceSet::save(const std::string &path) const
 TraceSet
 TraceSet::load(const std::string &path)
 {
-    auto rows = util::readCsvFile(path);
+    const auto rows = util::readCsvFile(path);
     if (rows.size() < 3)
         util::fatal(util::strf("trace file too short: %s", path.c_str()));
     size_t cols = rows[0].size();
     if (cols < 2)
         util::fatal(util::strf("trace file has no racks: %s",
                                path.c_str()));
-    double t0 = std::atof(rows[1][0].c_str());
-    double t1 = std::atof(rows[2][0].c_str());
-    TraceSet set(Seconds(t0), Seconds(t1 - t0),
+    // Field c of row r as a whole finite number, or fatal().
+    auto field = [&](size_t r, size_t c) {
+        const std::string &text = rows[r][c];
+        char *end = nullptr;
+        const double value = std::strtod(text.c_str(), &end);
+        if (text.empty() || end != text.c_str() + text.size()
+            || !std::isfinite(value)) {
+            util::fatal(util::strf("trace file %s: row %zu, column %zu "
+                                   "(%s): '%s' is not a finite number",
+                                   path.c_str(), r, c + 1,
+                                   rows[0][c].c_str(), text.c_str()));
+        }
+        return value;
+    };
+    const double t0 = field(1, 0);
+    TraceSet set(Seconds(t0), Seconds(field(2, 0) - t0),
                  static_cast<int>(cols - 1));
     std::vector<double> sample(cols - 1);
     for (size_t r = 1; r < rows.size(); ++r) {
         if (rows[r].size() != cols) {
-            util::fatal(util::strf("trace row %zu has %zu fields, "
-                                   "expected %zu",
-                                   r, rows[r].size(), cols));
+            util::fatal(util::strf("trace file %s: row %zu has %zu "
+                                   "fields, expected %zu",
+                                   path.c_str(), r, rows[r].size(), cols));
+        }
+        const double t = field(r, 0);
+        if (r > 1 && !(t > field(r - 1, 0))) {
+            util::fatal(util::strf("trace file %s: row %zu, column 1 "
+                                   "(%s): time %g s does not follow %g s",
+                                   path.c_str(), r, rows[0][0].c_str(), t,
+                                   field(r - 1, 0)));
         }
         for (size_t c = 1; c < cols; ++c)
-            sample[c - 1] = std::atof(rows[r][c].c_str());
+            sample[c - 1] = field(r, c);
         set.appendSample(sample);
     }
     return set;

@@ -113,6 +113,7 @@ class TraceSet
 
     /** CSV persistence: header row, then time + one column per rack. */
     void save(const std::string &path) const;
+    /** Read save()'s format; fatal() on a bad field or falling time. */
     static TraceSet load(const std::string &path);
 
   private:

@@ -3,14 +3,15 @@
  * Bit-parity contract of the resident charge lanes
  * (battery/charge_lanes.h, battery/batch_charge_kernel.h):
  *
- *  1. a rack stepped as a resident lane must leave its representative
- *     pack in exactly the state BbuModel::step() would have produced
+ *  1. a rack stepped as a resident lane must leave its packs in
+ *     exactly the state BbuModel::step() would have produced
  *     (every double bit-equal), across CC, CV, and the boundary steps
  *     that evict the lane to the object path;
  *  2. the AVX2 lanes must be bit-identical to the scalar lanes;
  *  3. a Topology stepped with batching on and off must produce
- *     byte-identical fleet rows, totals, tree nodes, packs and shelf
- *     step counters, through every mutation that evicts a lane.
+ *     byte-identical fleet rows, totals, tree nodes and packs, and as
+ *     many quiescent and charging steps per shelf, through every
+ *     mutation that evicts a lane.
  */
 
 #include <gtest/gtest.h>
@@ -105,7 +106,7 @@ TEST(BatchLane, ResidentLaneMatchesScalarStepBitExact)
                         ++object_steps;
                     else
                         cv ? ++cv_lanes : ++cc_lanes;
-                    expectBitEqual(scalar, shelf.representative(), i);
+                    expectBitEqual(scalar, shelf.bbu(0), i);
                 }
                 EXPECT_TRUE(scalar.fullyCharged());
                 EXPECT_TRUE(shelf.fullyCharged());
@@ -131,13 +132,17 @@ TEST(BatchLane, IneligibleConfigurationsStayOnObjectPath)
     power::Topology idle = chargingRack(0.0, 5.0);
     expect_no_lane(idle, 4.0, "fully charged");
 
-    // Restoring power leaves the packs materialized: the first step
-    // is a twin-compare walk, the second a lane.
+    // Restoring power starts every pack alike: the first step is
+    // already a lane.
+    auto expect_lane = [](power::Topology &topo, double dt,
+                          const char *what) {
+        const uint64_t before = lanesCounted();
+        topo.stepRacks(Seconds(dt), true);
+        EXPECT_EQ(lanesCounted(), before + 1) << what;
+        EXPECT_TRUE(topo.chargeLanes().resident(0)) << what;
+    };
     power::Topology fresh = chargingRack(0.8, 5.0);
-    expect_no_lane(fresh, 4.0, "first step after restore");
-    const uint64_t before = lanesCounted();
-    fresh.stepRacks(Seconds(4.0), true);
-    EXPECT_EQ(lanesCounted(), before + 1) << "lockstep interior step";
+    expect_lane(fresh, 4.0, "first step after restore");
 
     power::Topology held = chargingRack(0.8, 5.0);
     held.stepRacks(Seconds(4.0), true);
@@ -149,12 +154,48 @@ TEST(BatchLane, IneligibleConfigurationsStayOnObjectPath)
     near_handover.stepRacks(Seconds(4.0), true);
     expect_no_lane(near_handover, 1e5, "handover inside dt");
 
-    // Packs that are not twins step one by one.
+    // Packs whose states differ step one by one.
     power::Topology split = chargingRack(0.8, 5.0);
     split.stepRacks(Seconds(4.0), true);
     split.rack(0).shelf().bbu(3).setSetpoint(Amperes(2.0));
     expect_no_lane(split, 4.0, "packs not in lockstep");
     expect_no_lane(split, 4.0, "packs still not in lockstep");
+
+    // An override re-joins a split shelf before its packs drift apart:
+    // the next interior step is a lane again.
+    power::Topology rejoined = chargingRack(0.8, 5.0);
+    rejoined.stepRacks(Seconds(4.0), true);
+    rejoined.rack(0).shelf().bbu(3).setSetpoint(Amperes(2.0));
+    rejoined.rack(0).shelf().setOverride(Amperes(3.0));
+    expect_lane(rejoined, 4.0, "re-joined by an override");
+}
+
+TEST(BatchLane, ConstPackReadLeavesLaneResident)
+{
+    // A const bbu() read writes the lane into every healthy pack and
+    // leaves it resident; the packs then equal a walked shelf's.
+    power::Topology lanes = chargingRack(0.8, 2.5);
+    power::Topology walk = chargingRack(0.8, 2.5);
+    lanes.rack(0).shelf().failBbu(1);
+    walk.rack(0).shelf().failBbu(1);
+    for (int step = 0; step < 5; ++step) {
+        lanes.stepRacks(Seconds(4.0), true);
+        walk.stepRacks(Seconds(4.0), false);
+    }
+    ASSERT_TRUE(lanes.chargeLanes().resident(0));
+    const PowerShelf &sa = lanes.rack(0).shelf();
+    const PowerShelf &sb = walk.rack(0).shelf();
+    const uint64_t before = lanes.chargeLanes().materializations();
+    for (int i = 0; i < sa.bbuCount(); ++i) {
+        if (!sa.bbuHealthy(i))
+            continue;
+        expectBitEqual(sb.bbu(i), sa.bbu(i), i);
+        EXPECT_TRUE(lanes.chargeLanes().resident(0)) << "pack " << i;
+    }
+    // One write-back served every pack read.
+    EXPECT_EQ(lanes.chargeLanes().materializations(), before + 1);
+    EXPECT_EQ(sa.stepStats().lockstepSteps, 5u);
+    EXPECT_EQ(sb.stepStats().fullSteps, 5u);
 }
 
 TEST(BatchKernel, Avx2LanesMatchScalarBitExact)
@@ -266,16 +307,32 @@ TEST(TopologyBatch, FleetRowsMatchScalarWalkByteExact)
 
 // ---------------------------------------------------------------------
 // Lane residency. One topology steps with resident charge lanes, a
-// twin through the object walk (batching off), both through a
+// second through the object walk (batching off), both through a
 // charging event that evicts lanes every way the contract names: caps
 // and uncaps (which must not evict), Dynamo-style set-current
 // overrides and their release, holds and resumes, a pack failure and
-// its repair, an invariant-auditor style pack read (twin
-// materialization) and a second open transition mid-charge. After
-// every step the two must agree bit for bit on every fleet column,
-// the step totals, every tree node, each representative pack and
-// each shelf's step counters.
+// its repair, a mutable per-pack read and a second open transition
+// mid-charge. After every step the two must agree bit for bit on
+// every fleet column, the step totals, every tree node and each
+// shelf's first pack, and on each shelf's quiescent and charging
+// step counts.
 // ---------------------------------------------------------------------
+
+/**
+ * @p lanes and @p walk took their quiescent steps alike, and as many
+ * charging steps: a lane step on one side is a per-pack step on the
+ * other.
+ */
+void
+expectSameChargingSteps(const PowerShelf &lanes, const PowerShelf &walk,
+                        size_t rack)
+{
+    const PowerShelf::StepStats a = lanes.stepStats();
+    const PowerShelf::StepStats b = walk.stepStats();
+    ASSERT_EQ(a.quiescentSteps, b.quiescentSteps) << "rack " << rack;
+    ASSERT_EQ(a.lockstepSteps + a.fullSteps, b.lockstepSteps + b.fullSteps)
+        << "rack " << rack;
+}
 
 template <typename T>
 bool
@@ -332,8 +389,8 @@ expectResidencyExact(power::Topology &lanes, power::Topology &walk,
     for (size_t i = 0; i < lanes.racks().size(); ++i) {
         const PowerShelf &sa = lanes.racks()[i]->shelf();
         const PowerShelf &sb = walk.racks()[i]->shelf();
-        const BbuModel &pa = sa.representative();
-        const BbuModel &pb = sb.representative();
+        const BbuModel &pa = sa.bbu(0);
+        const BbuModel &pb = sb.bbu(0);
         ASSERT_TRUE(pa.matches(pb.chargeState()))
             << "rack " << i << " step " << step;
         ASSERT_TRUE(sameBits(pa.chargingCurrent().value(),
@@ -342,13 +399,7 @@ expectResidencyExact(power::Topology &lanes, power::Topology &walk,
         ASSERT_TRUE(sameBits(pa.inputPower().value(),
                              pb.inputPower().value()))
             << "rack " << i << " step " << step;
-        const PowerShelf::StepStats ca = sa.stepStats();
-        const PowerShelf::StepStats cb = sb.stepStats();
-        ASSERT_EQ(ca.quiescentSteps, cb.quiescentSteps) << "rack " << i;
-        ASSERT_EQ(ca.lockstepSteps, cb.lockstepSteps) << "rack " << i;
-        ASSERT_EQ(ca.fullSteps, cb.fullSteps) << "rack " << i;
-        ASSERT_EQ(ca.materializations, cb.materializations)
-            << "rack " << i;
+        expectSameChargingSteps(sa, sb, i);
     }
 }
 
@@ -520,10 +571,10 @@ TEST(TopologyBatch, SimultaneousEvictionsMatchObjectWalkBitExact)
 // ---------------------------------------------------------------------
 // Lane ownership. While a lane is resident its shelf and pack are not
 // written; the shelf answers meanDod(), maxDod(), rechargePower() and
-// stepStats() from the lane, and representative() materializes the
-// pack. Read at random steps, each must be bit-equal to the object
+// stepStats() from the lane, and a const bbu() read materializes the
+// packs. Read at random steps, each must be bit-equal to the object
 // walk's, with the aggregate reads materializing nothing and no read
-// evicting the lane — except a per-pack bbu() read, after which the
+// evicting the lane — except a mutable bbu() access, after which the
 // shelf's own re-folded aggregates must agree too.
 // ---------------------------------------------------------------------
 
@@ -581,23 +632,15 @@ TEST(TopologyBatch, LanesOwnStateAndAnswerShelfReadsBitExact)
                 ASSERT_TRUE(sameBits(ra.inputPower().value(),
                                      rb.inputPower().value()))
                     << "rack " << i << " step " << step;
-                const PowerShelf::StepStats ca = sa.stepStats();
-                const PowerShelf::StepStats cb = sb.stepStats();
-                ASSERT_EQ(ca.lockstepSteps, cb.lockstepSteps)
-                    << "rack " << i;
-                ASSERT_EQ(ca.fullSteps, cb.fullSteps) << "rack " << i;
-                ASSERT_EQ(ca.quiescentSteps, cb.quiescentSteps)
-                    << "rack " << i;
-                ASSERT_EQ(ca.materializations, cb.materializations)
-                    << "rack " << i;
+                expectSameChargingSteps(sa, sb, i);
             };
             const bool resident = table.resident(i);
             const uint64_t before = table.materializations();
             same_reads();
             ASSERT_EQ(table.materializations(), before)
                 << "aggregate read materialized rack " << i;
-            const BbuModel &pa = sa.representative();
-            const BbuModel &pb = sb.representative();
+            const BbuModel &pa = sa.bbu(0);
+            const BbuModel &pb = sb.bbu(0);
             ASSERT_TRUE(sameBits(pa.dod(), pb.dod()))
                 << "rack " << i << " step " << step;
             ASSERT_TRUE(pa.matches(pb.chargeState()))
@@ -612,10 +655,10 @@ TEST(TopologyBatch, LanesOwnStateAndAnswerShelfReadsBitExact)
             ++resident_reads;
             cv_reads += sa.cvCount() > 0 ? 1 : 0;
             if (rng.uniform(0.0, 1.0) < 0.2) {
-                // The auditor's per-pack read materializes the twins,
-                // which evicts; the shelf's own aggregates answer now.
-                (void)sa.bbu(2).dod();
-                (void)sb.bbu(2).dod();
+                // Mutable pack access evicts; the shelf's own
+                // aggregates answer now.
+                (void)lanes.rack(static_cast<int>(i)).shelf().bbu(2);
+                (void)walk.rack(static_cast<int>(i)).shelf().bbu(2);
                 ASSERT_FALSE(table.resident(i)) << "rack " << i;
                 same_reads();
                 ++evicting_reads;

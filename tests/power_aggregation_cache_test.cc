@@ -186,9 +186,9 @@ expectElisionExact(const Topology &topo, const Topology &twin, int step)
         const auto &a = topo.racks()[i]->shelf().stepStats();
         const auto &b = ref.shelf().stepStats();
         ASSERT_EQ(a.quiescentSteps, b.quiescentSteps) << "rack " << i;
-        ASSERT_EQ(a.lockstepSteps, b.lockstepSteps) << "rack " << i;
-        ASSERT_EQ(a.fullSteps, b.fullSteps) << "rack " << i;
-        ASSERT_EQ(a.materializations, b.materializations)
+        // A lane step of stepRacks() is a per-pack Rack::step().
+        ASSERT_EQ(a.lockstepSteps + a.fullSteps,
+                  b.lockstepSteps + b.fullSteps)
             << "rack " << i;
         ASSERT_EQ(topo.racks()[i]->sawOutage(), ref.sawOutage());
         if (want.inputOn)

@@ -118,6 +118,8 @@ expectResultsIdentical(const RegionResult &a, const RegionResult &b)
         EXPECT_EQ(x.itEnergyMwh, y.itEnergyMwh) << "msb " << i;
         EXPECT_EQ(x.rechargeEnergyMwh, y.rechargeEnergyMwh)
             << "msb " << i;
+        EXPECT_TRUE(x.rackChargeDurations == y.rackChargeDurations)
+            << "msb " << i;
         EXPECT_EQ(x.traceWindowsGenerated, y.traceWindowsGenerated);
         EXPECT_EQ(x.traceRefetches, y.traceRefetches);
         EXPECT_EQ(x.traceEvictions, y.traceEvictions);
@@ -667,6 +669,22 @@ TEST_P(OneMsbVsPaper, SameOutcomes)
     EXPECT_EQ(paper.everHeld, msb.everHeld);
     EXPECT_EQ(paper.overloadSteps, msb.overloadSteps);
     EXPECT_EQ(paper.meanInitialDod, msb.meanInitialDod);
+    // Each rack's charge time, lane-stepped in both engines.
+    ASSERT_EQ(paper.racks.size(), msb.rackChargeDurations.size());
+    int charged = 0;
+    for (size_t i = 0; i < paper.racks.size(); ++i) {
+        ASSERT_EQ(paper.racks[i].rackId, static_cast<int>(i));
+        const std::optional<util::Seconds> &want =
+            paper.racks[i].chargeDuration;
+        const std::optional<util::Seconds> &got =
+            msb.rackChargeDurations[i];
+        ASSERT_EQ(want.has_value(), got.has_value()) << "rack " << i;
+        if (!want)
+            continue;
+        EXPECT_EQ(want->value(), got->value()) << "rack " << i;
+        ++charged;
+    }
+    EXPECT_GT(charged, 0);
     const double paper_mw = util::toMegawatts(paper.peakPower);
     EXPECT_LE(std::abs(paper_mw - msb.peakMw), 1e-12 * paper_mw)
         << paper_mw << " vs " << msb.peakMw;

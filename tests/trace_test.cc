@@ -9,6 +9,7 @@
 #include <bit>
 #include <cmath>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <numbers>
 #include <vector>
@@ -79,6 +80,59 @@ TEST(TraceSet, CsvRoundTrip)
             EXPECT_NEAR(loaded.rack(r)[s], set.rack(r)[s], 1e-3);
     }
     std::filesystem::remove(path);
+}
+
+/** Write @p text as this test's trace file and load it. */
+void
+loadText(const std::string &text)
+{
+    std::string path = testing::TempDir() + "/dcbatt_trace_"
+        + testing::UnitTest::GetInstance()->current_test_info()->name()
+        + ".csv";
+    {
+        std::ofstream out(path);
+        out << text;
+    }
+    (void)TraceSet::load(path);
+}
+
+TEST(TraceSetDeathTest, EmptyPowerFieldIsFatal)
+{
+    EXPECT_EXIT(loadText("time_s,rack0_w,rack1_w\n"
+                         "0.000,1.5,2.5\n"
+                         "3.000,,5.0\n"
+                         "6.000,7.0,8.0\n"),
+                ::testing::ExitedWithCode(1),
+                "\\.csv: row 2, column 2 \\(rack0_w\\): "
+                "'' is not a finite number");
+}
+
+TEST(TraceSetDeathTest, MalformedFieldsAreFatal)
+{
+    EXPECT_EXIT(loadText("time_s,rack0_w\n0.000,1.5\n3.000,4.2kW\n"),
+                ::testing::ExitedWithCode(1),
+                "row 2, column 2 \\(rack0_w\\): '4.2kW' is not a finite "
+                "number");
+    EXPECT_EXIT(loadText("time_s,rack0_w\n0.000,1.5\n3.000,nan\n"),
+                ::testing::ExitedWithCode(1),
+                "row 2, column 2 \\(rack0_w\\): 'nan'");
+    EXPECT_EXIT(loadText("time_s,rack0_w\nx,1.5\n3.000,2.0\n"),
+                ::testing::ExitedWithCode(1),
+                "row 1, column 1 \\(time_s\\): 'x' is not a finite "
+                "number");
+}
+
+TEST(TraceSetDeathTest, NonIncreasingTimeIsFatal)
+{
+    EXPECT_EXIT(loadText("time_s,rack0_w\n3.000,1.5\n3.000,2.0\n"),
+                ::testing::ExitedWithCode(1),
+                "row 2, column 1 \\(time_s\\): time 3 s does not follow "
+                "3 s");
+    EXPECT_EXIT(loadText("time_s,rack0_w\n0.000,1.5\n3.000,2.0\n"
+                         "2.000,2.5\n"),
+                ::testing::ExitedWithCode(1),
+                "row 3, column 1 \\(time_s\\): time 2 s does not follow "
+                "3 s");
 }
 
 TEST(Generator, DeterministicInSeed)
