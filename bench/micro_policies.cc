@@ -16,6 +16,7 @@
 #include <optional>
 #include <vector>
 
+#include "battery/batch_charge_kernel.h"
 #include "battery/bbu.h"
 #include "core/charging_event_sim.h"
 #include "core/global_coordinator.h"
@@ -547,6 +548,63 @@ BM_StepRacksCharging(benchmark::State &state)
                             * static_cast<int64_t>(topo.racks().size()));
 }
 BENCHMARK(BM_StepRacksCharging);
+
+/**
+ * One BatchChargeKernel advance of BM_StepRacksCharging's lanes: the
+ * 300-rack MSB 300 s into its recharge (half its re-arm period), where
+ * every shelf is still a CC lane, advanced one lane at a time (0) or
+ * four per vector (1). Both produce the same bits; the ratio is the
+ * vector lanes' gain. Every 600 advances the lanes are re-armed outside
+ * the timed region, as in BM_StepRacksCharging.
+ */
+void
+BM_BatchChargeAdvance(benchmark::State &state)
+{
+    const util::SimdMode mode = state.range(0) == 1
+        ? util::SimdMode::Avx2
+        : util::SimdMode::Scalar;
+    if (mode == util::SimdMode::Avx2 && !util::cpuHasAvx2()) {
+        state.SkipWithError("CPU has no AVX2");
+        return;
+    }
+    power::Topology topo = regionMsbTopology();
+    for (power::Rack *rack : topo.racks())
+        rack->setItDemand(util::kilowatts(6.0));
+    const util::Seconds dt(1.0);
+    rearmCharging(topo, dt);
+    for (int step = 1; step < 300; ++step) {
+        topo.stepRacks(dt);
+        topo.observeBreakers(dt);
+    }
+    battery::ChargeLaneColumns armed;
+    for (const power::Rack *rack : topo.racks()) {
+        const battery::BbuModel &pack = rack->shelf().bbu(0);
+        const battery::BbuModel::ChargeState s = pack.chargeState();
+        if (!pack.charging() || s.inCv) {
+            state.SkipWithError("a rack left the CC phase");
+            return;
+        }
+        armed.ccDod.push_back(s.dod);
+        armed.ccSetpointA.push_back(s.setpointA);
+        armed.ccInputW.push_back(pack.inputPower().value());
+    }
+    const battery::BatchChargeKernel kernel{battery::BbuParams{}};
+    battery::ChargeLaneColumns lanes = armed;
+    size_t step = 0;
+    for (auto _ : state) {
+        if (++step % 600 == 0) {
+            state.PauseTiming();
+            lanes = armed;
+            state.ResumeTiming();
+        }
+        kernel.advanceWithMode(lanes, dt.value(), mode);
+        benchmark::DoNotOptimize(lanes.ccInputW.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations()
+                            * static_cast<int64_t>(armed.ccLanes()));
+}
+BENCHMARK(BM_BatchChargeAdvance)->Arg(0)->Arg(1);
 
 void
 BM_StepRacksDemandRow(benchmark::State &state)

@@ -6,27 +6,25 @@
  * in lockstep, so one state per shelf is integrated for all of them.
  * Those states all run the same closed-form CC-CV update with the same
  * dt and the same calibration — only their (dod, setpoint, cvElapsed)
- * differs. This kernel hoists that update out of the
- * per-rack object walk into two dense lane sets (one CC, one CV), held
- * resident across steps by battery::ChargeLanes, so the arithmetic
- * runs over contiguous columns in place, auto-vectorized in the scalar
- * build and hand-vectorized under AVX2 when the CPU has it.
+ * differs. This kernel hoists that update out of the per-rack object
+ * walk into two dense lane sets (one CC, one CV), held resident across
+ * steps by battery::ChargeLanes, so the arithmetic runs over
+ * contiguous columns in place.
  *
- * Bit-exactness contract: both lane implementations evaluate exactly
- * the expressions BbuModel::stepAnalytic() + refreshDerived() evaluate
- * for a strictly interior segment (no phase boundary inside dt), in
- * the same order, with no FMA contraction (the AVX2 translation unit
- * is compiled with -mavx2 -ffp-contract=off and never uses fused
- * intrinsics). The per-lane CV current decay keeps its scalar
- * std::exp — transcendentals are the one place vector math libraries
- * diverge from libm, and the golden artifacts are byte-compared.
- * battery_batch_kernel_test pins both parities (batch vs. BbuModel
- * step, AVX2 vs. scalar).
+ * Bit-exactness contract: each set's update is one lane pass
+ * (batch_charge_kernel_internal.h, util/lanes.h), run four lanes per
+ * AVX2 vector or one at a time, that evaluates exactly the expressions
+ * BbuModel::stepAnalytic() + refreshDerived() evaluate for a strictly
+ * interior segment (no phase boundary inside dt), in the same order.
+ * The per-lane CV current decay keeps its scalar std::exp: vector math
+ * libraries do not round like libm, and the golden artifacts are
+ * byte-compared. battery_batch_kernel_test pins the lanes against
+ * BbuModel::step() and the widths against each other.
  *
  * Runtime switches, each read once per process: DCBATT_BATCH=off
  * admits no lane (Topology steps every pack of every charging rack);
- * DCBATT_SIMD picks the
- * lanes' instruction set, shared with every vector kernel (util/simd.h).
+ * DCBATT_SIMD picks the lane width of every vector kernel
+ * (util/simd.h).
  */
 
 #ifndef DCBATT_BATTERY_BATCH_CHARGE_KERNEL_H_
@@ -45,6 +43,12 @@ using util::SimdMode;
 
 /** Whether Topology admits charge lanes (DCBATT_BATCH, read once). */
 bool batchChargingEnabled();
+
+/**
+ * Whether DCBATT_BATCH=@p value admits charge lanes: unset (null),
+ * empty and "on" do, "off" does not; util::fatal on any other value.
+ */
+bool batchChargingFor(const char *value);
 
 /**
  * The continuous state of the resident charge lanes (see
@@ -96,10 +100,13 @@ class BatchChargeKernel
                          SimdMode mode) const;
 
   private:
-    void ccLanesScalar(ChargeLaneColumns &lanes, double dt,
-                       std::size_t begin) const;
-    void cvLanesScalar(ChargeLaneColumns &lanes, double dt, double factor,
-                       std::size_t begin) const;
+    /** CC and CV lane passes from lane @p i (see runLanes). */
+    template <int W>
+    std::size_t ccLanes(ChargeLaneColumns &lanes, double dt,
+                        std::size_t i) const;
+    template <int W>
+    std::size_t cvLanes(ChargeLaneColumns &lanes, double dt, double factor,
+                        std::size_t i) const;
 
     /** Derived constants, bit-equal to BbuModel's (same expressions). */
     double refillC_;

@@ -1,8 +1,6 @@
 #include "trace/trace_row_kernel.h"
 
-#include <algorithm>
 #include <cmath>
-#include <numbers>
 
 #include "power/priority.h"
 #include "trace/trace_row_kernel_internal.h"
@@ -14,8 +12,8 @@ using power::Priority;
 
 namespace {
 
-constexpr double kDay = 24.0 * 3600.0;
-constexpr double kTwoPi = 2.0 * std::numbers::pi;
+using internal::kDay;
+using internal::kTwoPi;
 
 /** Weekly modulation: weekends run flatter/lower. */
 double
@@ -115,7 +113,6 @@ TraceRowKernel::synthesizeWithMode(std::size_t sample,
                                    util::SimdMode mode)
 {
     const size_t racks = base_.size();
-    const bool avx2 = mode == util::SimdMode::Avx2;
 
     // 1. The row's draws in stream order: racks, then the aggregate.
     // A normal(0, sd) draw is z * sd + 0.0 for the standard draw z.
@@ -127,33 +124,16 @@ TraceRowKernel::synthesizeWithMode(std::size_t sample,
     const double t = start_ + static_cast<double>(sample) * step_;
     const double weekly = weeklyScale(t, weekendDip_);
     const double from_peak = t - peak_;
-    double *diurnal = diurnal_.data();
-    const double *phase_s = phaseS_.data();
-    for (size_t i = avx2 ? internal::diurnalArgsAvx2(from_peak, phase_s,
-                                                     racks, diurnal)
-                         : 0;
-         i < racks; ++i)
-        diurnal[i] = kTwoPi * (from_peak - phase_s[i]) / kDay;
-    for (size_t i = 0; i < racks; ++i)
-        diurnal[i] = std::cos(diurnal[i]);
+    util::runLanes(mode, 0, [&]<int W>(size_t i) {
+        return diurnalArgs<W>(i, from_peak);
+    });
+    for (double &d : diurnal_)
+        d = std::cos(d);
 
     // 4. AR(1) noise, shape and the rack envelope.
-    const double *base = base_.data();
-    const double *amplitude = amplitude_.data();
-    const double *rho = rho_.data();
-    const double *sigma = innovationSigma_.data();
-    const internal::ShapeArgs shape_args{
-        normal,  sigma,  rho,      amplitude, diurnal,
-        base,    weekly, rackMin_, rackMax_};
-    for (size_t i = avx2 ? internal::shapeRowAvx2(shape_args, racks, ar,
-                                                  row)
-                         : 0;
-         i < racks; ++i) {
-        double innovation = normal[i] * sigma[i] + 0.0;
-        ar[i] = rho[i] * ar[i] + innovation;
-        double shape = 1.0 + amplitude[i] * weekly * diurnal[i] + ar[i];
-        row[i] = std::clamp(base[i] * shape, rackMin_, rackMax_);
-    }
+    util::runLanes(mode, 0, [&]<int W>(size_t i) {
+        return shapeRow<W>(i, weekly, ar, row);
+    });
 
     // 5. The raw column total, summed in rack order.
     double raw_sum = 0.0;
@@ -167,11 +147,9 @@ TraceRowKernel::synthesizeWithMode(std::size_t sample,
             * std::cos(kTwoPi * (from_peak - 0.0) / kDay)
         + (normal[racks] * aggregateSigma_ + 0.0);
     double scale = raw_sum > 0.0 ? target / raw_sum : 1.0;
-    for (size_t i = avx2 ? internal::calibrateRowAvx2(scale, rackMin_,
-                                                      rackMax_, racks, row)
-                         : 0;
-         i < racks; ++i)
-        row[i] = std::clamp(row[i] * scale, rackMin_, rackMax_);
+    util::runLanes(mode, 0, [&]<int W>(size_t i) {
+        return calibrateRow<W>(i, scale, row);
+    });
 }
 
 } // namespace dcbatt::trace

@@ -28,12 +28,10 @@
  * and the phase shift in seconds, are computed once with the same
  * expressions, so they are the same doubles.
  *
- * Under util::SimdMode::Avx2, passes 2, 4 and 6 run four racks per
- * vector (trace_row_kernel_avx2.cc), as do the engine and the
- * non-libm passes of the normal stream; passes 3 and 5 and the
- * stream's log stay scalar. Each vector operation keeps the scalar
- * operand order and std::clamp is compare-and-blend, so both modes
- * produce the same bits (trace_test pins it).
+ * Passes 2, 4 and 6, like the engine and the non-libm passes of the
+ * normal stream, are lane passes (trace_row_kernel_internal.h,
+ * util/lanes.h): four racks per vector under util::SimdMode::Avx2, one
+ * at a time otherwise, with the same bits (trace_test pins it).
  */
 
 #ifndef DCBATT_TRACE_TRACE_ROW_KERNEL_H_
@@ -84,6 +82,16 @@ class TraceRowKernel
                             double *row, util::SimdMode mode);
 
   private:
+    /** Passes 2, 4 and 6 from rack @p i (see util::runLanes). */
+    template <int W>
+    std::size_t diurnalArgs(std::size_t i, double from_peak);
+    template <int W>
+    std::size_t shapeRow(std::size_t i, double weekly, double *ar,
+                         double *row) const;
+    template <int W>
+    std::size_t calibrateRow(std::size_t i, double scale,
+                             double *row) const;
+
     // Fleet-wide constants, copied from the spec.
     double start_;
     double step_;

@@ -1,51 +1,93 @@
 /**
  * @file
- * Internal seam between the trace row kernel's dispatch and its AVX2
- * translation unit (trace_row_kernel_avx2.cc, compiled with -mavx2
- * -ffp-contract=off; see src/CMakeLists.txt). Nothing outside
- * src/trace includes this.
- *
- * Each body handles the leading multiple of four racks and returns
- * how many it handled; the scalar passes of trace_row_kernel.cc
- * finish the tail. Every vector operation is the scalar expression's
- * operation in the same operand order, and std::clamp is its
- * compare-and-blend, so the results are bit-identical.
+ * The lane passes 2, 4 and 6 of TraceRowKernel (util/lanes.h):
+ * trace_row_kernel.cc runs them, trace_row_kernel_avx2.cc holds their
+ * W = 4 instances. Nothing outside src/trace includes this.
  */
 
 #ifndef DCBATT_TRACE_TRACE_ROW_KERNEL_INTERNAL_H_
 #define DCBATT_TRACE_TRACE_ROW_KERNEL_INTERNAL_H_
 
-#include <cstddef>
+#include <numbers>
 
-namespace dcbatt::trace::internal {
+#include "trace/trace_row_kernel.h"
+#include "util/lanes.h"
 
-/** Pass 2: diurnal[i] = kTwoPi * (from_peak - phase_s[i]) / kDay. */
-std::size_t diurnalArgsAvx2(double from_peak, const double *phase_s,
-                            std::size_t n, double *diurnal);
+namespace dcbatt::trace {
 
-/** The per-rack columns and row constants of pass 4. */
-struct ShapeArgs
+namespace internal {
+
+constexpr double kDay = 24.0 * 3600.0;
+constexpr double kTwoPi = 2.0 * std::numbers::pi;
+
+} // namespace internal
+
+template <int W>
+std::size_t
+TraceRowKernel::diurnalArgs(std::size_t i, double from_peak)
 {
-    const double *normal;
-    const double *sigma;
-    const double *rho;
-    const double *amplitude;
-    const double *diurnal;
-    const double *base;
-    double weekly;
-    double rackMin;
-    double rackMax;
-};
+    using L = util::Lanes<W>;
+    const double *phase_s = phaseS_.data();
+    double *diurnal = diurnal_.data();
+    const std::size_t n = phaseS_.size();
+    for (; i + W <= n; i += W) {
+        L::store(diurnal + i, internal::kTwoPi
+                                  * (from_peak - L::load(phase_s + i))
+                                  / internal::kDay);
+    }
+    return i;
+}
 
-/** Pass 4: AR(1) update, shape and the rack-envelope clamp. */
-std::size_t shapeRowAvx2(const ShapeArgs &a, std::size_t n, double *ar,
-                         double *row);
+template <int W>
+std::size_t
+TraceRowKernel::shapeRow(std::size_t i, double weekly, double *ar,
+                         double *row) const
+{
+    using L = util::Lanes<W>;
+    using D = typename L::D;
+    const double *normal = normal_.data();
+    const double *sigma = innovationSigma_.data();
+    const double *rho = rho_.data();
+    const double *amplitude = amplitude_.data();
+    const double *diurnal = diurnal_.data();
+    const double *base = base_.data();
+    const D lo = L::splat(rackMin_);
+    const D hi = L::splat(rackMax_);
+    const std::size_t n = base_.size();
+    for (; i + W <= n; i += W) {
+        const D innovation = L::load(normal + i) * L::load(sigma + i) + 0.0;
+        const D next = L::load(rho + i) * L::load(ar + i) + innovation;
+        L::store(ar + i, next);
+        const D shape = 1.0
+            + L::load(amplitude + i) * weekly * L::load(diurnal + i) + next;
+        L::store(row + i,
+                 util::laneClamp(L::load(base + i) * shape, lo, hi));
+    }
+    return i;
+}
 
-/** Pass 6: row[i] = clamp(row[i] * scale, rack_min, rack_max). */
-std::size_t calibrateRowAvx2(double scale, double rack_min,
-                             double rack_max, std::size_t n,
-                             double *row);
+template <int W>
+std::size_t
+TraceRowKernel::calibrateRow(std::size_t i, double scale, double *row) const
+{
+    using L = util::Lanes<W>;
+    const typename L::D lo = L::splat(rackMin_);
+    const typename L::D hi = L::splat(rackMax_);
+    const std::size_t n = base_.size();
+    for (; i + W <= n; i += W)
+        L::store(row + i, util::laneClamp(L::load(row + i) * scale, lo, hi));
+    return i;
+}
 
-} // namespace dcbatt::trace::internal
+#ifdef DCBATT_HAVE_AVX2_TU
+extern template std::size_t TraceRowKernel::diurnalArgs<4>(std::size_t,
+                                                           double);
+extern template std::size_t
+TraceRowKernel::shapeRow<4>(std::size_t, double, double *, double *) const;
+extern template std::size_t
+TraceRowKernel::calibrateRow<4>(std::size_t, double, double *) const;
+#endif
+
+} // namespace dcbatt::trace
 
 #endif // DCBATT_TRACE_TRACE_ROW_KERNEL_INTERNAL_H_

@@ -1,7 +1,6 @@
 #include "util/random.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <unordered_map>
 
@@ -61,14 +60,12 @@ drawTruncatedNormal(Engine &engine, double mean, double stddev,
 
 // ---------------------------------------------------------------------
 // MT19937-64 core (matches std::mt19937_64's parameters; the
-// CachedSeedEngine and Mt64 differential tests pin equality). Only the
-// seeding and twist live here — tempering is inline in the header, and
-// the AVX2 twist in random_avx2.cc.
+// CachedSeedEngine and Mt64 differential tests pin equality). The
+// twist's lane pass is in random_internal.h.
 // ---------------------------------------------------------------------
 
 using internal::kMtM;
 using internal::kMtN;
-using internal::mtTwistWord;
 
 void
 mtSeedState(uint64_t seed, std::array<uint64_t, kMtN> &mt)
@@ -80,53 +77,30 @@ mtSeedState(uint64_t seed, std::array<uint64_t, kMtN> &mt)
 }
 
 /**
- * The in-place twist, split at the two wrap points of the index
- * arithmetic so no word needs a modulo or a branch. Word i reads the
- * already-twisted far word exactly where the sequential recurrence
- * does.
+ * Twist @p mt in place and, if @p out is given, temper it there. The
+ * twist is split at the two wrap points of its index arithmetic, so
+ * no word needs a modulo or a branch: words before kMtN - kMtM read
+ * far words not yet twisted, the words after read far words already
+ * twisted, and the last word's next word is mt[0].
  */
-void
-mtTwistState(std::array<uint64_t, kMtN> &mt)
-{
-    size_t i = 0;
-    for (; i < kMtN - kMtM; ++i)
-        mt[i] = mtTwistWord(mt[i], mt[i + 1], mt[i + kMtM]);
-    for (; i < kMtN - 1; ++i)
-        mt[i] = mtTwistWord(mt[i], mt[i + 1], mt[i + kMtM - kMtN]);
-    mt[kMtN - 1] = mtTwistWord(mt[kMtN - 1], mt[0], mt[kMtM - 1]);
-}
-
-/** Twist @p mt in place and, if @p out is given, temper it there. */
 void
 mtTwist(std::array<uint64_t, kMtN> &mt, uint64_t *out, SimdMode mode)
 {
-    if (mode == SimdMode::Avx2) {
-        internal::mtTwistAvx2(mt.data(), out);
-        return;
-    }
-    mtTwistState(mt);
-    if (out != nullptr) {
-        for (size_t i = 0; i < kMtN; ++i)
-            out[i] = mt64Temper(mt[i]);
-    }
-}
-
-/**
- * generate_canonical<double, 53> on one 64-bit output: the output
- * rounded to double, scaled by 2^-64, and kept below 1. The rounding
- * splits the word into halves that convert exactly through the
- * exponent-bias trick, so one rounding of their exact sum equals the
- * direct conversion without its branch on the top bit.
- */
-inline double
-canonical(uint64_t u)
-{
-    double hi = std::bit_cast<double>(0x4530000000000000ULL | (u >> 32))
-        - 0x1p84;
-    double lo =
-        std::bit_cast<double>(0x4330000000000000ULL | (u & 0xFFFFFFFFULL))
-        - 0x1p52;
-    return std::min((hi + lo) / 0x1p64, 0x1.fffffffffffffp-1);
+    uint64_t *words = mt.data();
+    constexpr auto kAhead = static_cast<std::ptrdiff_t>(kMtM);
+    constexpr auto kBehind = kAhead - static_cast<std::ptrdiff_t>(kMtN);
+    const size_t wrap = runLanes(mode, 0, [&]<int W>(size_t i) {
+        return internal::mtTwistSpan<W>(words, i, kMtN - kMtM, kAhead,
+                                        out);
+    });
+    runLanes(mode, wrap, [&]<int W>(size_t i) {
+        return internal::mtTwistSpan<W>(words, i, kMtN - 1, kBehind, out);
+    });
+    constexpr size_t kLast = kMtN - 1;
+    words[kLast] =
+        internal::mtTwistWord(words[kLast], words[0], words[kMtM - 1]);
+    if (out != nullptr)
+        out[kLast] = mt64Temper(words[kLast]);
 }
 
 } // namespace
@@ -187,34 +161,21 @@ size_t
 polarNormals(const uint64_t *raw, size_t pairs, double *out,
              SimdMode mode)
 {
-    // One run of polar attempts, in passes: the candidates (plain
-    // arithmetic), the accepted ones compacted in order without a
-    // branch (AVX2 lanes do both at once under that mode), then the
-    // scalar libm log and the scale for those only.
+    // One run of polar attempts, in passes: the candidates, compacted
+    // in order without a branch, then the scalar libm log and the scale
+    // for the accepted ones only.
     std::array<double, StandardNormalStream::kRunPairs> y;
     std::array<double, StandardNormalStream::kRunPairs> r2;
-    const bool avx2 = mode == SimdMode::Avx2;
     size_t accepted = 0;
-    const size_t done =
-        avx2 ? polarAcceptAvx2(raw, pairs, y.data(), r2.data(), &accepted)
-             : 0;
-    for (size_t k = done; k < pairs; ++k) {
-        double x = 2.0 * canonical(raw[2 * k]) - 1.0;
-        y[k] = 2.0 * canonical(raw[2 * k + 1]) - 1.0;
-        r2[k] = x * x + y[k] * y[k];
-    }
-    for (size_t k = done; k < pairs; ++k) {
-        y[accepted] = y[k];
-        r2[accepted] = r2[k];
-        accepted += (r2[k] > 1.0 || r2[k] == 0.0) ? 0 : 1;
-    }
+    runLanes(mode, 0, [&]<int W>(size_t k) {
+        return polarAccept<W>(raw, k, pairs, y.data(), r2.data(),
+                              &accepted);
+    });
     for (size_t k = 0; k < accepted; ++k)
         out[k] = std::log(r2[k]);
-    for (size_t k = avx2 ? polarScaleAvx2(accepted, y.data(), r2.data(),
-                                          out)
-                         : 0;
-         k < accepted; ++k)
-        out[k] = y[k] * std::sqrt(-2 * out[k] / r2[k]);
+    runLanes(mode, 0, [&]<int W>(size_t k) {
+        return polarScale<W>(k, accepted, y.data(), r2.data(), out);
+    });
     return accepted;
 }
 

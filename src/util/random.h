@@ -23,13 +23,14 @@
 
 namespace dcbatt::util {
 
-/** MT19937-64 tempering transform (shared by the engines below). */
-inline uint64_t
-mt64Temper(uint64_t y)
+/** MT19937-64 tempering of a word or of each util/lanes.h lane. */
+template <typename V>
+V
+mt64Temper(V y)
 {
-    y ^= (y >> 29) & 0x5555555555555555ULL;
-    y ^= (y << 17) & 0x71D67FFFEDA60000ULL;
-    y ^= (y << 37) & 0xFFF7EEE000000000ULL;
+    y ^= (y >> 29) & uint64_t{0x5555555555555555};
+    y ^= (y << 17) & uint64_t{0x71D67FFFEDA60000};
+    y ^= (y << 37) & uint64_t{0xFFF7EEE000000000};
     y ^= y >> 43;
     return y;
 }
@@ -96,10 +97,11 @@ class CachedSeedEngine
 /**
  * MT19937-64 with block output: the exact sequence of
  * std::mt19937_64{seed} (pinned by a differential test), generated 312
- * outputs at a time by a branch-free twist and tempering pass, four
- * words per vector under AVX2. The libstdc++ engine branches on a
- * random bit per word, which costs a mispredict on half the words; the
- * block form also lets consumers take runs of outputs at once (fill()).
+ * outputs at a time by a branch-free twist and tempering lane pass
+ * (random_internal.h, util/lanes.h), four words per vector under AVX2.
+ * The libstdc++ engine branches on a random bit per word, which costs
+ * a mispredict on half the words; the block form also lets consumers
+ * take runs of outputs at once (fill()).
  */
 class Mt64
 {
@@ -153,9 +155,9 @@ class Mt64
  * evaluates a run of pairs at once, with no branch on acceptance, and
  * keeps the accepted values for later calls: it reads ahead of what it
  * has returned, so @p engine belongs to the stream from construction
- * on and must not be drawn from directly afterwards. The candidate
- * and scale passes run on the engine's SimdMode; the libm log of each
- * accepted attempt is scalar in both modes.
+ * on and must not be drawn from directly afterwards. The candidate,
+ * compaction and scale lane passes run at the engine's SimdMode; the
+ * libm log of each accepted attempt is scalar in both modes.
  */
 class StandardNormalStream
 {

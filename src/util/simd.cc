@@ -18,30 +18,31 @@ cpuHasAvx2()
 }
 
 SimdMode
+simdModeFor(const char *value, bool avx2_usable)
+{
+    const std::string_view v = value != nullptr ? value : "";
+    if (v == "off" || v == "scalar")
+        return SimdMode::Scalar;
+    if (v == "avx2" && !avx2_usable) {
+        warn("DCBATT_SIMD=avx2 requested but this CPU lacks AVX2; "
+             "using scalar code");
+    } else if (!v.empty() && v != "auto" && v != "avx2") {
+        fatal(strf("DCBATT_SIMD=%s: expected one of off|scalar|avx2|auto",
+                   value));
+    }
+    return avx2_usable ? SimdMode::Avx2 : SimdMode::Scalar;
+}
+
+SimdMode
 activeSimdMode()
 {
-    static const SimdMode mode = [] {
-        const char *env = std::getenv("DCBATT_SIMD");
-        std::string_view v = env != nullptr ? env : "auto";
-        if (v == "off" || v == "scalar")
-            return SimdMode::Scalar;
 #ifdef DCBATT_HAVE_AVX2_TU
-        bool has = cpuHasAvx2();
-        if (v == "avx2" && !has) {
-            warn("DCBATT_SIMD=avx2 requested but this CPU lacks AVX2; "
-                 "using scalar code");
-            return SimdMode::Scalar;
-        }
-        if (v != "auto" && v != "avx2")
-            warn("unknown DCBATT_SIMD value; using auto");
-        return has ? SimdMode::Avx2 : SimdMode::Scalar;
+    constexpr bool kBuiltWithAvx2 = true;
 #else
-        if (v == "avx2")
-            warn("DCBATT_SIMD=avx2 requested but this build has no "
-                 "AVX2 code; using scalar");
-        return SimdMode::Scalar;
+    constexpr bool kBuiltWithAvx2 = false;
 #endif
-    }();
+    static const SimdMode mode = simdModeFor(
+        std::getenv("DCBATT_SIMD"), kBuiltWithAvx2 && cpuHasAvx2());
     return mode;
 }
 

@@ -20,6 +20,7 @@
 #include <bit>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "battery/batch_charge_kernel.h"
@@ -58,23 +59,32 @@ expectBitEqual(const BbuModel &a, const BbuModel &b, int where)
         << "step " << where;
 }
 
-/** A one-rack topology whose shelf charges from @p dod at @p sp. */
+/** A topology whose rack r charges from @p dods[r] at @p sp. */
 power::Topology
-chargingRack(double dod, double sp)
+chargingRacks(const std::vector<double> &dods, double sp)
 {
     power::TopologySpec spec;
     spec.rootKind = power::NodeKind::Rpp;
     spec.rootName = "rpp0";
-    spec.racksPerRpp = 1;
+    spec.racksPerRpp = static_cast<int>(dods.size());
     power::Topology topo =
         power::Topology::build(spec, makeVariableCharger());
-    PowerShelf &shelf = topo.rack(0).shelf();
-    topo.rack(0).setItDemand(util::kilowatts(8.0));
-    shelf.loseInputPower();
-    shelf.forceUniformDod(dod);
-    shelf.setOverride(Amperes(sp));
-    shelf.restoreInputPower();
+    for (size_t r = 0; r < dods.size(); ++r) {
+        PowerShelf &shelf = topo.rack(static_cast<int>(r)).shelf();
+        topo.rack(static_cast<int>(r)).setItDemand(util::kilowatts(8.0));
+        shelf.loseInputPower();
+        shelf.forceUniformDod(dods[r]);
+        shelf.setOverride(Amperes(sp));
+        shelf.restoreInputPower();
+    }
     return topo;
+}
+
+/** A one-rack topology whose shelf charges from @p dod at @p sp. */
+power::Topology
+chargingRack(double dod, double sp)
+{
+    return chargingRacks({dod}, sp);
 }
 
 uint64_t
@@ -117,6 +127,47 @@ TEST(BatchLane, ResidentLaneMatchesScalarStepBitExact)
     EXPECT_GT(cc_lanes, 100);
     EXPECT_GT(cv_lanes, 100);
     EXPECT_GT(object_steps, 10);
+
+    // Fleets of 2-9 and 301 racks at staggered DODs: as racks cross
+    // into CV and finish, the CC and CV lane sets pass through every
+    // count below the fleet size, so both lane widths and their tails
+    // meet BbuModel::step() rack by rack.
+    for (int racks : {2, 3, 4, 5, 6, 7, 8, 9, 301}) {
+        for (double dt : {4.0, 37.5}) {
+            std::vector<double> dods;
+            for (int r = 0; r < racks; ++r)
+                dods.push_back(0.95 - 0.8 * r / racks);
+            power::Topology topo = chargingRacks(dods, 2.5);
+            const uint64_t lanes_before = lanesCounted();
+            std::vector<BbuModel> scalar(dods.size(), BbuModel(params));
+            for (size_t r = 0; r < dods.size(); ++r) {
+                scalar[r].forceDod(dods[r]);
+                scalar[r].startCharging(Amperes(2.5));
+            }
+            bool charging = true;
+            for (int i = 0; i < 100000 && charging; ++i) {
+                charging = false;
+                for (BbuModel &model : scalar) {
+                    if (model.charging()) {
+                        model.step(Seconds(dt));
+                        charging = true;
+                    }
+                }
+                topo.stepRacks(Seconds(dt), true);
+                for (size_t r = 0; r < scalar.size(); ++r) {
+                    const int rack = static_cast<int>(r);
+                    ASSERT_NO_FATAL_FAILURE(expectBitEqual(
+                        scalar[r], topo.rack(rack).shelf().bbu(0), i))
+                        << racks << " racks, rack " << r << ", dt " << dt;
+                }
+            }
+            for (int r = 0; r < racks; ++r)
+                EXPECT_TRUE(topo.rack(r).shelf().fullyCharged());
+            EXPECT_GT(lanesCounted() - lanes_before,
+                      10 * static_cast<uint64_t>(racks))
+                << racks << " racks, dt " << dt;
+        }
+    }
 }
 
 TEST(BatchLane, IneligibleConfigurationsStayOnObjectPath)
@@ -205,42 +256,44 @@ TEST(BatchKernel, Avx2LanesMatchScalarBitExact)
     BbuParams params;
     BatchChargeKernel kernel(params);
     util::Rng rng(0x5eed);
-    // Odd lane count: the last three CC / CV lanes take the scalar
-    // tail inside the AVX2 mode, which must splice seamlessly.
-    constexpr size_t kLanes = 1003;
-    ChargeLaneColumns scalar_lanes;
-    for (size_t i = 0; i < kLanes; ++i) {
-        scalar_lanes.ccDod.push_back(rng.uniform(0.25, 1.0));
-        scalar_lanes.ccSetpointA.push_back(rng.uniform(1.0, 5.0));
-        scalar_lanes.ccInputW.push_back(0.0);
-        scalar_lanes.cvDod.push_back(rng.uniform(0.0, 0.2));
-        scalar_lanes.cvCurrentA.push_back(rng.uniform(0.4, 5.0));
-        scalar_lanes.cvSetpointA.push_back(rng.uniform(1.0, 5.0));
-        scalar_lanes.cvElapsedS.push_back(rng.uniform(0.0, 900.0));
-        scalar_lanes.cvInputW.push_back(0.0);
-        scalar_lanes.cvTotalS.push_back(1e9);
-    }
-    ChargeLaneColumns avx_lanes = scalar_lanes;
-    auto same = [](const std::vector<double> &a,
-                   const std::vector<double> &b, const char *column) {
-        for (size_t i = 0; i < a.size(); ++i) {
-            ASSERT_EQ(std::bit_cast<uint64_t>(a[i]),
-                      std::bit_cast<uint64_t>(b[i]))
-                << column << " lane " << i;
+    // Every lane count mod 4 and then some: the lanes past the last
+    // multiple of four take the one-lane tail inside the AVX2 mode,
+    // which must splice seamlessly.
+    for (int lanes : {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 301, 1003}) {
+        ChargeLaneColumns scalar_lanes;
+        for (int i = 0; i < lanes; ++i) {
+            scalar_lanes.ccDod.push_back(rng.uniform(0.25, 1.0));
+            scalar_lanes.ccSetpointA.push_back(rng.uniform(1.0, 5.0));
+            scalar_lanes.ccInputW.push_back(0.0);
+            scalar_lanes.cvDod.push_back(rng.uniform(0.0, 0.2));
+            scalar_lanes.cvCurrentA.push_back(rng.uniform(0.4, 5.0));
+            scalar_lanes.cvSetpointA.push_back(rng.uniform(1.0, 5.0));
+            scalar_lanes.cvElapsedS.push_back(rng.uniform(0.0, 900.0));
+            scalar_lanes.cvInputW.push_back(0.0);
+            scalar_lanes.cvTotalS.push_back(1e9);
         }
-    };
-    // Several steps in place: each one starts from the last's output.
-    for (double dt : {1.0, 4.0, 37.5}) {
-        kernel.advanceWithMode(scalar_lanes, dt, SimdMode::Scalar);
-        kernel.advanceWithMode(avx_lanes, dt, SimdMode::Avx2);
-        same(scalar_lanes.ccDod, avx_lanes.ccDod, "ccDod");
-        same(scalar_lanes.ccInputW, avx_lanes.ccInputW, "ccInputW");
-        same(scalar_lanes.cvDod, avx_lanes.cvDod, "cvDod");
-        same(scalar_lanes.cvElapsedS, avx_lanes.cvElapsedS,
-             "cvElapsedS");
-        same(scalar_lanes.cvCurrentA, avx_lanes.cvCurrentA,
-             "cvCurrentA");
-        same(scalar_lanes.cvInputW, avx_lanes.cvInputW, "cvInputW");
+        ChargeLaneColumns avx_lanes = scalar_lanes;
+        auto same = [](const std::vector<double> &a,
+                       const std::vector<double> &b, const char *column) {
+            for (size_t i = 0; i < a.size(); ++i) {
+                ASSERT_EQ(std::bit_cast<uint64_t>(a[i]),
+                          std::bit_cast<uint64_t>(b[i]))
+                    << column << " lane " << i;
+            }
+        };
+        // Several steps in place: each one starts from the last's output.
+        for (double dt : {1.0, 4.0, 37.5}) {
+            kernel.advanceWithMode(scalar_lanes, dt, SimdMode::Scalar);
+            kernel.advanceWithMode(avx_lanes, dt, SimdMode::Avx2);
+            same(scalar_lanes.ccDod, avx_lanes.ccDod, "ccDod");
+            same(scalar_lanes.ccInputW, avx_lanes.ccInputW, "ccInputW");
+            same(scalar_lanes.cvDod, avx_lanes.cvDod, "cvDod");
+            same(scalar_lanes.cvElapsedS, avx_lanes.cvElapsedS,
+                 "cvElapsedS");
+            same(scalar_lanes.cvCurrentA, avx_lanes.cvCurrentA,
+                 "cvCurrentA");
+            same(scalar_lanes.cvInputW, avx_lanes.cvInputW, "cvInputW");
+        }
     }
 }
 
@@ -671,6 +724,24 @@ TEST(TopologyBatch, LanesOwnStateAndAnswerShelfReadsBitExact)
     EXPECT_GT(evicting_reads, 100);
     for (const power::Rack *r : lanes.racks())
         EXPECT_TRUE(r->shelf().fullyCharged()) << r->name();
+}
+
+TEST(BatchSetting, AcceptsOnOffAndUnset)
+{
+    EXPECT_TRUE(batchChargingFor(nullptr));
+    EXPECT_TRUE(batchChargingFor(""));
+    EXPECT_TRUE(batchChargingFor("on"));
+    EXPECT_FALSE(batchChargingFor("off"));
+}
+
+TEST(BatchSettingDeathTest, RejectsOtherValues)
+{
+    for (const char *bad : {"0", "1", "false", "OFF", "On", " off"}) {
+        EXPECT_EXIT(batchChargingFor(bad), testing::ExitedWithCode(1),
+                    std::string("DCBATT_BATCH=") + bad
+                        + ": expected one of on.off")
+            << bad;
+    }
 }
 
 } // namespace

@@ -378,6 +378,15 @@ TEST(Generator, MatchesReferenceLoop)
     specs[2].aggregateMean = util::kilowatts(380.0);
     specs[3].priorities.clear();
     specs[3].rackCount = 7;
+    // 1-9 racks (7 above) and 301, so the four-lane row passes leave
+    // every tail length, over a shorter trace.
+    for (int racks : {1, 2, 3, 4, 5, 6, 8, 9, 301}) {
+        TraceGenSpec spec = smallSpec();
+        spec.rackCount = racks;
+        spec.duration = util::hours(2.0);
+        spec.aggregateMean = util::kilowatts(6.0 * racks);
+        specs.push_back(spec);
+    }
     for (const TraceGenSpec &spec : specs) {
         TraceSet set = generateTraces(spec);
         util::Rng rng(spec.seed);
@@ -460,7 +469,7 @@ TEST(TraceRowKernel, Avx2MatchesScalarBitExact)
     if (!util::cpuHasAvx2())
         GTEST_SKIP() << "CPU has no AVX2";
     using util::SimdMode;
-    for (int racks : {1, 3, 4, 5, 64, 300, 316}) {
+    for (int racks : {1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 300, 301, 316}) {
         const TraceGenSpec spec = clampingSpec(racks);
         TraceRowKernel kernel[2] = {TraceRowKernel(spec),
                                     TraceRowKernel(spec)};

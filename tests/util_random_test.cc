@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <string>
 
 #include "util/random.h"
 #include "util/random_internal.h"
@@ -263,18 +264,22 @@ TEST(Mt64, BothModesMatchStdMt19937_64AcrossBlocks)
 {
     if (!cpuHasAvx2())
         GTEST_SKIP() << "CPU has no AVX2";
-    constexpr size_t kBlocks = 1000;
+    // Whole blocks, and runs of 0-9 and 301 words that start reads at
+    // every word offset of a block.
+    constexpr size_t kRunSizes[] = {312, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 301};
+    constexpr size_t kRuns = 1000 * std::size(kRunSizes);
     for (SimdMode mode : {SimdMode::Scalar, SimdMode::Avx2}) {
         for (uint64_t seed :
              {0ULL, 1ULL, 0xdeadbeefULL, 20201017ULL, ~0ULL}) {
             std::mt19937_64 reference(seed);
             Mt64 engine(seed, mode);
-            std::vector<uint64_t> block(312);
-            for (size_t b = 0; b < kBlocks; ++b) {
-                engine.fill(block.data(), block.size());
-                for (size_t i = 0; i < block.size(); ++i)
-                    ASSERT_EQ(block[i], reference())
-                        << "seed " << seed << " block " << b << " word "
+            std::vector<uint64_t> run;
+            for (size_t r = 0; r < kRuns; ++r) {
+                run.resize(kRunSizes[r % std::size(kRunSizes)]);
+                engine.fill(run.data(), run.size());
+                for (size_t i = 0; i < run.size(); ++i)
+                    ASSERT_EQ(run[i], reference())
+                        << "seed " << seed << " run " << r << " word "
                         << i;
             }
         }
@@ -342,8 +347,10 @@ TEST(StandardNormalStream, PolarRunMatchesFreshDistributionOnEdgeWords)
         {kHalf, 0},   {1, kHalf},     {kHalf - 1, kHalf + 1},
     };
     Mt64 filler(77);
-    for (size_t pairs : {size_t{1}, size_t{3}, size_t{4}, size_t{5},
-                         size_t{61}, StandardNormalStream::kRunPairs}) {
+    for (size_t pairs : {size_t{0}, size_t{1}, size_t{2}, size_t{3},
+                         size_t{4}, size_t{5}, size_t{6}, size_t{7},
+                         size_t{8}, size_t{9}, size_t{61},
+                         StandardNormalStream::kRunPairs}) {
         for (size_t offset = 0; offset < 8; ++offset) {
             // Random pairs with the edge pairs spliced in from
             // @p offset on, so they land in every vector lane.
@@ -395,8 +402,11 @@ TEST(StandardNormalStream, BothModesMatchRngNormal)
             Rng rng(seed);
             Mt64 engine(seed, mode);
             StandardNormalStream stream(engine);
-            std::vector<double> z(301);
-            for (int run = 0; run < 200; ++run) {
+            // 200 runs of 301 draws, each followed by runs of 0-9.
+            const size_t runs[] = {301, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+            std::vector<double> z;
+            for (size_t run = 0; run < 200 * std::size(runs); ++run) {
+                z.resize(runs[run % std::size(runs)]);
                 stream.draw(z.data(), z.size());
                 for (double v : z) {
                     double expected = rng.normal(0.0, 1.0);
@@ -421,6 +431,29 @@ TEST(SeededStream, NextRawMirrorsFork)
         for (int i = 0; i < 50; ++i)
             ASSERT_DOUBLE_EQ(stream_child.exponential(100.0),
                              rng_child.exponential(100.0));
+    }
+}
+
+TEST(SimdSetting, AcceptedValues)
+{
+    for (bool usable : {false, true}) {
+        const SimdMode best = usable ? SimdMode::Avx2 : SimdMode::Scalar;
+        EXPECT_EQ(simdModeFor(nullptr, usable), best);
+        EXPECT_EQ(simdModeFor("", usable), best);
+        EXPECT_EQ(simdModeFor("auto", usable), best);
+        EXPECT_EQ(simdModeFor("avx2", usable), best);
+        EXPECT_EQ(simdModeFor("off", usable), SimdMode::Scalar);
+        EXPECT_EQ(simdModeFor("scalar", usable), SimdMode::Scalar);
+    }
+}
+
+TEST(SimdSettingDeathTest, RejectsOtherValues)
+{
+    for (const char *bad : {"0", "on", "AVX2", "avx512", "sse", " auto"}) {
+        EXPECT_EXIT(simdModeFor(bad, true), testing::ExitedWithCode(1),
+                    std::string("DCBATT_SIMD=") + bad
+                        + ": expected one of off.scalar.avx2.auto")
+            << bad;
     }
 }
 
