@@ -55,7 +55,8 @@ main(int argc, char **argv)
             command_at = t;
         }
         if (override_sent && stabilized_at < 0.0
-            && std::abs(agent.readSetpoint().value() - 1.0) < 1e-9) {
+            && std::abs(rack.shelf().chargeSetpoint().value() - 1.0)
+                   < 1e-9) {
             stabilized_at = t;
         }
     });

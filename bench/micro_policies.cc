@@ -679,6 +679,36 @@ BM_ControlTickQuiet(benchmark::State &state)
 BENCHMARK(BM_ControlTickQuiet);
 
 void
+BM_ControlTickCharging(benchmark::State &state)
+{
+    // A Dynamo tick during a recharge: ControlPlane::tickAll() on
+    // BM_StepRacksCharging's 300-rack MSB right after rearmCharging(),
+    // with Algorithm 1's charging event active. Every tick snapshots
+    // all 300 rows for the coordinator and scans them in each of the
+    // 23 controllers; nothing steps between ticks, so one iteration is
+    // one tickAll() over the same rows.
+    power::Topology topo = regionMsbTopology();
+    for (power::Rack *rack : topo.racks())
+        rack->setItDemand(util::kilowatts(6.0));
+    sim::EventQueue queue;
+    core::PriorityAwareCoordinator coordinator = makePa();
+    dynamo::ControlPlane plane(topo, topo.root(), queue, &coordinator);
+    rearmCharging(topo, util::Seconds(1.0));
+    plane.tickAll();
+    if (!plane.rootController().chargingEventActive()) {
+        state.SkipWithError("no charging event");
+        return;
+    }
+    for (auto _ : state) {
+        plane.tickAll();
+        benchmark::DoNotOptimize(plane.rootController().totalCap());
+    }
+    state.SetItemsProcessed(state.iterations()
+                            * static_cast<int64_t>(topo.racks().size()));
+}
+BENCHMARK(BM_ControlTickCharging);
+
+void
 BM_RegionBudgetSplit(benchmark::State &state)
 {
     // The cross-MSB coordination tick at region scale: split + audit

@@ -30,6 +30,13 @@ batchChargingEnabled()
     return enabled;
 }
 
+void
+resolveKernelSwitches()
+{
+    activeSimdMode();
+    batchChargingEnabled();
+}
+
 BatchChargeKernel::BatchChargeKernel(const BbuParams &params)
     : refillC_(params.refillCharge.value()),
       effic_(params.chargeEfficiency),

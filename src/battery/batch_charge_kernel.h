@@ -45,6 +45,12 @@ using util::SimdMode;
 bool batchChargingEnabled();
 
 /**
+ * Read DCBATT_SIMD and DCBATT_BATCH now: a bad value is fatal at the
+ * first read, which must not happen on a worker lane.
+ */
+void resolveKernelSwitches();
+
+/**
  * Whether DCBATT_BATCH=@p value admits charge lanes: unset (null),
  * empty and "on" do, "off" does not; util::fatal on any other value.
  */

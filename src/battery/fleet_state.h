@@ -18,6 +18,10 @@
  *    stepRacks() rewrites a row whenever its rack was touched or not
  *    quiescent, and Topology::applyDemandRow() keeps `itLoadW` current
  *    as it stores a trace row. They are not caches with invalidation.
+ *
+ * The rows are also the Dynamo control plane's only read path for
+ * rack state: before a tick reads them, Topology::refreshTouchedRows()
+ * writes back the rows an actuation touched since the last step.
  */
 
 #ifndef DCBATT_BATTERY_FLEET_STATE_H_
@@ -52,6 +56,8 @@ struct FleetState
     std::vector<std::int32_t> chargingBbus;
     /** PowerShelf::cvCount() (charging BBUs in the CV phase). */
     std::vector<std::int32_t> cvBbus;
+    /** PowerShelf::chargeSetpoint() in amperes. */
+    std::vector<double> setpointA;
 
     /**
      * Size every column once, before any rack points into the storage
@@ -70,6 +76,7 @@ struct FleetState
         fullyCharged.assign(racks, 1);
         chargingBbus.assign(racks, 0);
         cvBbus.assign(racks, 0);
+        setpointA.assign(racks, 0.0);
     }
 
     std::size_t size() const { return itLoadW.size(); }

@@ -5,8 +5,11 @@
  * The paper adds a new Dynamo agent type that runs on each rack's
  * top-of-rack switch: it reads rack input power, IT load, and BBU
  * charge/discharge power from the PSUs, and can issue a manual
- * override of the BBU charging current (1-5 A). The agent is a pure
- * request handler — controllers decide, agents actuate.
+ * override of the BBU charging current (1-5 A). In dcbatt the
+ * controllers read those quantities from the topology's fleet columns
+ * (battery::FleetState) by rack row, so the agent only actuates and
+ * remembers what it commanded: controllers decide, agents apply
+ * overrides, holds and caps.
  *
  * Actuation is not instantaneous: the prototype measurement in Fig. 11
  * shows the BBU power stabilizing about 20 seconds after the override
@@ -16,6 +19,9 @@
 
 #ifndef DCBATT_DYNAMO_AGENT_H_
 #define DCBATT_DYNAMO_AGENT_H_
+
+#include <memory>
+#include <span>
 
 #include "power/rack.h"
 #include "sim/event_queue.h"
@@ -39,21 +45,6 @@ class RackAgent
     power::Rack &rack() { return *rack_; }
     const power::Rack &rack() const { return *rack_; }
 
-    // --- read path -------------------------------------------------
-    util::Watts readInputPower() const { return rack_->inputPower(); }
-    util::Watts readItLoad() const { return rack_->itLoad(); }
-    util::Watts readRechargePower() const
-    {
-        return rack_->rechargePower();
-    }
-    util::Amperes readSetpoint() const
-    {
-        return rack_->shelf().chargeSetpoint();
-    }
-    bool inputPowerOn() const { return rack_->inputPowerOn(); }
-    bool charging() const { return rack_->shelf().anyCharging(); }
-
-    // --- write path ------------------------------------------------
     /**
      * Command a charging-current override. The shelf setpoint changes
      * after the actuation lag. Duplicate commands (same current as the
@@ -71,7 +62,6 @@ class RackAgent
     void commandHold();
     void commandResume(util::Amperes current);
     bool holdCommanded() const { return holdCommanded_; }
-    bool chargingHeld() const { return rack_->shelf().chargingHeld(); }
 
     /** Clear the override (immediately; used between experiments). */
     void clearOverride();
@@ -90,6 +80,9 @@ class RackAgent
     util::Amperes lastCommanded_{0.0};
     bool holdCommanded_ = false;
 };
+
+/** Agents in rack-row order, as a control plane holds them. */
+using AgentSpan = std::span<const std::unique_ptr<RackAgent>>;
 
 } // namespace dcbatt::dynamo
 

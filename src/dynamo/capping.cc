@@ -11,7 +11,7 @@ using power::Priority;
 using util::Watts;
 
 void
-CappingEngine::bind(const std::vector<RackAgent *> &agents)
+CappingEngine::bind(AgentSpan agents)
 {
     if (ledger_.empty())
         ledger_.assign(agents.size(), 0.0);
@@ -30,8 +30,7 @@ CappingEngine::refold()
 }
 
 Watts
-CappingEngine::applyReduction(std::vector<RackAgent *> &agents,
-                              Watts reduction)
+CappingEngine::applyReduction(AgentSpan agents, Watts reduction)
 {
     Watts applied(0.0);
     if (reduction.value() <= 0.0)
@@ -58,7 +57,7 @@ CappingEngine::applyReduction(std::vector<RackAgent *> &agents,
             continue;
         Watts want = util::min(reduction - applied, cappable);
         for (size_t i : members) {
-            RackAgent *agent = agents[i];
+            RackAgent *agent = agents[i].get();
             Watts demand = agent->rack().itDemand();
             Watts floor = demand * (1.0 - maxCapFraction_);
             Watts room = agent->rack().itLoad() - floor;
@@ -80,7 +79,7 @@ CappingEngine::applyReduction(std::vector<RackAgent *> &agents,
 }
 
 Watts
-CappingEngine::release(std::vector<RackAgent *> &agents, Watts headroom)
+CappingEngine::release(AgentSpan agents, Watts headroom)
 {
     Watts released(0.0);
     if (headroom.value() <= 0.0)
@@ -88,7 +87,7 @@ CappingEngine::release(std::vector<RackAgent *> &agents, Watts headroom)
     bind(agents);
     for (int pri = 0; pri <= 2 && released < headroom; ++pri) {
         for (size_t i = 0; i < agents.size(); ++i) {
-            RackAgent *agent = agents[i];
+            RackAgent *agent = agents[i].get();
             if (power::priorityIndex(agent->rack().priority()) != pri)
                 continue;
             double &held = ledger_[i];
@@ -111,27 +110,18 @@ CappingEngine::release(std::vector<RackAgent *> &agents, Watts headroom)
 }
 
 void
-CappingEngine::releaseAll(std::vector<RackAgent *> &agents)
+CappingEngine::releaseAll(AgentSpan agents)
 {
     bind(agents);
     for (size_t i = 0; i < agents.size(); ++i) {
         if (ledger_[i] <= 0.0)
             continue;
-        RackAgent *agent = agents[i];
+        RackAgent *agent = agents[i].get();
         Watts cap = agent->rack().capAmount();
         agent->commandCap(cap - util::min(cap, Watts(ledger_[i])));
     }
     std::fill(ledger_.begin(), ledger_.end(), 0.0);
     total_ = 0.0;
-}
-
-Watts
-CappingEngine::fleetCap(const std::vector<RackAgent *> &agents)
-{
-    Watts total(0.0);
-    for (const RackAgent *agent : agents)
-        total += agent->rack().capAmount();
-    return total;
 }
 
 } // namespace dcbatt::dynamo

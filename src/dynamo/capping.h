@@ -28,7 +28,7 @@ namespace dcbatt::dynamo {
  * releases those: several controllers (MSB, SB, RPP) watch overlapping
  * rack sets, and a controller with ample headroom must not undo the
  * caps a constrained upstream controller just applied. An engine
- * serves one agent list, in rack-id order, handed to every call.
+ * serves one agent span, in rack-row order, handed to every call.
  */
 class CappingEngine
 {
@@ -42,28 +42,23 @@ class CappingEngine
      * the reduction actually achievable (less when every rack is at
      * its capping floor).
      */
-    util::Watts applyReduction(std::vector<RackAgent *> &agents,
-                               util::Watts reduction);
+    util::Watts applyReduction(AgentSpan agents, util::Watts reduction);
 
     /**
      * Release up to @p headroom of existing caps (highest priority
      * racks are released first). Returns the amount released.
      */
-    util::Watts release(std::vector<RackAgent *> &agents,
-                        util::Watts headroom);
+    util::Watts release(AgentSpan agents, util::Watts headroom);
 
     /** Remove all caps this engine imposed. */
-    void releaseAll(std::vector<RackAgent *> &agents);
+    void releaseAll(AgentSpan agents);
 
     /** Sum of caps currently imposed by this engine. */
     util::Watts totalCap() const { return util::Watts(total_); }
 
-    /** Sum of caps on the racks regardless of who imposed them. */
-    static util::Watts fleetCap(const std::vector<RackAgent *> &agents);
-
   private:
     /** Size the ledger to @p agents on first use. */
-    void bind(const std::vector<RackAgent *> &agents);
+    void bind(AgentSpan agents);
     /** Re-fold total_ after a call that may have moved the ledger. */
     void refold();
 

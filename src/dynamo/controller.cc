@@ -14,26 +14,32 @@ using util::Amperes;
 using util::Seconds;
 using util::Watts;
 
-BreakerController::BreakerController(PowerNode &node,
-                                     std::vector<RackAgent *> agents,
+BreakerController::BreakerController(PowerNode &node, AgentSpan agents,
                                      sim::EventQueue &queue,
                                      ChargingCoordinator *coordinator,
                                      ControllerConfig config,
                                      const power::Topology &topology)
-    : node_(&node), topology_(&topology), agents_(std::move(agents)),
+    : node_(&node), topology_(&topology), rowBegin_(node.rowBegin()),
+      agents_(agents),
+      floor_(topology.racks().front()->shelf().params().minCurrent),
       queue_(&queue), coordinator_(coordinator), config_(config)
 {
     DCBATT_REQUIRE(node_->breaker() != nullptr,
                    "node %s has no breaker", node_->name().c_str());
-    DCBATT_REQUIRE(std::is_sorted(agents_.begin(), agents_.end(),
-                                  [](const RackAgent *a,
-                                     const RackAgent *b) {
-                                      return a->rackId() < b->rackId();
-                                  }),
-                   "controller %s: agents not in rack-id order",
+    DCBATT_REQUIRE(agents_.size() == node.rowEnd() - node.rowBegin()
+                       && (agents_.empty()
+                           || agents_.front()->rackId()
+                                  == static_cast<int>(rowBegin_)),
+                   "controller %s: agents are not the node's rows",
                    node_->name().c_str());
-    for (RackAgent *agent : agents_)
-        agentById_[agent->rackId()] = agent;
+    if (!coordinator_)
+        return;
+    lastCommandTick_.assign(agents_.size(), -1);
+    snapshotBuf_.resize(agents_.size());
+    for (size_t k = 0; k < agents_.size(); ++k) {
+        snapshotBuf_[k].rackId = agents_[k]->rackId();
+        snapshotBuf_[k].priority = agents_[k]->rack().priority();
+    }
 }
 
 Watts
@@ -45,9 +51,10 @@ BreakerController::limit() const
 Watts
 BreakerController::measuredItLoad() const
 {
+    const double *it_w = topology_->fleet().itLoadW.data() + rowBegin_;
     Watts total(0.0);
-    for (const RackAgent *agent : agents_)
-        total += agent->readItLoad();
+    for (size_t k = 0; k < agents_.size(); ++k)
+        total += Watts(it_w[k]);
     return total;
 }
 
@@ -56,27 +63,26 @@ BreakerController::anyCharging() const
 {
     if (topology_->quiet())
         return false;
-    return std::any_of(agents_.begin(), agents_.end(),
-                       [](const RackAgent *a) { return a->charging(); });
+    const std::int32_t *bbus =
+        topology_->fleet().chargingBbus.data() + rowBegin_;
+    return std::any_of(bbus, bbus + agents_.size(),
+                       [](std::int32_t n) { return n > 0; });
 }
 
 const std::vector<RackChargeInfo> &
 BreakerController::snapshotRacks() const
 {
-    snapshotBuf_.clear();
-    snapshotBuf_.reserve(agents_.size());
-    for (size_t i = 0; i < agents_.size(); ++i) {
-        const RackAgent *agent = agents_[i];
-        RackChargeInfo &info = snapshotBuf_.emplace_back();
-        info.rackId = agent->rackId();
-        info.priority = agent->rack().priority();
-        info.initialDod = i < initialDod_.size() ? initialDod_[i] : 0.0;
-        info.setpoint = agent->readSetpoint();
-        info.rechargePower = agent->readRechargePower();
-        info.itLoad = agent->readItLoad();
-        info.capAmount = agent->rack().capAmount();
-        info.charging = agent->charging();
-        info.held = agent->holdCommanded();
+    const battery::FleetState &fleet = topology_->fleet();
+    for (size_t k = 0; k < snapshotBuf_.size(); ++k) {
+        const size_t row = rowBegin_ + k;
+        RackChargeInfo &info = snapshotBuf_[k];
+        info.initialDod = k < initialDod_.size() ? initialDod_[k] : 0.0;
+        info.setpoint = Amperes(fleet.setpointA[row]);
+        info.rechargePower = Watts(fleet.rechargeW[row]);
+        info.itLoad = Watts(fleet.itLoadW[row]);
+        info.capAmount = Watts(fleet.capW[row]);
+        info.charging = fleet.chargingBbus[row] > 0;
+        info.held = agents_[k]->holdCommanded();
     }
     return snapshotBuf_;
 }
@@ -86,8 +92,8 @@ BreakerController::overridesInFlight() const
 {
     sim::Tick grace = sim::toTicks(config_.overrideGrace);
     sim::Tick now = queue_->now();
-    for (const auto &[rack_id, when] : lastCommandTick_) {
-        if (now - when < grace)
+    for (sim::Tick when : lastCommandTick_) {
+        if (when >= 0 && now - when < grace)
             return true;
     }
     return false;
@@ -96,19 +102,20 @@ BreakerController::overridesInFlight() const
 bool
 BreakerController::allChargingAtFloor() const
 {
-    for (const RackAgent *agent : agents_) {
-        if (!agent->charging())
+    const battery::FleetState &fleet = topology_->fleet();
+    for (size_t k = 0; k < agents_.size(); ++k) {
+        const size_t row = rowBegin_ + k;
+        if (fleet.chargingBbus[row] == 0)
             continue;
-        if (agent->holdCommanded())
+        if (agents_[k]->holdCommanded())
             continue;  // postponed: drawing (or about to draw) nothing
-        Amperes floor = agent->rack().shelf().params().minCurrent;
         // A rack counts as throttled once the floor was commanded,
         // even if the actuation lag has not elapsed yet.
-        Amperes commanded = agent->lastCommanded();
+        Amperes commanded = agents_[k]->lastCommanded();
         Amperes effective = commanded.value() > 0.0
             ? commanded
-            : agent->readSetpoint();
-        if (effective > floor + Amperes(1e-9))
+            : Amperes(fleet.setpointA[row]);
+        if (effective > floor_ + Amperes(1e-9))
             return false;
     }
     return true;
@@ -120,64 +127,58 @@ BreakerController::issue(const std::vector<OverrideCommand> &commands)
     // Flight-recorder gate, hoisted: one relaxed load per issue()
     // call instead of per command.
     const bool events_on = obs::eventLoggingEnabled();
-    auto sim_now = [this] {
-        return sim::toSeconds(queue_->now()).value();
-    };
     for (const OverrideCommand &cmd : commands) {
-        auto it = agentById_.find(cmd.rackId);
-        if (it == agentById_.end()) {
+        // A rack outside the rows, a negative id included, wraps past
+        // the end.
+        const size_t k = static_cast<size_t>(cmd.rackId) - rowBegin_;
+        if (k >= agents_.size()) {
             util::warn(util::strf("controller %s: override for unknown "
                                   "rack %d",
                                   node_->name().c_str(), cmd.rackId));
             continue;
         }
-        RackAgent *agent = it->second;
+        RackAgent &agent = *agents_[k];
+        const char *taken = nullptr;
         switch (cmd.kind) {
           case OverrideCommand::Kind::Hold:
-            if (!agent->holdCommanded()) {
-                agent->commandHold();
-                lastCommandTick_[cmd.rackId] = queue_->now();
+            if (!agent.holdCommanded()) {
+                agent.commandHold();
                 DCBATT_COUNT("dynamo.cmd_hold");
-                if (events_on) {
-                    obs::logEvent(
-                        sim_now(), "cmd_hold",
-                        {{"rack",
-                          static_cast<double>(cmd.rackId)}});
-                }
+                taken = "cmd_hold";
             }
             break;
           case OverrideCommand::Kind::Resume:
-            if (agent->holdCommanded()) {
-                agent->commandResume(cmd.current);
-                lastCommandTick_[cmd.rackId] = queue_->now();
+            if (agent.holdCommanded()) {
+                agent.commandResume(cmd.current);
                 DCBATT_COUNT("dynamo.cmd_resume");
-                if (events_on) {
-                    obs::logEvent(
-                        sim_now(), "cmd_resume",
-                        {{"rack",
-                          static_cast<double>(cmd.rackId)},
-                         {"current_a", cmd.current.value()}});
-                }
+                taken = "cmd_resume";
             }
             break;
           case OverrideCommand::Kind::SetCurrent: {
-            Amperes before = agent->lastCommanded();
-            agent->commandOverride(cmd.current);
-            if (std::abs((agent->lastCommanded() - before).value())
+            Amperes before = agent.lastCommanded();
+            agent.commandOverride(cmd.current);
+            if (std::abs((agent.lastCommanded() - before).value())
                 > 1e-12) {
-                lastCommandTick_[cmd.rackId] = queue_->now();
                 DCBATT_COUNT("dynamo.cmd_set_current");
-                if (events_on) {
-                    obs::logEvent(
-                        sim_now(), "cmd_set_current",
-                        {{"rack",
-                          static_cast<double>(cmd.rackId)},
-                         {"current_a",
-                          agent->lastCommanded().value()}});
-                }
+                taken = "cmd_set_current";
             }
             break;
           }
+        }
+        if (!taken)
+            continue;
+        lastCommandTick_[k] = queue_->now();
+        if (!events_on)
+            continue;
+        const double t = sim::toSeconds(queue_->now()).value();
+        const double rack = static_cast<double>(cmd.rackId);
+        if (cmd.kind == OverrideCommand::Kind::Hold) {
+            obs::logEvent(t, taken, {{"rack", rack}});
+        } else {
+            // A resume commands its current as the override too.
+            obs::logEvent(t, taken,
+                          {{"rack", rack},
+                           {"current_a", agent.lastCommanded().value()}});
         }
     }
 }
@@ -198,7 +199,7 @@ BreakerController::tick()
         DCBATT_COUNT("dynamo.charging_event_starts");
         initialDod_.clear();
         initialDod_.reserve(agents_.size());
-        for (const RackAgent *agent : agents_)
+        for (const auto &agent : agents_)
             initialDod_.push_back(agent->rack().shelf().meanDod());
         if (coordinator_) {
             Watts available = limit() - measuredItLoad();
@@ -209,8 +210,8 @@ BreakerController::tick()
         // the local charger defaults.
         eventActive_ = false;
         initialDod_.clear();
-        lastCommandTick_.clear();
-        for (RackAgent *agent : agents_)
+        std::fill(lastCommandTick_.begin(), lastCommandTick_.end(), -1);
+        for (const auto &agent : agents_)
             agent->clearOverride();
     }
 
@@ -226,6 +227,7 @@ BreakerController::tick()
     if (headroom.value() < 0.0) {
         if (overloadSince_ < 0) {
             overloadSince_ = queue_->now();
+            floorTicks_ = 0;
             if (events_on) {
                 obs::logEvent(
                     sim::toSeconds(overloadSince_).value(),
@@ -257,7 +259,8 @@ BreakerController::tick()
                      {"applied_kw", util::toKilowatts(applied)}},
                     {{"node", node_->name()}});
             }
-            if (applied + Watts(1.0) < -headroom) {
+            // Once per overload episode, not on every tick of it.
+            if (applied + Watts(1.0) < -headroom && floorTicks_++ == 0) {
                 util::warn(util::strf(
                     "controller %s: capping floor reached, breaker "
                     "still %0.1f kW over limit",
@@ -283,7 +286,8 @@ BreakerController::tick()
                 obs::logEvent(
                     sim::toSeconds(queue_->now()).value(),
                     "overload_close",
-                    {{"duration_s", relief_s}},
+                    {{"duration_s", relief_s},
+                     {"floor_ticks", static_cast<double>(floorTicks_)}},
                     {{"node", node_->name()}});
             }
         }
@@ -312,36 +316,37 @@ ControlPlane::ControlPlane(power::Topology &topology,
                            sim::EventQueue &queue,
                            ChargingCoordinator *coordinator,
                            ControllerConfig config)
-    : queue_(&queue), config_(config)
+    : topology_(&topology), queue_(&queue), config_(config),
+      rowBegin_(coordination_node.rowBegin())
 {
-    // Agents for every rack under the coordination node.
-    for (power::Rack *rack : coordination_node.racksBelow()) {
+    // An agent for every rack under the coordination node, by row.
+    std::span<power::Rack *const> racks = coordination_node.racksBelow();
+    agents_.reserve(racks.size());
+    for (power::Rack *rack : racks) {
         agents_.push_back(std::make_unique<RackAgent>(
             *rack, queue, config_.actuationLag));
-        agentById_[rack->id()] = agents_.back().get();
     }
-    buildControllers(topology, coordination_node, coordinator);
+    buildControllers(coordination_node, coordinator);
     if (controllers_.empty())
         util::fatal("ControlPlane: coordination node has no breaker "
                     "anywhere below it");
 }
 
 void
-ControlPlane::buildControllers(const power::Topology &topology,
-                               PowerNode &node,
+ControlPlane::buildControllers(PowerNode &node,
                                ChargingCoordinator *coordinator)
 {
     if (node.breaker()) {
-        std::vector<RackAgent *> scoped;
-        for (power::Rack *rack : node.racksBelow())
-            scoped.push_back(agentById_.at(rack->id()));
+        const size_t first = node.rowBegin() - rowBegin_;
         controllers_.push_back(std::make_unique<BreakerController>(
-            node, std::move(scoped), *queue_, coordinator, config_,
-            topology));
+            node,
+            AgentSpan(agents_).subspan(first,
+                                       node.rowEnd() - node.rowBegin()),
+            *queue_, coordinator, config_, *topology_));
         coordinator = nullptr;  // only the topmost breaker coordinates
     }
     for (PowerNode *child : node.children())
-        buildControllers(topology, *child, coordinator);
+        buildControllers(*child, coordinator);
 }
 
 void
@@ -368,6 +373,7 @@ ControlPlane::tickAll()
     // One count per control-plane tick, not per controller — keeps the
     // registry visit off the per-breaker path.
     DCBATT_COUNT("dynamo.control_ticks");
+    topology_->refreshTouchedRows();
     for (auto &controller : controllers_)
         controller->tick();
 }
@@ -375,15 +381,16 @@ ControlPlane::tickAll()
 RackAgent &
 ControlPlane::agentFor(int rack_id)
 {
-    return *agentById_.at(rack_id);
+    return *agents_.at(static_cast<size_t>(rack_id) - rowBegin_);
 }
 
 Watts
 ControlPlane::totalCap() const
 {
+    const double *cap_w = topology_->fleet().capW.data() + rowBegin_;
     Watts total(0.0);
-    for (const auto &agent : agents_)
-        total += agent->rack().capAmount();
+    for (size_t k = 0; k < agents_.size(); ++k)
+        total += Watts(cap_w[k]);
     return total;
 }
 

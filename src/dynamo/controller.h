@@ -3,13 +3,15 @@
  * Dynamo controllers.
  *
  * Controllers mirror the power hierarchy: a controller protects one
- * circuit breaker and watches the racks beneath it through their
- * agents. One controller in the tree — the *coordination* controller,
- * the MSB in the paper's simulation experiments — additionally runs a
- * ChargingCoordinator that decides per-rack charging currents; every
- * controller (leaf RPP controllers included) independently monitors
- * its breaker and escalates to server power capping as the last
- * resort.
+ * circuit breaker and watches the racks beneath it, a contiguous row
+ * range of the topology (power::PowerNode::rowBegin()). It reads them
+ * from the fleet columns (battery::FleetState) and actuates through
+ * the rack agents of the same rows. One controller in the tree — the
+ * *coordination* controller, the MSB in the paper's simulation
+ * experiments — additionally runs a ChargingCoordinator that decides
+ * per-rack charging currents; every controller (leaf RPP controllers
+ * included) independently monitors its breaker and escalates to server
+ * power capping as the last resort.
  *
  * Escalation order on overload, per the paper:
  *   1. the coordinator throttles charging currents (reverse
@@ -24,9 +26,7 @@
 #define DCBATT_DYNAMO_CONTROLLER_H_
 
 #include <limits>
-#include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "dynamo/agent.h"
@@ -60,17 +60,13 @@ class BreakerController
   public:
     /**
      * @param node        power node carrying the protected breaker.
-     * @param agents      agents of every rack beneath the node, in
-     *                    rack-id order (not owned).
+     * @param agents      the plane's agents of the node's rows.
      * @param queue       event queue (time source).
      * @param coordinator optional charging policy; null for pure
      *                    monitor/capping controllers.
-     * @param topology    topology owning the racks (not owned); while
-     *                    it is quiet() nothing charges, so idle ticks
-     *                    skip the per-agent scan.
+     * @param topology    topology whose fleet columns are read.
      */
-    BreakerController(power::PowerNode &node,
-                      std::vector<RackAgent *> agents,
+    BreakerController(power::PowerNode &node, AgentSpan agents,
                       sim::EventQueue &queue,
                       ChargingCoordinator *coordinator,
                       ControllerConfig config,
@@ -93,10 +89,15 @@ class BreakerController
      * the ceiling.
      */
     void setLimitCeiling(util::Watts ceiling) { limitCeiling_ = ceiling; }
-    util::Watts limitCeiling() const { return limitCeiling_; }
 
-    /** Run one monitoring/decision cycle. */
+    /**
+     * Run one monitoring/decision cycle over fleet columns that
+     * ControlPlane::tickAll() brought up to date.
+     */
     void tick();
+
+    /** Whether any rack under the breaker is charging. */
+    bool anyCharging() const;
 
     /** Whether a charging event is in progress under this breaker. */
     bool chargingEventActive() const { return eventActive_; }
@@ -113,23 +114,22 @@ class BreakerController
   private:
     /**
      * Rebuild and return the per-rack charge snapshot the coordinator
-     * consumes. The buffer is a reused member: the snapshot is taken
-     * every tick while an event is active, and returning a reference
-     * into the controller avoids a vector allocation per tick. Valid
-     * until the next snapshotRacks() call.
+     * consumes. The buffer is a reused member, valid until the next
+     * call; it keeps each row's rack id and priority from construction.
      */
     const std::vector<RackChargeInfo> &snapshotRacks() const;
     util::Watts measuredItLoad() const;
-    bool anyCharging() const;
     bool overridesInFlight() const;
     bool allChargingAtFloor() const;
     void issue(const std::vector<OverrideCommand> &commands);
 
     power::PowerNode *node_;
     const power::Topology *topology_;
-    /** In rack-id order (the capping ledger relies on it). */
-    std::vector<RackAgent *> agents_;
-    std::unordered_map<int, RackAgent *> agentById_;  // detlint: allow(unordered-container) -- keyed lookup only, never iterated
+    /** The node's rows [rowBegin_, rowBegin_ + agents_.size()). */
+    size_t rowBegin_;
+    AgentSpan agents_;
+    /** The racks' charging-current floor (BbuParams::minCurrent). */
+    util::Amperes floor_;
     sim::EventQueue *queue_;
     ChargingCoordinator *coordinator_;
     ControllerConfig config_;
@@ -139,17 +139,16 @@ class BreakerController
     int eventCount_ = 0;
     /** Tick at which the current overload episode began (-1: none). */
     sim::Tick overloadSince_ = -1;
+    /** Ticks of the current overload episode at the capping floor. */
+    int floorTicks_ = 0;
     /**
-     * Event-start mean DOD per agent, parallel to agents_; empty when
-     * no event is active (snapshots then report 0, like the paper's
-     * controllers before their first estimate).
+     * Event-start mean DOD per row; empty when no event is active
+     * (snapshots then report 0, like the paper's controllers before
+     * their first estimate).
      */
     std::vector<double> initialDod_;
-    /**
-     * Ordered by rack id: overridesInFlight() walks it, and walks in
-     * deterministic modules must never follow hash-bucket order.
-     */
-    std::map<int, sim::Tick> lastCommandTick_;
+    /** Per row: tick of the last command (-1: none); coordinating only. */
+    std::vector<sim::Tick> lastCommandTick_;
     util::Watts maxCapObserved_{0.0};
     /** Budget ceiling on limit(); infinity = no ceiling imposed. */
     util::Watts limitCeiling_{
@@ -162,7 +161,8 @@ class BreakerController
  * The control plane for one experiment: one controller per breaker in
  * the subtree rooted at the coordination node; the root controller
  * carries the ChargingCoordinator. Drives all controllers from one
- * periodic task.
+ * periodic task. It owns an agent per rack row of the coordination
+ * node.
  */
 class ControlPlane
 {
@@ -177,7 +177,7 @@ class ControlPlane
     void start();
     void stop();
 
-    /** Tick all controllers once (root first). */
+    /** Refresh the touched fleet rows, then tick every controller. */
     void tickAll();
 
     BreakerController &rootController() { return *controllers_.front(); }
@@ -187,24 +187,26 @@ class ControlPlane
         return controllers_;
     }
 
+    /** The agent of rack @p rack_id; std::out_of_range if not ours. */
     RackAgent &agentFor(int rack_id);
     const std::vector<std::unique_ptr<RackAgent>> &agents() const
     {
         return agents_;
     }
 
-    /** Sum of caps across all racks (deduplicated by rack). */
+    /** Sum of caps across the plane's racks, folded in row order. */
     util::Watts totalCap() const;
 
   private:
-    void buildControllers(const power::Topology &topology,
-                          power::PowerNode &node,
+    void buildControllers(power::PowerNode &node,
                           ChargingCoordinator *coordinator);
 
+    power::Topology *topology_;
     sim::EventQueue *queue_;
     ControllerConfig config_;
+    /** The coordination node's first row; the vectors below start there. */
+    size_t rowBegin_;
     std::vector<std::unique_ptr<RackAgent>> agents_;
-    std::unordered_map<int, RackAgent *> agentById_;  // detlint: allow(unordered-container) -- keyed lookup only, never iterated
     std::vector<std::unique_ptr<BreakerController>> controllers_;
     std::unique_ptr<sim::PeriodicTask> task_;
 };

@@ -135,21 +135,6 @@ PowerNode::attachRack(Rack *rack)
     rack_ = rack;
 }
 
-std::vector<Rack *>
-PowerNode::racksBelow() const
-{
-    std::vector<Rack *> result;
-    if (rack_) {
-        result.push_back(rack_);
-        return result;
-    }
-    for (const PowerNode *child : children_) {
-        auto sub = child->racksBelow();
-        result.insert(result.end(), sub.begin(), sub.end());
-    }
-    return result;
-}
-
 std::vector<Priority>
 makePriorityMix(int p1, int p2, int p3)
 {
@@ -222,7 +207,7 @@ Topology::build(const TopologySpec &spec,
         topo.racks_.push_back(std::make_unique<Rack>(
             id, name, priority_for(id), policy, spec.bbuParams));
         Rack *rack = topo.racks_.back().get();
-        topo.rackPtrs_.push_back(rack);
+        topo.tree_->racks_.push_back(rack);
         PowerNode *leaf = topo.newNode(name, NodeKind::RackNode);
         leaf->attachRack(rack);
         rack->shelf().shareSkippedSteps(&topo.activity_->skippedSteps);
@@ -323,12 +308,13 @@ Topology::build(const TopologySpec &spec,
       case NodeKind::RackNode:
         util::fatal("Topology::build: cannot root a topology at a rack");
     }
-    if (topo.rackPtrs_.empty())
+    const std::vector<Rack *> &racks = topo.tree_->racks_;
+    if (racks.empty())
         util::fatal("Topology::build: topology has no racks");
     DCBATT_REQUIRE(topo.root_ == topo.nodes_.front().get(),
                    "root %s is not the first node", spec.rootName.c_str());
     topo.fleet_ = std::make_unique<battery::FleetState>();
-    topo.fleet_->resize(topo.rackPtrs_.size());
+    topo.fleet_->resize(racks.size());
     topo.lanes_ = std::make_unique<battery::ChargeLanes>(*topo.fleet_,
                                                          spec.bbuParams);
 
@@ -339,13 +325,16 @@ Topology::build(const TopologySpec &spec,
     tree.valid_.assign(n, 0);
     tree.parent_.assign(n, -1);
     tree.row_.assign(n, -1);
-    tree.leafOfRow_.assign(topo.rackPtrs_.size(), -1);
+    tree.leafOfRow_.assign(racks.size(), -1);
     tree.childBegin_.reserve(n + 1);
-    tree.racks_ = topo.rackPtrs_;
     tree.fleet_ = topo.fleet_.get();
     tree.touched_ = &topo.activity_->touched;
+    // Creation order is a depth-first preorder and rack ids count its
+    // leaves, so a node's rows start at the racks created before it.
+    size_t rows = 0;
     for (const auto &node : topo.nodes_) {
         auto i = static_cast<size_t>(node->index_);
+        node->rowBegin_ = node->rowEnd_ = rows;
         tree.childBegin_.push_back(
             static_cast<int32_t>(tree.childIndex_.size()));
         for (const PowerNode *child : node->children_) {
@@ -357,6 +346,7 @@ Topology::build(const TopologySpec &spec,
         }
         if (Rack *rack = node->rack_) {
             tree.row_[i] = rack->id();
+            node->rowEnd_ = ++rows;
             tree.leafOfRow_[static_cast<size_t>(rack->id())] =
                 node->index_;
             rack->attach(*topo.fleet_, tree, node->index_,
@@ -372,6 +362,17 @@ Topology::build(const TopologySpec &spec,
     tree.childBegin_.push_back(
         static_cast<int32_t>(tree.childIndex_.size()));
     std::reverse(tree.innerBottomUp_.begin(), tree.innerBottomUp_.end());
+    // An inner node's rows end where its children, which tile them,
+    // end.
+    for (int32_t i : tree.innerBottomUp_) {
+        PowerNode &node = *topo.nodes_[static_cast<size_t>(i)];
+        for (const PowerNode *child : node.children_) {
+            DCBATT_REQUIRE(child->rowBegin_ == node.rowEnd_,
+                           "node %s: rows not contiguous at %s",
+                           node.name_.c_str(), child->name_.c_str());
+            node.rowEnd_ = child->rowEnd_;
+        }
+    }
     return topo;
 }
 
@@ -410,9 +411,10 @@ void
 Topology::stepRacks(Seconds dt, bool batching)
 {
     battery::FleetState &fleet = *fleet_;
-    DCBATT_ASSERT(fleet.size() == rackPtrs_.size(),
+    const std::vector<Rack *> &racks = tree_->racks_;
+    DCBATT_ASSERT(fleet.size() == racks.size(),
                   "fleet rows %zu != racks %zu", fleet.size(),
-                  rackPtrs_.size());
+                  racks.size());
     refreshedRows_.clear();
     // A quiet fleet (every rack quiescent at the last step, none
     // touched since) is the steady state outside a charging event:
@@ -452,7 +454,7 @@ Topology::stepRacks(Seconds dt, bool batching)
     walkRows_.clear();
     uint8_t *touched = fleet.powerTouched.data();
     bool active = false;
-    for (size_t i = 0; i < rackPtrs_.size(); ++i) {
+    for (size_t i = 0; i < racks.size(); ++i) {
         if (lanes.resident(i)) {
             refreshedRows_.push_back(i);
             if (touched[i]) {
@@ -463,7 +465,7 @@ Topology::stepRacks(Seconds dt, bool batching)
             }
             continue;
         }
-        Rack *rack = rackPtrs_[i];
+        Rack *rack = racks[i];
         if (rack->shelf().tryQuiescentStep(dt)) {
             if (touched[i]) {
                 refreshedRows_.push_back(i);
@@ -490,15 +492,8 @@ Topology::stepRacks(Seconds dt, bool batching)
     // lane's row needs this only on the step it is admitted: its other
     // columns do not move while it is resident.
     for (size_t i : walkRows_) {
-        Rack &r = *rackPtrs_[i];
-        fleet.itLoadW[i] = r.itLoad().value();
-        fleet.rechargeW[i] = r.rechargePower().value();
-        fleet.inputOn[i] = r.inputPowerOn() ? 1 : 0;
-        fleet.held[i] = r.shelf().chargingHeld() ? 1 : 0;
-        fleet.fullyCharged[i] = r.shelf().fullyCharged() ? 1 : 0;
-        fleet.chargingBbus[i] = r.shelf().chargingCount();
-        fleet.cvBbus[i] = r.shelf().cvCount();
-        r.clearPowerTouched();
+        writeBackRow(i);
+        racks[i]->clearPowerTouched();
     }
     // Every rack flag is clear now; the steps above re-raised the
     // fleet flag for the racks they moved, which `active` covers.
@@ -509,6 +504,33 @@ Topology::stepRacks(Seconds dt, bool batching)
     // bit for bit.
     if (!refreshedRows_.empty() || totalsStale_)
         foldStepTotals();
+}
+
+void
+Topology::writeBackRow(size_t row)
+{
+    battery::FleetState &fleet = *fleet_;
+    const Rack &r = *tree_->racks_[row];
+    fleet.itLoadW[row] = r.itLoad().value();
+    fleet.rechargeW[row] = r.rechargePower().value();
+    fleet.inputOn[row] = r.inputPowerOn() ? 1 : 0;
+    fleet.held[row] = r.shelf().chargingHeld() ? 1 : 0;
+    fleet.fullyCharged[row] = r.shelf().fullyCharged() ? 1 : 0;
+    fleet.chargingBbus[row] = r.shelf().chargingCount();
+    fleet.cvBbus[row] = r.shelf().cvCount();
+    fleet.setpointA[row] = r.shelf().chargeSetpoint().value();
+}
+
+void
+Topology::refreshTouchedRows()
+{
+    if (!activity_->touched)
+        return;
+    const uint8_t *touched = fleet_->powerTouched.data();
+    for (size_t i = 0; i < fleet_->size(); ++i) {
+        if (touched[i])
+            writeBackRow(i);
+    }
 }
 
 void

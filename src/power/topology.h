@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -95,6 +96,7 @@ class PowerTree
 
   private:
     friend class Topology;
+    friend class PowerNode;
 
     /** refresh() with every node stale and every fleet row current. */
     void refreshAll();
@@ -121,7 +123,7 @@ class PowerTree
     std::vector<int32_t> innerBottomUp_;
     /** Set by invalidateAll(), cleared by refresh(). */
     bool allStale_ = true;
-    /** Racks by row, for leaves read while some rack is touched. */
+    /** Topology::racks(): racksBelow() ranges, touched leaves' reads. */
     std::vector<Rack *> racks_;
     const battery::FleetState *fleet_ = nullptr;
     const bool *touched_ = nullptr;
@@ -160,8 +162,21 @@ class PowerNode
         return util::Watts(tree_->power(index_));
     }
 
-    /** All racks in this subtree (depth-first order). */
-    std::vector<Rack *> racksBelow() const;
+    /**
+     * The subtree's racks are rows [rowBegin(), rowEnd()): racks are
+     * numbered depth-first, so each subtree's rows are contiguous (and
+     * empty where TopologySpec::totalRacks left no rack).
+     */
+    size_t rowBegin() const { return rowBegin_; }
+    size_t rowEnd() const { return rowEnd_; }
+
+    /** All racks in this subtree, in row order. */
+    std::span<Rack *const>
+    racksBelow() const
+    {
+        return std::span<Rack *const>(tree_->racks_)
+            .subspan(rowBegin_, rowEnd_ - rowBegin_);
+    }
 
   private:
     friend class Topology;
@@ -170,6 +185,8 @@ class PowerNode
     NodeKind kind_;
     PowerTree *tree_;
     int32_t index_;
+    size_t rowBegin_ = 0;
+    size_t rowEnd_ = 0;
     std::vector<PowerNode *> children_;
     std::unique_ptr<CircuitBreaker> breaker_;
     Rack *rack_ = nullptr;
@@ -226,8 +243,9 @@ class Topology
     PowerNode &root() { return *root_; }
     const PowerNode &root() const { return *root_; }
 
-    const std::vector<Rack *> &racks() const { return rackPtrs_; }
-    Rack &rack(int id) { return *rackPtrs_[static_cast<size_t>(id)]; }
+    /** Every rack by row (rack id == row). */
+    const std::vector<Rack *> &racks() const { return tree_->racks_; }
+    Rack &rack(int id) { return *tree_->racks_[static_cast<size_t>(id)]; }
 
     /** All nodes of the given kind, in creation order. */
     std::vector<PowerNode *> nodesOfKind(NodeKind kind) const;
@@ -272,6 +290,14 @@ class Topology
 
     /** The resident charge lanes (battery/charge_lanes.h). */
     const battery::ChargeLanes &chargeLanes() const { return *lanes_; }
+
+    /**
+     * Write the snapshot columns of every row touched since the last
+     * stepRacks() back from its rack, as that step's phase 4 does; the
+     * rows stay touched for the next step. The control plane calls
+     * this before it reads the columns.
+     */
+    void refreshTouchedRows();
 
     /**
      * Whether no rack was touched since the last stepRacks() and every
@@ -335,12 +361,13 @@ class Topology
     Topology() = default;
 
     PowerNode *newNode(std::string name, NodeKind kind);
+    /** Read row @p row's snapshot columns back from its rack. */
+    void writeBackRow(size_t row);
     /** Fold stepTotals_ over every fleet row, in row order. */
     void foldStepTotals();
 
     std::vector<std::unique_ptr<PowerNode>> nodes_;
     std::vector<std::unique_ptr<Rack>> racks_;
-    std::vector<Rack *> rackPtrs_;
     /**
      * Owned via pointer so the rows and the tree cache stay put across
      * Topology moves: racks and nodes point into them.

@@ -291,7 +291,9 @@ AorSimulator::generateShard(size_t shard,
     DCBATT_COUNT_N("reliability.loss_intervals_generated",
                    timeline.size());
     shard_span.arg("intervals", static_cast<double>(timeline.size()));
-    for (const LossInterval &loss : timeline) {
+    // With checks off the assert expands to nothing and `loss` is
+    // unused.
+    for ([[maybe_unused]] const LossInterval &loss : timeline) {
         DCBATT_ASSERT(loss.startSeconds >= 0.0
                           && loss.durationSeconds >= 0.0,
                       "malformed loss interval at %g s (duration %g s)",

@@ -8,6 +8,7 @@
 #include <string>
 #include <utility>
 
+#include "battery/batch_charge_kernel.h"
 #include "battery/charger_policy.h"
 #include "core/msb_run.h"
 #include "core/priority_aware_coordinator.h"
@@ -275,6 +276,7 @@ RegionResult
 runRegion(const RegionSpec &spec, const RegionRunOptions &options)
 {
     DCBATT_SPAN_NAMED(region_span, "sim.runRegion");
+    battery::resolveKernelSwitches();
     power::validateRegionSpec(spec);
     const int n_msbs = spec.msbs;
     region_span.arg("msbs", static_cast<double>(n_msbs));

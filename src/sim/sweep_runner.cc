@@ -3,6 +3,7 @@
 #include <exception>
 #include <future>
 
+#include "battery/batch_charge_kernel.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/trace_span.h"
@@ -15,6 +16,7 @@ namespace dcbatt::sim {
 std::vector<core::ChargingEventResult>
 SweepRunner::run(const std::vector<SweepTask> &tasks) const
 {
+    battery::resolveKernelSwitches();
     DCBATT_COUNT("sweep.runs");
     DCBATT_COUNT_N("sweep.tasks", tasks.size());
     DCBATT_SPAN_NAMED(sweep_span, "sweep.run");

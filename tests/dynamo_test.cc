@@ -13,6 +13,7 @@
 
 #include "core/local_coordinator.h"
 
+#include "obs/event_log.h"
 #include "util/logging.h"
 #include "dynamo/agent.h"
 #include "dynamo/capping.h"
@@ -55,14 +56,16 @@ class AgentTest : public ::testing::Test
 
 TEST_F(AgentTest, ReadPaths)
 {
-    EXPECT_DOUBLE_EQ(agent_.readItLoad().value(), 6000.0);
-    EXPECT_TRUE(agent_.inputPowerOn());
-    EXPECT_FALSE(agent_.charging());
+    // The agent only actuates; what a controller reads of its rack
+    // comes from the rack and its shelf.
+    EXPECT_DOUBLE_EQ(agent_.rack().itLoad().value(), 6000.0);
+    EXPECT_TRUE(agent_.rack().inputPowerOn());
+    EXPECT_FALSE(agent_.rack().shelf().anyCharging());
     dischargeAndRestore();
-    EXPECT_TRUE(agent_.charging());
-    EXPECT_GT(agent_.readRechargePower().value(), 0.0);
-    EXPECT_GT(agent_.readInputPower().value(), 6000.0);
-    EXPECT_DOUBLE_EQ(agent_.readSetpoint().value(), 2.0);
+    EXPECT_TRUE(agent_.rack().shelf().anyCharging());
+    EXPECT_GT(agent_.rack().rechargePower().value(), 0.0);
+    EXPECT_GT(agent_.rack().inputPower().value(), 6000.0);
+    EXPECT_DOUBLE_EQ(agent_.rack().shelf().chargeSetpoint().value(), 2.0);
 }
 
 TEST_F(AgentTest, OverrideTakesEffectAfterActuationLag)
@@ -71,10 +74,10 @@ TEST_F(AgentTest, OverrideTakesEffectAfterActuationLag)
     agent_.commandOverride(Amperes(1.0));
     // Not yet: 10 s in.
     queue_.runUntil(sim::toTicks(Seconds(10.0)));
-    EXPECT_DOUBLE_EQ(agent_.readSetpoint().value(), 2.0);
+    EXPECT_DOUBLE_EQ(rack_.shelf().chargeSetpoint().value(), 2.0);
     // After the 20 s lag (Fig. 11).
     queue_.runUntil(sim::toTicks(Seconds(21.0)));
-    EXPECT_DOUBLE_EQ(agent_.readSetpoint().value(), 1.0);
+    EXPECT_DOUBLE_EQ(rack_.shelf().chargeSetpoint().value(), 1.0);
     EXPECT_DOUBLE_EQ(agent_.lastCommanded().value(), 1.0);
 }
 
@@ -123,7 +126,6 @@ class CappingTest : public ::testing::Test
             racks_.back()->setItDemand(kilowatts(6.0));
             agents_.push_back(std::make_unique<RackAgent>(
                 *racks_.back(), queue_));
-            ptrs_.push_back(agents_.back().get());
         }
     }
 
@@ -136,14 +138,13 @@ class CappingTest : public ::testing::Test
     sim::EventQueue queue_;
     std::vector<std::unique_ptr<Rack>> racks_;
     std::vector<std::unique_ptr<RackAgent>> agents_;
-    std::vector<RackAgent *> ptrs_;
     CappingEngine engine_;
 };
 
 TEST_F(CappingTest, LowPriorityCappedFirst)
 {
     // 3 kW reduction fits entirely in the two P3 racks (4.8 kW room).
-    Watts applied = engine_.applyReduction(ptrs_, kilowatts(3.0));
+    Watts applied = engine_.applyReduction(agents_, kilowatts(3.0));
     EXPECT_NEAR(applied.value(), 3000.0, 1.0);
     EXPECT_NEAR(capOf(4).value(), 1500.0, 1.0);
     EXPECT_NEAR(capOf(5).value(), 1500.0, 1.0);
@@ -155,7 +156,7 @@ TEST_F(CappingTest, SpillsUpThePriorityLadder)
 {
     // 40% max cap => each rack can shed 2.4 kW; P3 pair sheds 4.8,
     // P2 pair sheds 4.8, remaining 0.4 comes from P1.
-    Watts applied = engine_.applyReduction(ptrs_, kilowatts(10.0));
+    Watts applied = engine_.applyReduction(agents_, kilowatts(10.0));
     EXPECT_NEAR(applied.value(), 10000.0, 1.0);
     EXPECT_NEAR(capOf(4).value(), 2400.0, 1.0);
     EXPECT_NEAR(capOf(2).value(), 2400.0, 1.0);
@@ -165,7 +166,7 @@ TEST_F(CappingTest, SpillsUpThePriorityLadder)
 TEST_F(CappingTest, FloorLimitsTotalReduction)
 {
     // Total cappable = 6 racks * 2.4 kW = 14.4 kW.
-    Watts applied = engine_.applyReduction(ptrs_, kilowatts(50.0));
+    Watts applied = engine_.applyReduction(agents_, kilowatts(50.0));
     EXPECT_NEAR(applied.value(), 14400.0, 1.0);
     EXPECT_NEAR(engine_.totalCap().value(), 14400.0, 1.0);
 }
@@ -173,15 +174,15 @@ TEST_F(CappingTest, FloorLimitsTotalReduction)
 TEST_F(CappingTest, ZeroReductionIsNoop)
 {
     EXPECT_DOUBLE_EQ(
-        engine_.applyReduction(ptrs_, Watts(0.0)).value(), 0.0);
+        engine_.applyReduction(agents_, Watts(0.0)).value(), 0.0);
     EXPECT_DOUBLE_EQ(
-        engine_.applyReduction(ptrs_, Watts(-10.0)).value(), 0.0);
+        engine_.applyReduction(agents_, Watts(-10.0)).value(), 0.0);
 }
 
 TEST_F(CappingTest, ReleaseHighestPriorityFirst)
 {
-    engine_.applyReduction(ptrs_, kilowatts(10.0));
-    Watts released = engine_.release(ptrs_, kilowatts(1.0));
+    engine_.applyReduction(agents_, kilowatts(10.0));
+    Watts released = engine_.release(agents_, kilowatts(1.0));
     EXPECT_NEAR(released.value(), 1000.0, 1.0);
     // P1 rack 0 had 200 W, released first; remainder from rack 1.
     EXPECT_DOUBLE_EQ(capOf(0).value(), 0.0);
@@ -195,20 +196,23 @@ TEST_F(CappingTest, ReleaseOnlyOwnLedger)
     // A cap imposed by somebody else must survive this engine's
     // release pass.
     racks_[4]->setCapAmount(kilowatts(2.0));
-    Watts released = engine_.release(ptrs_, kilowatts(5.0));
+    Watts released = engine_.release(agents_, kilowatts(5.0));
     EXPECT_DOUBLE_EQ(released.value(), 0.0);
     EXPECT_DOUBLE_EQ(capOf(4).value(), 2000.0);
 }
 
 TEST_F(CappingTest, ReleaseAllClearsOwnCapsOnly)
 {
-    engine_.applyReduction(ptrs_, kilowatts(3.0));
+    engine_.applyReduction(agents_, kilowatts(3.0));
     racks_[0]->setCapAmount(kilowatts(1.0));  // foreign cap
-    engine_.releaseAll(ptrs_);
+    engine_.releaseAll(agents_);
     EXPECT_DOUBLE_EQ(engine_.totalCap().value(), 0.0);
     EXPECT_DOUBLE_EQ(capOf(4).value(), 0.0);
     EXPECT_DOUBLE_EQ(capOf(0).value(), 1000.0);
-    EXPECT_DOUBLE_EQ(CappingEngine::fleetCap(ptrs_).value(), 1000.0);
+    Watts fleet_cap(0.0);
+    for (const auto &rack : racks_)
+        fleet_cap += rack->capAmount();
+    EXPECT_DOUBLE_EQ(fleet_cap.value(), 1000.0);
 }
 
 // The engine before its ledger went dense: caps held per rack id in a
@@ -218,7 +222,7 @@ class MapCappingEngine
 {
   public:
     Watts
-    applyReduction(std::vector<RackAgent *> &agents, Watts reduction)
+    applyReduction(AgentSpan agents, Watts reduction)
     {
         Watts applied(0.0);
         if (reduction.value() <= 0.0)
@@ -226,13 +230,13 @@ class MapCappingEngine
         for (int pri = 2; pri >= 0 && applied < reduction; --pri) {
             std::vector<RackAgent *> members;
             Watts cappable(0.0);
-            for (RackAgent *agent : agents) {
+            for (const auto &agent : agents) {
                 if (power::priorityIndex(agent->rack().priority()) != pri)
                     continue;
                 Watts floor = agent->rack().itDemand() * (1.0 - 0.4);
                 Watts room = agent->rack().itLoad() - floor;
                 if (room.value() > 0.0) {
-                    members.push_back(agent);
+                    members.push_back(agent.get());
                     cappable += room;
                 }
             }
@@ -252,13 +256,13 @@ class MapCappingEngine
     }
 
     Watts
-    release(std::vector<RackAgent *> &agents, Watts headroom)
+    release(AgentSpan agents, Watts headroom)
     {
         Watts released(0.0);
         if (headroom.value() <= 0.0)
             return released;
         for (int pri = 0; pri <= 2 && released < headroom; ++pri) {
-            for (RackAgent *agent : agents) {
+            for (const auto &agent : agents) {
                 if (power::priorityIndex(agent->rack().priority()) != pri)
                     continue;
                 auto held = ledger_.find(agent->rackId());
@@ -280,9 +284,9 @@ class MapCappingEngine
     }
 
     void
-    releaseAll(std::vector<RackAgent *> &agents)
+    releaseAll(AgentSpan agents)
     {
-        for (RackAgent *agent : agents) {
+        for (const auto &agent : agents) {
             auto held = ledger_.find(agent->rackId());
             if (held == ledger_.end() || held->second <= 0.0)
                 continue;
@@ -324,7 +328,7 @@ TEST(CappingLedger, DenseLedgerMatchesMapReference)
         sim::EventQueue queue;
         std::vector<std::unique_ptr<RackAgent>> agents;
         /** Agent scopes: MSB first, then SBs, then RPPs. */
-        std::vector<std::vector<RackAgent *>> scopes;
+        std::vector<AgentSpan> scopes;
     };
     auto build = [&spec](World &w) {
         w.topo = std::make_unique<power::Topology>(power::Topology::build(
@@ -338,10 +342,8 @@ TEST(CappingLedger, DenseLedgerMatchesMapReference)
                                      power::NodeKind::Sb,
                                      power::NodeKind::Rpp}) {
             for (power::PowerNode *node : w.topo->nodesOfKind(kind)) {
-                std::vector<RackAgent *> &scope = w.scopes.emplace_back();
-                for (Rack *rack : node->racksBelow())
-                    scope.push_back(
-                        w.agents[static_cast<size_t>(rack->id())].get());
+                w.scopes.push_back(AgentSpan(w.agents).subspan(
+                    node->rowBegin(), node->racksBelow().size()));
             }
         }
     };
@@ -507,12 +509,86 @@ TEST_F(ControllerTest, PeriodicTickViaQueue)
     plane.stop();
 }
 
+TEST_F(ControllerTest, FloorWarningOncePerOverloadEpisode)
+{
+    // A ceiling below what capping can shed hits the capping floor on
+    // every tick of an overload episode. The warning comes once per
+    // episode; overload_close counts the episode's floor ticks.
+    core::LocalOnlyCoordinator coordinator;
+    ControlPlane plane(*topo_, topo_->root(), queue_, &coordinator);
+    BreakerController &rpp = plane.rootController();
+    const Seconds dt(1.0);
+    topo_->stepRacks(dt);
+    obs::clearEvents();
+    obs::setEventLoggingEnabled(true);
+    const util::LogLevel level = util::logLevel();
+    util::setLogLevel(util::LogLevel::Warn);
+    testing::internal::CaptureStderr();
+    const std::vector<int> episode_ticks{5, 9};
+    for (int ticks : episode_ticks) {
+        // 24 kW of IT load can shed at most 40 %: a 10 kW ceiling
+        // stays out of reach.
+        rpp.setLimitCeiling(kilowatts(10.0));
+        for (int t = 0; t < ticks; ++t) {
+            plane.tickAll();
+            topo_->stepRacks(dt);
+        }
+        // Headroom returns: the episode closes and the caps go.
+        rpp.setLimitCeiling(kilowatts(100.0));
+        plane.tickAll();
+        topo_->stepRacks(dt);
+    }
+    const std::string err = testing::internal::GetCapturedStderr();
+    util::setLogLevel(level);
+    obs::setEventLoggingEnabled(false);
+
+    size_t warnings = 0;
+    for (size_t at = err.find("capping floor reached");
+         at != std::string::npos;
+         at = err.find("capping floor reached", at + 1))
+        ++warnings;
+    EXPECT_EQ(warnings, episode_ticks.size()) << err;
+    std::vector<double> floor_ticks;
+    for (const obs::EventRecord &e : obs::snapshotEvents()) {
+        if (e.type != "overload_close")
+            continue;
+        for (const auto &[key, value] : e.nums) {
+            if (key == "floor_ticks")
+                floor_ticks.push_back(value);
+        }
+    }
+    obs::clearEvents();
+    EXPECT_EQ(floor_ticks, (std::vector<double>{5.0, 9.0}));
+    EXPECT_DOUBLE_EQ(plane.totalCap().value(), 0.0);
+}
+
 TEST_F(ControllerTest, AgentLookup)
 {
     core::LocalOnlyCoordinator coordinator;
     ControlPlane plane(*topo_, topo_->root(), queue_, &coordinator);
     EXPECT_EQ(plane.agentFor(2).rackId(), 2);
     EXPECT_EQ(plane.agents().size(), 4u);
+}
+
+TEST_F(ControllerTest, RejectsAgentsThatAreNotTheNodesRows)
+{
+    // The controller addresses agent k as row rowBegin() + k, so a
+    // span that is not exactly the node's rows must not construct.
+    std::vector<std::unique_ptr<RackAgent>> agents;
+    for (int id : {1, 0, 2, 3}) {
+        agents.push_back(
+            std::make_unique<RackAgent>(topo_->rack(id), queue_));
+    }
+    auto make = [&](AgentSpan span) {
+        BreakerController(topo_->root(), span, queue_, nullptr,
+                          ControllerConfig{}, *topo_);
+    };
+    EXPECT_DEATH(make(AgentSpan(agents).subspan(1)),
+                 "agents are not the node's rows");
+    EXPECT_DEATH(make(AgentSpan(agents)),
+                 "agents are not the node's rows");
+    std::swap(agents[0], agents[1]);
+    make(AgentSpan(agents));  // racks 0..3 in row order
 }
 
 } // namespace

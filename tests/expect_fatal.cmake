@@ -1,7 +1,11 @@
 # Passes when a command exits with status 1 and its stderr holds a
 # `fatal: ` line matching EXPECT (a regular expression):
 #
-#   cmake -DEXPECT=<regex> -P expect_fatal.cmake -- <command> [args...]
+#   cmake -DEXPECT=<regex> [-DREJECT=<regex>] -P expect_fatal.cmake \
+#       -- <command> [args...]
+#
+# With REJECT set, it also fails when stdout or stderr matches REJECT
+# (output the command must not print before it fails).
 #
 # PASS_REGULAR_EXPRESSION alone would ignore the exit status.
 
@@ -29,4 +33,7 @@ if(NOT status STREQUAL "1")
 endif()
 if(NOT err MATCHES "fatal: ${EXPECT}")
     message(FATAL_ERROR "stderr lacks 'fatal: ${EXPECT}':\n${err}")
+endif()
+if(DEFINED REJECT AND "${out}${err}" MATCHES "${REJECT}")
+    message(FATAL_ERROR "output matches '${REJECT}':\n${out}${err}")
 endif()

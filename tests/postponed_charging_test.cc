@@ -136,15 +136,15 @@ TEST(AgentHold, HoldAndResumeWithActuationLag)
     agent.commandHold();
     EXPECT_TRUE(agent.holdCommanded());
     queue.runUntil(sim::toTicks(Seconds(10.0)));
-    EXPECT_FALSE(agent.chargingHeld());  // lag not elapsed
+    EXPECT_FALSE(rack.shelf().chargingHeld());  // lag not elapsed
     queue.runUntil(sim::toTicks(Seconds(21.0)));
-    EXPECT_TRUE(agent.chargingHeld());
+    EXPECT_TRUE(rack.shelf().chargingHeld());
 
     agent.commandResume(Amperes(1.0));
     EXPECT_FALSE(agent.holdCommanded());
     queue.runUntil(sim::toTicks(Seconds(45.0)));
-    EXPECT_FALSE(agent.chargingHeld());
-    EXPECT_DOUBLE_EQ(agent.readSetpoint().value(), 1.0);
+    EXPECT_FALSE(rack.shelf().chargingHeld());
+    EXPECT_DOUBLE_EQ(rack.shelf().chargeSetpoint().value(), 1.0);
 }
 
 TEST(AgentHold, DuplicateHoldSuppressed)

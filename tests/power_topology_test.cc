@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "power/topology.h"
 
 namespace dcbatt::power {
@@ -71,6 +73,73 @@ TEST(Topology, TotalRacksTruncates)
     Topology topo = Topology::build(spec,
                                     battery::makeVariableCharger());
     EXPECT_EQ(topo.racks().size(), 13u);
+}
+
+/** A subtree's racks by recursion over the children: the reference. */
+void
+racksByWalk(const PowerNode &node, std::vector<const Rack *> &out)
+{
+    if (node.rack())
+        out.push_back(node.rack());
+    for (const PowerNode *child : node.children())
+        racksByWalk(*child, out);
+}
+
+TEST(Topology, RowRangesMatchRecursiveWalk)
+{
+    // Every node's row range must hold exactly the racks a recursive
+    // walk finds under it, in the same order, as a view of the
+    // topology's rack list; subtrees that totalRacks leaves without
+    // racks get an empty range.
+    TopologySpec site;
+    site.rootKind = NodeKind::Site;
+    site.buildingsPerSite = 2;
+    site.suitesPerBuilding = 2;
+    site.msbsPerSuite = 2;
+    site.sbsPerMsb = 2;
+    site.rppsPerSb = 3;
+    site.racksPerRpp = 5;
+    site.totalRacks = 97;
+    std::vector<TopologySpec> specs{smallMsbSpec(), site};
+    for (int total : {1, 4, 5, 8, 13, 16}) {
+        specs.push_back(smallMsbSpec());
+        specs.back().totalRacks = total;
+    }
+    for (const TopologySpec &spec : specs) {
+        Topology topo = Topology::build(spec,
+                                        battery::makeVariableCharger());
+        int empty = 0;
+        for (NodeKind kind :
+             {NodeKind::Site, NodeKind::Building, NodeKind::Suite,
+              NodeKind::Msb, NodeKind::Sb, NodeKind::Rpp,
+              NodeKind::RackNode}) {
+            for (const PowerNode *node : topo.nodesOfKind(kind)) {
+                std::vector<const Rack *> want;
+                racksByWalk(*node, want);
+                std::span<Rack *const> got = node->racksBelow();
+                ASSERT_EQ(got.size(), want.size()) << node->name();
+                ASSERT_EQ(node->rowEnd() - node->rowBegin(), got.size())
+                    << node->name();
+                for (size_t k = 0; k < got.size(); ++k) {
+                    EXPECT_EQ(got[k], want[k]) << node->name();
+                    EXPECT_EQ(static_cast<size_t>(got[k]->id()),
+                              node->rowBegin() + k)
+                        << node->name();
+                }
+                if (!got.empty()) {
+                    EXPECT_EQ(got.data(),
+                              &topo.racks()[node->rowBegin()]);
+                }
+                empty += got.empty() ? 1 : 0;
+            }
+        }
+        EXPECT_EQ(topo.root().rowBegin(), 0u);
+        EXPECT_EQ(topo.root().rowEnd(), topo.racks().size());
+        if (spec.totalRacks == 8) {
+            // The second SB and its two RPPs hold no rack.
+            EXPECT_EQ(empty, 3);
+        }
+    }
 }
 
 TEST(Topology, BreakersAtRightLevels)

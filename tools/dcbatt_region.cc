@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "battery/batch_charge_kernel.h"
 #include "cli.h"
 #include "power/region_spec.h"
 #include "sim/region_engine.h"
@@ -110,6 +111,8 @@ main(int argc, char **argv)
 {
     CliOptions options;
     parseArgs(argc, argv, options);
+    // A bad DCBATT_SIMD or DCBATT_BATCH fails here, before any output.
+    battery::resolveKernelSwitches();
     if (options.verbose)
         util::setLogLevel(util::LogLevel::Debug);
     options.observability.arm();

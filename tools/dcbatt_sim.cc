@@ -61,6 +61,7 @@
 #include <string>
 #include <vector>
 
+#include "battery/batch_charge_kernel.h"
 #include "cli.h"
 #include "core/charging_event_sim.h"
 #include "obs/crash_bundle.h"
@@ -195,6 +196,8 @@ main(int argc, char **argv)
 {
     CliOptions options;
     parseArgs(argc, argv, options);
+    // A bad DCBATT_SIMD or DCBATT_BATCH fails here, before any output.
+    battery::resolveKernelSwitches();
     if (options.verbose)
         util::setLogLevel(util::LogLevel::Debug);
     options.observability.arm();
